@@ -6,15 +6,13 @@ production scale.  This example runs the §4.3.1 microbenchmark on a
 fabric, printing completion statistics and the simulator's events/sec so
 the throughput at scale is visible.
 
-``--shards N`` turns on conservative-parallel sharding for fabrics that
-support it (EDM; note EDM's 9-bit node ids cap it at ``--nodes 512``).
+EDM's 9-bit node ids cap it at ``--nodes 512``.
 ``examples/scale_8192.py`` reuses :func:`run_point` as its smoke driver.
 
 Run::
 
     PYTHONPATH=src python examples/scale_1024.py [--nodes 1024]
     [--messages 20000] [--kernel calendar|heap] [--fabrics IRD,DCTCP]
-    [--shards 4]
 """
 
 import argparse
@@ -35,10 +33,6 @@ def build_arg_parser(
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--kernel", type=str, default="calendar")
     parser.add_argument("--fabrics", type=str, default=fabrics)
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="conservative-parallel shards (fabrics with sharding support)",
-    )
     return parser
 
 
@@ -49,27 +43,23 @@ def run_point(
     nodes: int,
     seed: int,
     kernel: str,
-    shards: int = 1,
     deadline_ns: float = 50_000_000.0,
 ) -> None:
     """Run one fabric over ``messages`` and print its scale report line."""
     config = ClusterConfig(
-        num_nodes=nodes, link_gbps=100.0, seed=seed, kernel=kernel,
-        shards=shards,
+        num_nodes=nodes, link_gbps=100.0, seed=seed, kernel=kernel
     )
     fabric = fabric_by_name(name, config)
-    sharded = shards > 1 and fabric.supports_sharding
     events_before = process_events_executed()
     start = time.perf_counter()
     result = fabric.run(messages, deadline_ns=deadline_ns)
     wall = time.perf_counter() - start
     events = process_events_executed() - events_before
     mean = result.mean_latency_ns()
-    mode = f"{shards} shards" if sharded else f"{kernel} kernel"
     print(
         f"{name:>9}: {len(result.records)}/{len(messages)} completed, "
         f"mean latency {mean:8.1f} ns | {events} events in {wall:.2f}s "
-        f"({mode}, {events / wall / 1e3:.0f}k ev/s)"
+        f"({kernel} kernel, {events / wall / 1e3:.0f}k ev/s)"
     )
 
 
@@ -86,8 +76,7 @@ def main() -> None:
     for name in args.fabrics.split(","):
         run_point(
             name, messages,
-            nodes=args.nodes, seed=args.seed,
-            kernel=args.kernel, shards=args.shards,
+            nodes=args.nodes, seed=args.seed, kernel=args.kernel,
         )
 
 

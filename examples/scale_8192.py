@@ -1,21 +1,18 @@
-"""An 8192-node scale point, with a conservative-parallel EDM demo.
+"""An 8192-node scale point, plus EDM at its 512-node ceiling.
 
 Two halves, both riding :func:`scale_1024.run_point` as the driver:
 
 1. The queueing-substrate fabrics (IRD, DCTCP) at 8192 nodes — node
    count is unbounded for them, so this is the raw "how far does the
    calendar kernel take us" demo.
-2. EDM serial vs ``--shards N``: EDM's wire format carries 9-bit node
-   ids (§3.1.4), so its cluster tops out at 512 nodes; its scale axis is
-   event density, and sharding splits that event load across forked
-   workers.  Both runs print the identical completion stats — sharding
-   is bit-identical by contract (docs/DETERMINISM.md) — so the only
-   difference to observe is the events/sec.
+2. EDM at 512 nodes: EDM's wire format carries 9-bit node ids
+   (§3.1.4), so its cluster tops out there and its scale axis is event
+   density at high load.
 
 Run::
 
     PYTHONPATH=src python examples/scale_8192.py [--nodes 8192]
-    [--messages 20000] [--kernel calendar|heap] [--shards 4]
+    [--messages 20000] [--kernel calendar|heap]
 """
 
 import os
@@ -34,7 +31,6 @@ EDM_MAX_NODES = 512
 def main() -> None:
     parser = build_arg_parser(nodes=8192, fabrics="IRD,DCTCP")
     args = parser.parse_args()
-    shards = args.shards if args.shards > 1 else 4
 
     print(f"generating {args.messages} messages across {args.nodes} nodes ...")
     messages = microbenchmark(
@@ -50,10 +46,7 @@ def main() -> None:
             nodes=args.nodes, seed=args.seed, kernel=args.kernel,
         )
 
-    print(
-        f"\nEDM at its wire-format ceiling ({EDM_MAX_NODES} nodes), "
-        f"serial vs {shards} shards ..."
-    )
+    print(f"\nEDM at its wire-format ceiling ({EDM_MAX_NODES} nodes) ...")
     edm_messages = microbenchmark(
         num_nodes=EDM_MAX_NODES,
         link_gbps=100.0,
@@ -61,12 +54,10 @@ def main() -> None:
         message_count=args.messages,
         seed=args.seed,
     )
-    for n in (1, shards):
-        run_point(
-            "EDM", edm_messages,
-            nodes=EDM_MAX_NODES, seed=args.seed, kernel=args.kernel,
-            shards=n,
-        )
+    run_point(
+        "EDM", edm_messages,
+        nodes=EDM_MAX_NODES, seed=args.seed, kernel=args.kernel,
+    )
 
 
 if __name__ == "__main__":

@@ -179,7 +179,6 @@ def _figure8a_options(args: argparse.Namespace) -> Dict[str, Any]:
         seed=args.seed,
         fabric_names=_parse_fabrics(args.fabrics),
         kernel=args.kernel,
-        shards=args.shards,
         topology=args.topology,
     )
     return {"loads": _parse_loads(args.loads), "scale": scale}
@@ -192,7 +191,6 @@ def _figure8b_options(args: argparse.Namespace) -> Dict[str, Any]:
         seed=args.seed,
         fabric_names=_parse_fabrics(args.fabrics),
         kernel=args.kernel,
-        shards=args.shards,
         topology=args.topology,
     )
     return {"apps": args.apps.split(",") if args.apps else None, "scale": scale}
@@ -221,7 +219,6 @@ _RUN_FLAG_DEFAULTS = {
     "profiles": "",
     "ops_per_client": 0,
     "kernel": DEFAULT_KERNEL,
-    "shards": 1,
     "topology": "single",
 }
 
@@ -314,14 +311,13 @@ def _cmd_run(args: argparse.Namespace) -> None:
     elif name == "serving":
         _warn_ignored_flags(
             name, args,
-            ("loads", "apps", "fabrics", "families", "messages", "shards",
-             "topology"),
+            ("loads", "apps", "fabrics", "families", "messages", "topology"),
         )
         options = _serving_options(args)
     elif name == "ablations":
         _warn_ignored_flags(
             name, args,
-            ("loads", "apps", "fabrics", "profiles", "ops_per_client", "shards",
+            ("loads", "apps", "fabrics", "profiles", "ops_per_client",
              "topology"),
         )
         options = {
@@ -339,8 +335,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             name, args,
             (
                 "nodes", "messages", "seed", "loads", "apps", "fabrics",
-                "families", "profiles", "ops_per_client", "kernel", "shards",
-                "topology",
+                "families", "profiles", "ops_per_client", "kernel", "topology",
             ),
         )
         options = {}
@@ -394,8 +389,6 @@ def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["message_count"] = args.messages
     if args.kernel != DEFAULT_KERNEL:
         options["kernel"] = args.kernel
-    if getattr(args, "shards", 1) != 1:
-        options["shards"] = args.shards
     if getattr(args, "topology", "single") != "single":
         options["topology"] = args.topology
     return options
@@ -443,9 +436,6 @@ def _cmd_bench_kernel(args: argparse.Namespace) -> None:
         seed=args.seed,
         jobs=args.jobs,
         fabric_names=_parse_fabrics(args.fabrics),
-        shards=args.shards,
-        sharded_nodes=args.sharded_nodes,
-        sharded_messages=args.sharded_messages,
     )
     print(format_kernel_bench(payload))
     if args.out:
@@ -514,11 +504,6 @@ def _add_scale_args(
         help="event-queue kernel (results are bit-identical across kernels)",
     )
     parser.add_argument(
-        "--shards", type=int, default=1,
-        help="conservative-parallel shards per simulation (default 1 = "
-        "serial; sharded replay is bit-identical to serial)",
-    )
-    parser.add_argument(
         "--topology", type=str, default="single",
         help="substrate topology: 'single' or "
         "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md); "
@@ -526,17 +511,16 @@ def _add_scale_args(
     )
 
 
-#: Shared epilog for subcommands that accept both parallelism knobs.  The
-#: README's "Scaling up" section documents the same contract — keep the
-#: two in sync (CI greps for the marker phrases).
+#: Shared epilog for the simulation subcommands.  The README's "Scaling
+#: up" section documents the same contract — keep the two in sync (CI
+#: greps for the marker phrases).
 _SCALING_EPILOG = (
     "scaling up: --jobs N runs independent grid cells in worker processes "
-    "(embarrassingly parallel); --shards N splits one simulation into "
-    "conservative-parallel shards (fabrics that support it, e.g. EDM); "
-    "--topology leaf-spine:leaves=L,spines=S swaps the single switch for "
-    "a routed Clos substrate (docs/TOPOLOGY.md). "
-    "All knobs are bit-identical to their serial equivalents — see "
-    "docs/ARCHITECTURE.md and docs/DETERMINISM.md. "
+    "(embarrassingly parallel); each simulation runs serially on one "
+    "core; --topology leaf-spine:leaves=L,spines=S swaps the single "
+    "switch for a routed Clos substrate (docs/TOPOLOGY.md). "
+    "--jobs and --kernel are bit-identical to their serial, default "
+    "equivalents — see docs/ARCHITECTURE.md and docs/DETERMINISM.md. "
     "Interrupted sweeps resume from their checkpoint journal with "
     "--resume <path>.ckpt.jsonl (docs/RESILIENCE.md); faulty cells are "
     "retried with the same seed, so a recovered run's artifact equals a "
@@ -636,11 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-queue kernel (results are bit-identical across kernels)",
     )
     scenario_run.add_argument(
-        "--shards", type=int, default=1,
-        help="conservative-parallel shards per simulation (EDM scenarios "
-        "only; errors on fabrics without sharding support)",
-    )
-    scenario_run.add_argument(
         "--topology", type=str, default="single",
         help="override every scenario's topology: 'single' or "
         "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md)",
@@ -672,19 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--fabrics", type=str, default="",
         help="comma-separated fabric names (default: all seven)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=4,
-        help="shard count for the sharded-speedup section",
-    )
-    bench.add_argument(
-        "--sharded-nodes", type=int, default=512,
-        help="cluster size for the sharded-speedup section (EDM wire "
-        "format caps node ids at 9 bits, i.e. 512 nodes)",
-    )
-    bench.add_argument(
-        "--sharded-messages", type=int, default=20_000,
-        help="message count for the sharded-speedup section",
     )
     bench.add_argument(
         "--out", type=str, default="BENCH_kernel.json",

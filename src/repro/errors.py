@@ -66,10 +66,10 @@ class TopologyError(ReproError):
 class ExecutionError(ReproError):
     """Raised by the supervised execution layer on unrecoverable failures.
 
-    Covers worker-process death, dead or unresponsive shard workers, a
-    cell that exhausted its retry budget, and checkpoint journals that do
-    not match the grid being resumed.  The message always names the
-    failing unit (cell key or shard id) and what was being waited on.
+    Covers worker-process death, a cell that exhausted its retry budget,
+    and checkpoint journals that do not match the grid being resumed.
+    The message always names the failing cell and what was being waited
+    on.
     """
 
 
@@ -77,8 +77,7 @@ class CellTimeoutError(ExecutionError):
     """A supervised wait exceeded its wall-clock budget.
 
     Raised when a grid cell overruns its per-cell timeout (the supervisor
-    terminates the worker and, attempts permitting, retries the cell) or
-    when a shard worker fails to answer a window round-trip within
-    ``REPRO_SHARD_TIMEOUT_S``.  Subclasses :class:`ExecutionError`, so
+    terminates the worker and, attempts permitting, retries the cell).
+    Subclasses :class:`ExecutionError`, so
     callers handling execution failures catch timeouts for free.
     """

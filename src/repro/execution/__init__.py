@@ -1,8 +1,8 @@
 """Fault-tolerant execution layer: supervision, checkpoints, chaos.
 
 This package makes the *execution harness* — not the modeled network —
-survive real-world faults, so long sweeps and large sharded runs degrade
-instead of dying (contract: docs/RESILIENCE.md):
+survive real-world faults, so long sweeps degrade instead of dying
+(contract: docs/RESILIENCE.md):
 
 * :mod:`repro.execution.supervisor` — per-cell timeouts, worker-death
   detection, and deterministic retry/backoff under the experiment
@@ -15,9 +15,8 @@ instead of dying (contract: docs/RESILIENCE.md):
   by tests and CI to *assert* recovery behaviour.
 
 Faults here change wall-clock behaviour only: a retried cell re-runs the
-same pure function on the same seed, and the shard-backend fallback
-swaps between backends that replay bit-identically, so a degraded run's
-reduced artifact equals a fault-free run's.
+same pure function on the same seed, so a degraded run's reduced
+artifact equals a fault-free run's.
 """
 
 from repro.execution.atomic import atomic_write_json, atomic_write_text

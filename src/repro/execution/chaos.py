@@ -16,14 +16,13 @@ Grammar (documented in docs/RESILIENCE.md)::
   ``:count=2`` to also kill the first retry, and so on).
 * ``hang:cell=3`` — the worker sleeps past any cell timeout instead of
   running the cell (same ``count`` semantics).
-* ``kill_worker:shard=1`` / ``hang:shard=1`` — the forked shard worker
-  for shard 1 dies (or hangs) at its next window round-trip.  Shard
-  faults fire only in the ``processes`` backend; the inprocess fallback
-  path never consults them, which is exactly what lets ``auto`` degrade
-  to a fault-free run.
 * ``partial_artifact`` — the next atomic artifact write aborts midway
   through its temp file (per-process, ``count`` times), proving an
   interrupted run can never leave truncated JSON at the final path.
+
+Each kind accepts only its own keys (:data:`CHAOS_KEYS`); a typo such as
+``kill_worker:cel=3`` is a :class:`~repro.errors.ConfigError`, not a fault
+that parses cleanly and then never fires.
 
 Every hook is deterministic: a fault either always fires at its hook for
 a given (target, attempt) or never does, so chaos runs are exactly
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
@@ -74,7 +73,12 @@ class ChaosFault:
         )
 
 
-_KNOWN_KINDS = ("kill_worker", "hang", "partial_artifact")
+#: The param keys each fault kind accepts.
+CHAOS_KEYS = {
+    "kill_worker": ("cell", "count", "hold_s"),
+    "hang": ("cell", "count", "hold_s"),
+    "partial_artifact": ("count",),
+}
 
 
 def parse_chaos(text: str) -> Tuple[ChaosFault, ...]:
@@ -82,17 +86,23 @@ def parse_chaos(text: str) -> Tuple[ChaosFault, ...]:
     faults = []
     for chunk in filter(None, (p.strip() for p in text.split(";"))):
         kind, _, rest = chunk.partition(":")
-        if kind not in _KNOWN_KINDS:
+        if kind not in CHAOS_KEYS:
             raise ConfigError(
                 f"unknown chaos fault kind {kind!r} in {chunk!r} "
-                f"(known: {', '.join(_KNOWN_KINDS)})"
+                f"(known: {', '.join(CHAOS_KEYS)})"
             )
+        allowed = CHAOS_KEYS[kind]
         params = []
         count = 1
         for pair in filter(None, rest.split(":")):
             key, sep, raw = pair.partition("=")
             if not sep or not key or not raw:
                 raise ConfigError(f"chaos param {pair!r} is not key=value")
+            if key not in allowed:
+                raise ConfigError(
+                    f"unknown chaos param {key!r} for {kind!r} in {chunk!r} "
+                    f"(allowed: {', '.join(allowed)})"
+                )
             try:
                 value: Any = int(raw)
             except ValueError:
@@ -139,27 +149,11 @@ def apply_cell_chaos(index: int, attempt: int) -> None:
         time.sleep(float(fault.param("hold_s", DEFAULT_HOLD_S)))
 
 
-def apply_shard_chaos(shard_id: int) -> None:
-    """Shard-worker hook, called at each window round-trip.
-
-    Only ever reached inside forked ``processes``-backend workers; the
-    inprocess backend (and therefore the automatic fallback path) never
-    consults shard faults, so a degraded run completes fault-free.
-    """
-    fault = find_fault("kill_worker", shard=shard_id)
-    if fault is not None:
-        os._exit(CHAOS_EXIT_CODE)
-    fault = find_fault("hang", shard=shard_id)
-    if fault is not None:
-        time.sleep(float(fault.param("hold_s", DEFAULT_HOLD_S)))
-
-
 @dataclass
 class _ProcessState:
     """Per-process fire counters for hooks without an attempt axis."""
 
     partial_artifact_fired: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
 
 _STATE = _ProcessState()

@@ -177,9 +177,8 @@ class _WorkerHandle:
 
     def __init__(self, ctx: Any, sibling_conns: Sequence[Any]) -> None:
         self.conn, child = ctx.Pipe(duplex=True)
-        # Daemonic, like the Pool workers they replace: sharded cells
-        # running under --jobs keep falling back to the inprocess shard
-        # backend (daemonic processes cannot fork children).
+        # Daemonic, like the Pool workers they replace: multiprocessing
+        # terminates them when the parent exits.
         self.process = ctx.Process(
             target=_cell_worker,
             args=(child, [self.conn, *sibling_conns]),

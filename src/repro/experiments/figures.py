@@ -206,11 +206,6 @@ class Figure8aScale:
     deadline_ns: float = 2_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None  # None = all seven
     kernel: str = DEFAULT_KERNEL
-    #: Conservative-parallel shards per simulation.  Fabrics that support
-    #: sharding (EDM) split their event loop; the rest run serial — both
-    #: produce bit-identical artifacts either way, so this is purely a
-    #: wall-clock knob (docs/DETERMINISM.md).
-    shards: int = 1
     #: Substrate topology spec string (docs/TOPOLOGY.md): ``"single"`` or
     #: ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``.  Only fabrics
     #: tagged ``multitier`` accept a multi-tier value.
@@ -240,7 +235,6 @@ def _scale_params(scale) -> Dict[str, object]:
         "message_count": scale.message_count,
         "deadline_ns": scale.deadline_ns,
         "kernel": getattr(scale, "kernel", DEFAULT_KERNEL),
-        "shards": getattr(scale, "shards", 1),
         "topology": getattr(scale, "topology", "single"),
     }
 
@@ -251,7 +245,6 @@ def _cluster_config(cell: Cell) -> ClusterConfig:
         link_gbps=cell.param("link_gbps"),
         seed=cell.seed,
         kernel=cell.param("kernel", DEFAULT_KERNEL),
-        shards=cell.param("shards", 1),
         topology=cell.param("topology", "single"),
     )
 
@@ -441,8 +434,6 @@ class Figure8bScale:
     deadline_ns: float = 5_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None
     kernel: str = DEFAULT_KERNEL
-    #: Conservative-parallel shards per simulation (see Figure8aScale).
-    shards: int = 1
     #: Substrate topology spec string (see Figure8aScale).
     topology: str = "single"
 

@@ -13,7 +13,6 @@ queue's own cost from the fabric models that dominate end-to-end cells.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from typing import Any, Dict, Optional, Sequence
@@ -56,83 +55,6 @@ def kernel_microbench(depths: Sequence[int] = (1_000, 10_000)) -> Dict[str, Any]
     return {"workload": "hold-depth push/pop churn, exponential gaps", "rows": rows}
 
 
-def run_sharded_bench(
-    num_nodes: int = 512,
-    message_count: int = 20_000,
-    shards: int = 4,
-    seed: int = 1,
-    load: float = 0.9,
-) -> Dict[str, Any]:
-    """EDM serial vs conservative-parallel wall clock, with bit-identity.
-
-    Asserts the sharded replay is identical to serial before reporting
-    any timing, so the speedup number can never describe a divergent run.
-    The recorded ``cpu_count`` keeps the measurement honest: conservative
-    sharding trades synchronization overhead for concurrency, so a
-    single-core host will legitimately report a speedup *below* 1.
-
-    ``num_nodes`` tops out at 512 — the EDM wire format carries 9-bit
-    node ids (§3.1.4), so larger clusters cannot be expressed in the
-    paper's header; scale beyond that comes from event density.
-    """
-    from repro.fabrics.base import ClusterConfig
-    from repro.fabrics.edm import EdmFabric
-    from repro.sim.shard import processes_backend_available
-    from repro.workloads.api import workload_from_spec
-    from repro.workloads.distributions import fixed_size
-    from repro.workloads.synthetic import SyntheticSpec
-
-    spec = SyntheticSpec(
-        num_nodes=num_nodes,
-        link_gbps=100.0,
-        load=load,
-        message_count=message_count,
-        size_cdf=fixed_size(64),
-        write_fraction=0.5,
-        seed=seed,
-        incast_fraction=0.25,
-    )
-    messages = workload_from_spec(spec).materialize()
-    backend = "processes" if processes_backend_available() else "inprocess"
-
-    start = time.perf_counter()
-    serial = EdmFabric(ClusterConfig(num_nodes=num_nodes, seed=seed)).run(
-        list(messages)
-    )
-    serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    sharded = EdmFabric(
-        ClusterConfig(num_nodes=num_nodes, seed=seed, shards=shards)
-    ).run(list(messages), shard_backend=backend)
-    sharded_wall = time.perf_counter() - start
-
-    def snap(result):
-        return [(r.message.uid, r.completed_at) for r in result.records]
-
-    if snap(serial) != snap(sharded) or serial.stats != sharded.stats:
-        raise BenchmarkError(
-            f"sharded run diverged from serial at {shards} shards — "
-            "the conservative replay must be bit-identical"
-        )
-    return {
-        "config": {
-            "num_nodes": num_nodes,
-            "message_count": message_count,
-            "shards": shards,
-            "seed": seed,
-            "load": load,
-            "node_limit_note": "EDM wire format: 9-bit node ids cap clusters at 512",
-        },
-        "cpu_count": os.cpu_count(),
-        "backend": backend,
-        "results_identical": True,
-        "events": serial.stats["sim_events"],
-        "serial_wall_s": round(serial_wall, 3),
-        "sharded_wall_s": round(sharded_wall, 3),
-        "speedup": round(serial_wall / sharded_wall, 2) if sharded_wall else None,
-    }
-
-
 def run_kernel_bench(
     num_nodes: int = 16,
     message_count: int = 4_000,
@@ -141,9 +63,6 @@ def run_kernel_bench(
     jobs: int = 1,
     fabric_names: Optional[Sequence[str]] = None,
     depths: Sequence[int] = (1_000, 10_000),
-    shards: int = 4,
-    sharded_nodes: int = 512,
-    sharded_messages: int = 20_000,
 ) -> Dict[str, Any]:
     """Run the smoke sweep under both kernels; raises on any divergence."""
     from repro.experiments.figures import Figure8aScale
@@ -210,15 +129,6 @@ def run_kernel_bench(
             else None,
         },
         "kernel_microbench": kernel_microbench(depths),
-        # Not gated by bench-gate (the gate flattens only sweep/microbench
-        # series): wall-clock speedup depends on the runner's core count,
-        # so CI asserts the bit-identity and merely *prints* the speedup.
-        "sharded": run_sharded_bench(
-            num_nodes=sharded_nodes,
-            message_count=sharded_messages,
-            shards=shards,
-            seed=seed,
-        ),
     }
 
 
@@ -242,15 +152,5 @@ def format_kernel_bench(payload: Dict[str, Any]) -> str:
             f"  raw kernel @depth {row['depth']:>6}: "
             f"calendar {row['calendar_ops_per_s']:>8} ops/s  "
             f"heap {row['heap_ops_per_s']:>8} ops/s  ({row['speedup']}x)"
-        )
-    sharded = payload.get("sharded")
-    if sharded:
-        cfg = sharded["config"]
-        lines.append(
-            f"  sharded EDM ({cfg['num_nodes']} nodes, {cfg['shards']} shards, "
-            f"{sharded['backend']}, {sharded['cpu_count']} cpus): "
-            f"serial {sharded['serial_wall_s']}s vs "
-            f"{sharded['sharded_wall_s']}s  ->  {sharded['speedup']}x, "
-            f"bit-identical"
         )
     return "\n".join(lines)

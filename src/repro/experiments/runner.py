@@ -43,6 +43,7 @@ from typing import (
 
 from repro.errors import ConfigError
 from repro.execution.atomic import atomic_write_json
+from repro.execution.chaos import active_faults
 from repro.execution.checkpoint import CheckpointWriter, load_checkpoint
 from repro.execution.supervisor import SupervisionPolicy, supervised_map
 from repro.sim.engine import process_events_executed
@@ -318,6 +319,9 @@ class Runner:
         cells = list(spec.build_cells(**options))
         if not cells:
             raise ConfigError(f"experiment {spec.name!r} built an empty grid")
+        # A malformed REPRO_CHAOS fails here, before any worker forks,
+        # not as a crash in every worker that parses it.
+        active_faults()
         prefilled: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
         if resume_from is not None:
             prefilled = load_checkpoint(resume_from, spec.name, cells)

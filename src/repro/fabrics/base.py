@@ -175,10 +175,6 @@ class ClusterConfig:
     max_active_per_pair: int = 3
     seed: int = 0
     kernel: str = DEFAULT_KERNEL
-    #: Conservative-parallel shards for a single run (1 = serial).  Only
-    #: fabrics with ``supports_sharding`` honour values above 1; the
-    #: sharded replay is bit-identical to serial (docs/DETERMINISM.md).
-    shards: int = 1
     #: Shape of the switching substrate (docs/TOPOLOGY.md).  Accepts a
     #: :class:`~repro.topology.spec.TopologySpec` or its string form
     #: (``"single"``, ``"leaf-spine:leaves=4,spines=2"``); only fabrics
@@ -203,32 +199,6 @@ class ClusterConfig:
             raise FabricError(
                 f"unknown kernel {self.kernel!r} (choose from {', '.join(KERNELS)})"
             )
-        if self.shards < 1:
-            raise FabricError(f"shards must be >= 1: {self.shards}")
-        if self.shards > 1:
-            # Shard 0 holds the switch; each remaining shard needs at
-            # least one host, and the conservative window needs a
-            # nonzero lookahead from link propagation.
-            if self.shards - 1 > self.num_nodes:
-                raise FabricError(
-                    f"{self.shards} shards need >= {self.shards - 1} nodes, "
-                    f"have {self.num_nodes}"
-                )
-            if self.propagation_ns <= 0:
-                raise FabricError(
-                    "sharded runs need positive propagation_ns for lookahead"
-                )
-            if (
-                not self.topology.is_single
-                and self.shards - 1 > self.topology.leaves
-            ):
-                # Multi-tier shard units are whole leaf subtrees (shard 0
-                # holds the core switch), so each non-core shard needs at
-                # least one leaf.
-                raise FabricError(
-                    f"{self.shards} shards need >= {self.shards - 1} leaves, "
-                    f"have {self.topology.leaves}"
-                )
         self.topology.validate_cluster(self.num_nodes)
 
 
@@ -236,12 +206,6 @@ class Fabric(abc.ABC):
     """A fabric model that can run an offered workload to completion."""
 
     name: str = "fabric"
-
-    #: Whether this model honours ``ClusterConfig.shards > 1``.  Callers
-    #: that thread a ``--shards`` flag (CLI, scenario engine) check this
-    #: up front so unsupported combinations fail loudly instead of
-    #: silently running serial.
-    supports_sharding: bool = False
 
     #: Whether this model can wire a multi-tier ``ClusterConfig.topology``
     #: (docs/TOPOLOGY.md).  Fabrics that only understand the implicit

@@ -10,12 +10,9 @@ Every component schedules through a static sequence-number lane (the
 workload injector is lane 0, the switch lane 1, host ``h`` lane ``2+h``;
 see ``repro.sim.engine.LaneView``), so event tie order is a property of
 the component that scheduled the event — not of global scheduling order.
-That is what makes conservative sharding exact: with
-``ClusterConfig.shards > 1`` the cluster is cut by a
-:class:`~repro.sim.shard.ShardPlanner` (switch alone in shard 0, hosts
-packed contiguously across the rest), cross-shard links become
-:class:`~repro.sim.link.ShardLink` mailboxes, and the merged run replays
-the serial event order bit-identically (``tests/test_shard_equivalence.py``).
+The golden fixtures (``tests/test_edm_golden.py``) pin the event order
+these lanes produce, and fault events keyed on a link's lane stay put
+when unrelated wiring or scheduling calls move.
 
 With a leaf-spine ``ClusterConfig.topology`` (docs/TOPOLOGY.md), hosts
 reach the scheduled core through per-leaf trunk links instead of
@@ -25,18 +22,13 @@ toward that leaf shares one core→leaf trunk demuxed to per-host access
 links.  EDM's scheduler is a single crossbar by construction (§3), so
 multi-tier EDM requires ``spines == 1`` — one scheduled core; the leaf
 tier models access aggregation and oversubscription, not multipath.
-Leaves get their own sequence lanes (``2 + N + leaf``) and shard
-subtree-atomically with their hosts, making the cut lookahead the core
-propagation delay.
+Leaves get their own sequence lanes (``2 + N + leaf``).
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core import messages as _messages
 from repro.core.scheduler import Policy, SchedulerConfig
 from repro.errors import FabricError
 from repro.fabrics.base import (
@@ -52,49 +44,15 @@ from repro.memctrl.controller import MemoryController
 from repro.memctrl.dram import DramTiming
 from repro.sim.context import SimContext, StatsSink
 from repro.sim.engine import Simulator
-from repro.sim.link import Link, ShardLink
-from repro.sim.rng import make_rng
-from repro.sim.shard import (
-    ShardPlan,
-    ShardPlanner,
-    ShardRuntime,
-    ShardedSimulator,
-)
+from repro.sim.link import Link
 from repro.topology import SubstrateTopology
 
-#: Route key of the single switch in the star topology's shard plan.
+#: Key of the single scheduled switch on the substrate surface.
 SWITCH_KEY = ("switch",)
 
 #: Sequence lanes are static: injector 0, switch 1, host h at 2 + h.
 SWITCH_LANE = 1
 HOST_LANE_BASE = 2
-
-
-def edm_shard_plan(config: ClusterConfig) -> ShardPlan:
-    """The canonical EDM cut: switch alone in shard 0, hosts elsewhere.
-
-    On a leaf-spine topology each leaf and its member hosts form one
-    subtree placement unit — host↔leaf access links are never cut, so
-    the only cross-shard links are the leaf↔core trunks and the window
-    lookahead is the core propagation delay.
-    """
-    planner = ShardPlanner()
-    planner.add_node(SWITCH_KEY, weight=config.num_nodes / 2.0, pin=0)
-    topo = config.topology
-    if topo.is_single:
-        for node in range(config.num_nodes):
-            planner.add_node(("nic", node))
-            planner.add_edge(SWITCH_KEY, ("nic", node), config.propagation_ns)
-        return planner.plan(config.shards)
-    core_prop = topo.core_prop(config.propagation_ns)
-    for leaf in range(topo.leaves):
-        planner.add_node(("leaf", leaf), weight=0.5, subtree=("leaf", leaf))
-        planner.add_edge(SWITCH_KEY, ("leaf", leaf), core_prop)
-    for node in range(config.num_nodes):
-        leaf = topo.leaf_of(node, config.num_nodes)
-        planner.add_node(("nic", node), subtree=("leaf", leaf))
-        planner.add_edge(("leaf", leaf), ("nic", node), config.propagation_ns)
-    return planner.plan(config.shards)
 
 
 class EdmCluster:
@@ -104,11 +62,6 @@ class EdmCluster:
     schedule through per-component seq lanes; pass ``context`` to join a
     cluster to an existing simulation, else a fresh one is created with
     the config's kernel.
-
-    With ``plan``/``runtime`` set, only the components this shard owns are
-    built: links whose far end lives elsewhere become
-    :class:`~repro.sim.link.ShardLink` writers into the runtime's outbox,
-    and locally-owned ingress points register as the runtime's receivers.
     """
 
     def __init__(
@@ -120,13 +73,9 @@ class EdmCluster:
         max_iterations: Optional[int] = None,
         early_release: bool = True,
         context: Optional[SimContext] = None,
-        plan: Optional[ShardPlan] = None,
-        runtime: Optional[ShardRuntime] = None,
     ) -> None:
         from repro.switchfab.switch import EdmSwitch  # local: avoid cycle
 
-        if (plan is None) != (runtime is None):
-            raise FabricError("sharded builds need both plan and runtime")
         self.config = config
         self.ctx = context if context is not None else SimContext(
             sim=Simulator(kernel=config.kernel)
@@ -142,14 +91,8 @@ class EdmCluster:
             max_iterations=max_iterations,
             early_release=early_release,
         )
-        shard_id = runtime.shard_id if runtime is not None else 0
-        switch_local = plan is None or plan.shard_of(SWITCH_KEY) == shard_id
         switch_ctx = self.ctx.lane(SWITCH_LANE)
-        self.switch = (
-            EdmSwitch(switch_ctx, scheduler_config) if switch_local else None
-        )
-        if runtime is not None and self.switch is not None:
-            runtime.register(SWITCH_KEY, self.switch.on_ingress)
+        self.switch = EdmSwitch(switch_ctx, scheduler_config)
         host_config = HostConfig(
             chunk_bytes=config.chunk_bytes,
             max_active_per_pair=config.max_active_per_pair,
@@ -162,62 +105,33 @@ class EdmCluster:
         self.uplinks: Dict[int, Link] = {}
         self.downlinks: Dict[int, Link] = {}
         self.core_links: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
-        self.core_keys: Tuple[Tuple[int, int], ...] = ()
         self._substrate: Optional[SubstrateTopology] = None
         if not config.topology.is_single:
-            self._wire_leaf_spine(
-                plan, runtime, shard_id, switch_local, switch_ctx,
-                host_config, timing, memory_bytes,
-            )
+            self._wire_leaf_spine(switch_ctx, host_config, timing, memory_bytes)
             return
         for node in range(config.num_nodes):
-            node_key = ("nic", node)
-            node_local = plan is None or plan.shard_of(node_key) == shard_id
-            if node_local:
-                # NIC and uplink share the host's lane: every event a host
-                # schedules carries a seq the host's shard can reproduce.
-                host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
-                nic = EdmHostNic(host_ctx, node, self.router, host_config)
-                nic.attach_memory(MemoryController(memory_bytes, timing))
-                if switch_local:
-                    uplink = Link(
-                        host_ctx, config.link_gbps, config.propagation_ns,
-                        receiver=self.switch.on_ingress, name=f"up{node}",
-                    )
-                else:
-                    uplink = ShardLink(
-                        host_ctx, config.link_gbps, config.propagation_ns,
-                        route_key=SWITCH_KEY, outbox=runtime.outbox,
-                        name=f"up{node}",
-                    )
-                nic.attach_uplink(uplink)
-                self.nics[node] = nic
-                self.uplinks[node] = uplink
-                if runtime is not None:
-                    runtime.register(node_key, nic.on_wire)
-            if switch_local:
-                # Downlinks transmit on behalf of the switch, so they draw
-                # from the switch's lane and live in the switch's shard.
-                if node_local:
-                    downlink = Link(
-                        switch_ctx, config.link_gbps, config.propagation_ns,
-                        receiver=self.nics[node].on_wire, name=f"down{node}",
-                    )
-                else:
-                    downlink = ShardLink(
-                        switch_ctx, config.link_gbps, config.propagation_ns,
-                        route_key=node_key, outbox=runtime.outbox,
-                        name=f"down{node}",
-                    )
-                self.switch.attach_port(node, downlink)
-                self.downlinks[node] = downlink
+            # NIC and uplink share the host's lane.
+            host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
+            nic = EdmHostNic(host_ctx, node, self.router, host_config)
+            nic.attach_memory(MemoryController(memory_bytes, timing))
+            uplink = Link(
+                host_ctx, config.link_gbps, config.propagation_ns,
+                receiver=self.switch.on_ingress, name=f"up{node}",
+            )
+            nic.attach_uplink(uplink)
+            self.nics[node] = nic
+            self.uplinks[node] = uplink
+            # Downlinks transmit on behalf of the switch, so they draw
+            # from the switch's lane.
+            downlink = Link(
+                switch_ctx, config.link_gbps, config.propagation_ns,
+                receiver=nic.on_wire, name=f"down{node}",
+            )
+            self.switch.attach_port(node, downlink)
+            self.downlinks[node] = downlink
 
     def _wire_leaf_spine(
         self,
-        plan: Optional[ShardPlan],
-        runtime: Optional[ShardRuntime],
-        shard_id: int,
-        switch_local: bool,
         switch_ctx: SimContext,
         host_config: HostConfig,
         timing: DramTiming,
@@ -230,103 +144,70 @@ class EdmCluster:
         the oversubscribed rate, and the core reaches the leaf over one
         core→leaf trunk whose demux fans transfers out to per-host access
         links.  Leaves transmit on their own sequence lanes
-        (``2 + N + leaf``) and always co-shard with their member hosts
-        (subtree placement units), so only trunks ever become
-        :class:`~repro.sim.link.ShardLink` mailboxes.
+        (``2 + N + leaf``).
         """
         config = self.config
         topo = config.topology
         core_prop = topo.core_prop(config.propagation_ns)
         trunk_gbps = topo.trunk_gbps(config.link_gbps, config.num_nodes)
         for leaf in range(topo.leaves):
-            leaf_key = ("leaf", leaf)
-            leaf_local = plan is None or plan.shard_of(leaf_key) == shard_id
             members = [
                 node for node in range(config.num_nodes)
                 if topo.leaf_of(node, config.num_nodes) == leaf
             ]
-            halves: List[Link] = []
-            demux = None
-            if leaf_local:
-                leaf_ctx = self.ctx.lane(
-                    HOST_LANE_BASE + config.num_nodes + leaf
+            leaf_ctx = self.ctx.lane(HOST_LANE_BASE + config.num_nodes + leaf)
+            trunk_up = Link(
+                leaf_ctx, trunk_gbps, core_prop,
+                receiver=self.switch.on_ingress, name=f"trunk_up{leaf}",
+            )
+
+            def forward_up(transfer, trunk=trunk_up) -> None:
+                trunk.send(transfer, transfer.blocks * 8)
+
+            access: Dict[int, Link] = {}
+            for node in members:
+                host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
+                nic = EdmHostNic(host_ctx, node, self.router, host_config)
+                nic.attach_memory(MemoryController(memory_bytes, timing))
+                uplink = Link(
+                    host_ctx, config.link_gbps, config.propagation_ns,
+                    receiver=forward_up, name=f"up{node}",
                 )
-                if switch_local:
-                    trunk_up = Link(
-                        leaf_ctx, trunk_gbps, core_prop,
-                        receiver=self.switch.on_ingress,
-                        name=f"trunk_up{leaf}",
-                    )
-                else:
-                    trunk_up = ShardLink(
-                        leaf_ctx, trunk_gbps, core_prop,
-                        route_key=SWITCH_KEY, outbox=runtime.outbox,
-                        name=f"trunk_up{leaf}",
-                    )
-                halves.append(trunk_up)
+                nic.attach_uplink(uplink)
+                self.nics[node] = nic
+                self.uplinks[node] = uplink
+                # Access downlinks transmit on behalf of the leaf, so
+                # they draw from the leaf's lane.
+                down = Link(
+                    leaf_ctx, config.link_gbps, config.propagation_ns,
+                    receiver=nic.on_wire, name=f"down{node}",
+                )
+                access[node] = down
+                self.downlinks[node] = down
 
-                def forward_up(transfer, trunk=trunk_up) -> None:
-                    trunk.send(transfer, transfer.blocks * 8)
+            def demux(transfer, access=access) -> None:
+                access[transfer.dst].send(transfer, transfer.blocks * 8)
 
-                access: Dict[int, Link] = {}
-                for node in members:
-                    host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
-                    nic = EdmHostNic(host_ctx, node, self.router, host_config)
-                    nic.attach_memory(MemoryController(memory_bytes, timing))
-                    uplink = Link(
-                        host_ctx, config.link_gbps, config.propagation_ns,
-                        receiver=forward_up, name=f"up{node}",
-                    )
-                    nic.attach_uplink(uplink)
-                    self.nics[node] = nic
-                    self.uplinks[node] = uplink
-                    # Access downlinks transmit on behalf of the leaf, so
-                    # they draw from the leaf's lane.
-                    down = Link(
-                        leaf_ctx, config.link_gbps, config.propagation_ns,
-                        receiver=nic.on_wire, name=f"down{node}",
-                    )
-                    access[node] = down
-                    self.downlinks[node] = down
-
-                def demux(transfer, access=access) -> None:
-                    access[transfer.dst].send(transfer, transfer.blocks * 8)
-
-                if runtime is not None:
-                    runtime.register(leaf_key, demux)
-            if switch_local:
-                # Core→leaf trunks transmit on behalf of the core, so
-                # they draw from the switch's lane and live in its shard.
-                if leaf_local:
-                    trunk_down = Link(
-                        switch_ctx, trunk_gbps, core_prop,
-                        receiver=demux, name=f"trunk_down{leaf}",
-                    )
-                else:
-                    trunk_down = ShardLink(
-                        switch_ctx, trunk_gbps, core_prop,
-                        route_key=leaf_key, outbox=runtime.outbox,
-                        name=f"trunk_down{leaf}",
-                    )
-                # Every member port shares the leaf's trunk: grants
-                # toward co-leaf destinations serialize over it, which is
-                # exactly the oversubscription the topology models.
-                for node in members:
-                    self.switch.attach_port(node, trunk_down)
-                halves.append(trunk_down)
-            if halves:
-                self.core_links[(leaf, 0)] = tuple(halves)
-        self.core_keys = tuple((leaf, 0) for leaf in range(topo.leaves))
+            # Core→leaf trunks transmit on behalf of the core, so they
+            # draw from the switch's lane.
+            trunk_down = Link(
+                switch_ctx, trunk_gbps, core_prop,
+                receiver=demux, name=f"trunk_down{leaf}",
+            )
+            # Every member port shares the leaf's trunk: grants toward
+            # co-leaf destinations serialize over it, which is exactly the
+            # oversubscription the topology models.
+            for node in members:
+                self.switch.attach_port(node, trunk_down)
+            self.core_links[(leaf, 0)] = (trunk_up, trunk_down)
 
     def substrate_topology(self) -> SubstrateTopology:
         """This cluster's fault/observability surface (docs/TOPOLOGY.md).
 
         Built lazily and cached — the fault lane must be requested from
         the simulator exactly once.  The returned context carries a
-        *private* StatsSink: fault bookkeeping fires inside worker shards
-        on sharded runs, where the parent's sink cannot see it, so
-        keeping it out of the run's stats keeps serial and sharded
-        artifacts byte-identical.
+        *private* StatsSink, so fault bookkeeping stays out of the run's
+        ``stats``; what fired is reported by the injector's summary.
         """
         if self._substrate is None:
             config = self.config
@@ -336,16 +217,13 @@ class EdmCluster:
             fault_ctx = SimContext(
                 sim=lane_ctx.sim, rng=lane_ctx.rng, stats=StatsSink()
             )
-            switches = {SWITCH_KEY: self.switch} if self.switch is not None else {}
             self._substrate = SubstrateTopology(
                 ctx=fault_ctx,
                 spec=topo,
                 uplinks=dict(self.uplinks),
                 downlinks=dict(self.downlinks),
-                switches=switches,
+                switches={SWITCH_KEY: self.switch},
                 core_links=dict(self.core_links),
-                num_hosts=config.num_nodes,
-                core_keys=self.core_keys,
             )
         return self._substrate
 
@@ -356,125 +234,10 @@ class EdmCluster:
             raise FabricError(f"no node {node} in this cluster") from exc
 
 
-def _launch_offered(
-    cluster: EdmCluster,
-    sink: List[Tuple[int, float, object]],
-    write_index: Dict[Tuple[int, int], int],
-    message: OfferedMessage,
-) -> None:
-    """Issue one offered message inside its source node's shard.
-
-    Completion records land in ``sink`` as ``(lane, completed_at, tag)``
-    in event-execution order; ``tag`` is the offered uid where the
-    completion fires in this shard, or ``("w", src, wire_uid)`` for a
-    write completing at a remote memory node, resolved at merge time
-    through ``write_index`` (wire uids are unique per source process, and
-    a source node lives in exactly one shard).
-    """
-    nic = cluster.nic(message.src)
-    address = (message.uid * 64) % (1 << 19)
-    if message.is_read:
-
-        def on_read_done(completion: Completion, offered=message) -> None:
-            sink.append(
-                (HOST_LANE_BASE + offered.src, completion.completed_at, offered.uid)
-            )
-
-        nic.read(message.dst, address, message.size_bytes, on_read_done)
-    else:
-
-        def on_write_done(completion: Completion, offered=message) -> None:
-            # Reached only when src and dst share a shard (the completion
-            # fires at the memory node, where this callback is registered
-            # only if the issuing NIC lives in the same kernel).
-            sink.append(
-                (HOST_LANE_BASE + offered.dst, completion.completed_at, offered.uid)
-            )
-
-        wire = nic.write(message.dst, address, message.size_bytes, on_write_done)
-        write_index[(message.src, wire.uid)] = message.uid
-
-
-def _build_edm_shard(
-    shard_id: int,
-    config: ClusterConfig,
-    policy: Policy,
-    dram_timing: DramTiming,
-    max_iterations: Optional[int],
-    early_release: bool,
-    plan: ShardPlan,
-    ordered: Tuple[OfferedMessage, ...],
-    hook: Optional[Callable[[SubstrateTopology], None]] = None,
-) -> ShardRuntime:
-    """Build one shard's cluster slice, inject its share of the workload."""
-    # Namespace wire-message uids per shard.  Forked workers inherit the
-    # parent's counter position, so without this two workers would mint
-    # colliding uids and a shard-local CompletionRouter could mis-fire a
-    # registration against a remote message that happens to share the
-    # number.  Uid *values* never enter timing or ordering decisions, so
-    # disjoint ranges leave the replay bit-identical; in-process mode
-    # simply ends up with one (still unique) reassigned counter.
-    _messages._msg_counter = itertools.count(shard_id << 48)
-    ctx = SimContext(sim=Simulator(kernel=config.kernel), rng=make_rng(config.seed))
-    runtime = ShardRuntime(shard_id, ctx.sim)
-    cluster = EdmCluster(
-        config,
-        policy=policy,
-        dram_timing=dram_timing,
-        max_iterations=max_iterations,
-        early_release=early_release,
-        context=ctx,
-        plan=plan,
-        runtime=runtime,
-    )
-    sink: List[Tuple[int, float, object]] = []
-    write_index: Dict[Tuple[int, int], int] = {}
-
-    def on_unrouted(uid: int, message, now: float) -> None:
-        # A write finished at this memory node for an issuer in another
-        # shard: record it under the memory node's lane, exactly where the
-        # serial run's registered callback would have appended it.
-        sink.append((HOST_LANE_BASE + message.dst, now, ("w", message.src, uid)))
-
-    cluster.router.on_unrouted = on_unrouted
-    if hook is not None:
-        # Install faults against this shard's slice of the substrate:
-        # each fault event draws its seq from the faulted link's own
-        # lane, so event keys match the serial run exactly.
-        hook(cluster.substrate_topology())
-
-    # The offered batch replays the serial injector (lane 0): the serial
-    # path's schedule_batch hands arrival-sorted message i the root seq i,
-    # so injecting each shard's slice with seq == global sorted index
-    # reproduces the identical event keys.
-    shard_of = plan.shard_of
-    ctx.sim.inject(
-        (
-            message.arrival_ns,
-            0,
-            index,
-            partial(_launch_offered, cluster, sink, write_index, message),
-        )
-        for index, message in enumerate(ordered)
-        if shard_of(("nic", message.src)) == shard_id
-    )
-
-    def collect() -> Dict[str, object]:
-        return {
-            "sink": sink,
-            "write_index": write_index,
-            "events": ctx.sim.events_processed,
-        }
-
-    runtime.collect = collect
-    return runtime
-
-
 class EdmFabric(Fabric):
     """The EDM fabric model for Figure 8 experiments."""
 
     name = "EDM"
-    supports_sharding = True
     supports_topology = True
 
     def __init__(
@@ -512,17 +275,7 @@ class EdmFabric(Fabric):
         messages,
         *,
         deadline_ns: Optional[float] = None,
-        shard_backend: str = "auto",
     ) -> FabricResult:
-        if self.config.shards > 1:
-            if not isinstance(messages, (list, tuple)):
-                raise FabricError(
-                    "sharded runs need a materialized workload; streaming "
-                    "Workloads require shards=1"
-                )
-            return self._run_sharded(
-                messages, deadline_ns=deadline_ns, backend=shard_backend
-            )
         ctx = self.new_context()
         cluster = EdmCluster(
             self.config,
@@ -577,63 +330,6 @@ class EdmFabric(Fabric):
         ctx.stats.incr("messages_offered", offered)
         ctx.stats.incr("sim_events", ctx.sim.events_processed)
         result.stats = ctx.stats.to_dict()
-        return result
-
-    def _run_sharded(
-        self,
-        messages,
-        *,
-        deadline_ns: Optional[float],
-        backend: str = "auto",
-    ) -> FabricResult:
-        """Conservative-parallel run; bit-identical to the serial path."""
-        plan = edm_shard_plan(self.config)
-        ordered = tuple(sorted(messages, key=lambda m: m.arrival_ns))
-        builder = partial(
-            _build_edm_shard,
-            config=self.config,
-            policy=self.policy,
-            dram_timing=self._dram_timing(),
-            max_iterations=self.max_iterations,
-            early_release=self.early_release,
-            plan=plan,
-            ordered=ordered,
-            hook=self.topology_hook,
-        )
-        sharded = ShardedSimulator(plan, builder, backend=backend)
-        payloads = sharded.run(deadline_ns=deadline_ns)
-
-        by_uid = {message.uid: message for message in ordered}
-        write_index: Dict[Tuple[int, int], int] = {}
-        for payload in payloads:
-            write_index.update(payload["write_index"])
-        merged: List[Tuple[float, int, int, int]] = []
-        total_events = 0
-        for payload in payloads:
-            total_events += payload["events"]
-            for position, (lane, completed_at, tag) in enumerate(payload["sink"]):
-                uid = (
-                    write_index[(tag[1], tag[2])]
-                    if isinstance(tag, tuple)
-                    else tag
-                )
-                merged.append((completed_at, lane, position, uid))
-        # (completed_at, lane, position) replays the serial append order:
-        # all record-bearing events share priority 0, so serial execution
-        # order at one timestamp is lane order, and one lane's records all
-        # come from one shard, appended in that shard's execution order.
-        merged.sort()
-        result = FabricResult(fabric=self.name)
-        for completed_at, _lane, _position, uid in merged:
-            result.records.append(
-                CompletionRecord(message=by_uid[uid], completed_at=completed_at)
-            )
-        offered = len(ordered)
-        result.incomplete = offered - len(result.records)
-        stats = StatsSink()
-        stats.incr("messages_offered", offered)
-        stats.incr("sim_events", total_events)
-        result.stats = stats.to_dict()
         return result
 
     def run_with_baselines(

@@ -102,22 +102,10 @@ class Completion:
 
 
 class CompletionRouter:
-    """Routes completion callbacks across nodes (simulation plumbing).
-
-    In a sharded run each shard owns a private router, so a write's
-    completion (fired at the memory node) cannot find the callback the
-    issuing node registered in another shard.  ``on_unrouted`` is that
-    seam: the shard harness installs a handler that records the
-    completion for the coordinator's merge instead.  Serial runs leave it
-    unset and unrouted fires stay no-ops (e.g. a timeout race already
-    consumed the callback).
-    """
+    """Routes completion callbacks across nodes (simulation plumbing)."""
 
     def __init__(self) -> None:
         self._callbacks: Dict[int, Tuple[CompletionCallback, float]] = {}
-        self.on_unrouted: Optional[
-            Callable[[int, MemoryMessage, float], None]
-        ] = None
 
     def register(self, uid: int, callback: CompletionCallback, created_at: float) -> None:
         if uid in self._callbacks:
@@ -134,8 +122,6 @@ class CompletionRouter:
     ) -> None:
         entry = self._callbacks.pop(uid, None)
         if entry is None:
-            if self.on_unrouted is not None:
-                self.on_unrouted(uid, message, now)
             return  # already completed (e.g. race with a timeout)
         callback, created_at = entry
         callback(

@@ -111,18 +111,9 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
         link_gbps=spec.link_gbps,
         seed=spec.seed,
         kernel=spec.kernel,
-        shards=spec.shards,
         topology=spec.topology,
     )
     fabric = fabric_info(spec.fabric).factory(config)
-    if spec.shards > 1 and not fabric.supports_sharding:
-        # Fail loudly: sharding is a wall-clock knob, but a user who asked
-        # for it should not get a silently-serial run on a fabric that
-        # cannot honour it.
-        raise ScenarioError(
-            f"fabric {spec.fabric!r} does not support --shards "
-            f"(supported: fabrics with supports_sharding, e.g. EDM)"
-        )
     # Relative fault times resolve against the offered arrival span, so a
     # "failover at 30%" lands mid-run at any scale.
     span_ns = max((m.arrival_ns for m in messages), default=0.0) or 1.0
@@ -157,15 +148,7 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
             max(r.completed_at for r in result.records)
             if result.records else None
         ),
-        # Sharding-capable fabrics install fault events inside worker
-        # shards, where the parent injector's runtime log cannot see them
-        # fire; their rows use the deterministic spec-derived schedule so
-        # serial and sharded artifacts stay byte-identical.
-        "fault_summary": (
-            injector.planned_summary()
-            if fabric.supports_sharding
-            else injector.summary()
-        ),
+        "fault_summary": injector.summary(),
         "stats": result.stats,
     }
     return row
@@ -182,7 +165,6 @@ def _scenario_cells(
     num_nodes: Optional[int] = None,
     message_count: Optional[int] = None,
     kernel: Optional[str] = None,
-    shards: Optional[int] = None,
     topology: Optional[str] = None,
 ) -> List[Cell]:
     selected = list(names) if names else scenario_names()
@@ -203,8 +185,6 @@ def _scenario_cells(
             overrides["message_count"] = message_count
         if kernel is not None:
             overrides["kernel"] = kernel
-        if shards is not None:
-            overrides["shards"] = shards
         if topology is not None:
             overrides["topology"] = topology
         cells.append(
@@ -227,7 +207,6 @@ def _scenario_cell(cell: Cell) -> Dict[str, object]:
             message_count=cell.param("message_count"),
             seed=cell.seed,
             kernel=cell.param("kernel"),
-            shards=cell.param("shards"),
             topology=cell.param("topology"),
         )
     )

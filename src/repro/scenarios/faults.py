@@ -5,14 +5,12 @@ The injector attaches through a fabric's ``topology_hook`` (see
 switches and links after wiring and schedules every fault through the
 event kernel's ``post_at``, so faults replay deterministically in the
 same total event order as the workload itself.  Link faults schedule
-*one event per affected link, on that link's own simulator handle* —
-under conservative sharding each link lives in exactly one shard with
-its own sequence lane, so the sharded run installs the identical event
-set (same times, same lanes, same per-lane order) as the serial run and
-the bit-identity contract survives fault injection.  ``scope="core"``
-faults resolve against the topology's *global* trunk key list
-(``SubstrateTopology.core_keys``) and then act on whichever trunk halves
-are locally present.
+*one event per affected link, on that link's own simulator handle* — the
+lane of the component transmitting on it — so a fault event's
+``(time, priority, seq)`` key depends only on that link's lane, not on
+how many other events the cluster scheduled first.  ``scope="core"``
+faults resolve against the topology's trunk key list
+(``SubstrateTopology.core_keys``) and act on both trunk halves.
 
 Fault mechanics:
 
@@ -81,15 +79,11 @@ class FaultInjector:
         """The (label, link) pairs a link-level fault touches.
 
         Host scope pairs each node with its access uplink + downlink;
-        core scope resolves ``nodes`` as indices into the *global* sorted
+        core scope resolves ``nodes`` as indices into the sorted
         ``(leaf, spine)`` trunk list and touches both trunk directions.
         Ids beyond the (possibly scaled-down) shape clamp onto the
         surviving range, so a catalog scenario keeps a valid schedule at
-        smoke-test scale.  Resolution always runs against the global
-        shape (``num_hosts`` / ``core_keys``) and then filters to links
-        present in this substrate, so every shard of a sharded run
-        derives the same schedule and each physical link is faulted
-        exactly once.
+        smoke-test scale.
         """
         pairs: List[Tuple[object, Link]] = []
         if fault.scope == "core":
@@ -101,21 +95,16 @@ class FaultInjector:
             else:
                 chosen = sorted({keys[n % len(keys)] for n in fault.nodes})
             for key in chosen:
-                for link in topo.core_links.get(key, ()):
+                for link in topo.core_links[key]:
                     pairs.append((f"core{key}", link))
             return pairs
-        uplinks = topo.uplinks
-        downlinks = topo.downlinks
-        num_hosts = topo.num_hosts or len(uplinks)
         if fault.nodes is None:
-            nodes = sorted(set(uplinks) | set(downlinks))
+            nodes = sorted(topo.uplinks)
         else:
-            nodes = sorted({n % num_hosts for n in fault.nodes})
+            nodes = sorted({n % topo.num_hosts for n in fault.nodes})
         for node in nodes:
-            if node in uplinks:
-                pairs.append((node, uplinks[node]))
-            if node in downlinks:
-                pairs.append((node, downlinks[node]))
+            pairs.append((node, topo.uplinks[node]))
+            pairs.append((node, topo.downlinks[node]))
         return pairs
 
     @staticmethod
@@ -128,9 +117,8 @@ class FaultInjector:
         pairs = self._fault_links(topo, fault)
         nodes = self._labels(pairs)
         # One event per link, scheduled on the link's own simulator
-        # handle (its sequence lane): under sharding each link exists in
-        # exactly one shard, so serial and sharded runs install identical
-        # event sets.  The note/stat rides the first link's event only.
+        # handle (its sequence lane), so each event's key is fixed by its
+        # link alone.  The note/stat rides the first link's event only.
         for idx, (_, link) in enumerate(pairs):
             sim = link.sim
 
@@ -248,51 +236,6 @@ class FaultInjector:
     def drained(self) -> bool:
         """True when every mirrored delivery has been resolved."""
         return self.in_flight == 0
-
-    def planned_summary(self) -> Dict[str, object]:
-        """Spec-derived summary, independent of where events executed.
-
-        Sharded runs install fault events inside worker shards, so the
-        parent injector's runtime :attr:`log` is empty (or, in-process,
-        duplicated per shard build).  The *schedule* is a pure function
-        of the resolved specs, so scenario rows for sharding-capable
-        fabrics report this deterministic form instead — identical
-        serial and sharded by construction.  Requires absolute-time
-        (already resolved) fault specs.
-        """
-        entries: List[Dict[str, object]] = []
-        for fault in self.faults:
-            if fault.kind == "link_down":
-                entries.append(
-                    {"t_ns": fault.at_ns, "fault": "link_down",
-                     "detail": fault.describe()}
-                )
-            elif fault.kind == "degraded_bw":
-                entries.append(
-                    {"t_ns": fault.at_ns, "fault": "degraded_bw",
-                     "detail": fault.describe()}
-                )
-                entries.append(
-                    {"t_ns": fault.until_ns, "fault": "degraded_bw_end",
-                     "detail": fault.describe()}
-                )
-            else:
-                entries.append(
-                    {"t_ns": fault.at_ns, "fault": "failover",
-                     "detail": fault.describe()}
-                )
-                if fault.until_ns is not None:
-                    entries.append(
-                        {"t_ns": fault.until_ns, "fault": "failover_restore",
-                         "detail": fault.describe()}
-                    )
-        entries.sort(key=lambda e: e["t_ns"])
-        return {
-            "faults_scheduled": len(self.faults),
-            "faults_fired": len(entries),
-            "log": entries,
-            "planned": True,
-        }
 
     def summary(self) -> Dict[str, object]:
         out: Dict[str, object] = {

@@ -197,11 +197,6 @@ class ScenarioSpec:
     seed: int = 0
     deadline_ns: Optional[float] = None
     kernel: str = DEFAULT_KERNEL
-    #: Conservative-parallel shards for the fabric simulation (1 = serial).
-    #: Only fabrics advertising ``supports_sharding`` accept values above
-    #: 1; the engine rejects the rest up front so a --shards override never
-    #: silently runs serial.
-    shards: int = 1
     #: Switching topology in ``parse_topology`` string form (``"single"``
     #: or ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``); multi-tier
     #: shapes need a fabric tagged ``multitier`` (docs/TOPOLOGY.md).
@@ -249,8 +244,6 @@ class ScenarioSpec:
             )
         if self.deadline_ns is not None and self.deadline_ns <= 0:
             raise ScenarioError(f"deadline must be positive: {self.deadline_ns}")
-        if self.shards < 1:
-            raise ScenarioError(f"shards must be >= 1: {self.shards}")
         self._check_degraded_overlap()
 
     def _check_degraded_overlap(self) -> None:
@@ -298,7 +291,6 @@ class ScenarioSpec:
         message_count: Optional[int] = None,
         seed: Optional[int] = None,
         kernel: Optional[str] = None,
-        shards: Optional[int] = None,
         topology: Optional[str] = None,
     ) -> "ScenarioSpec":
         """A copy with overridden scale knobs (None keeps the spec value).
@@ -316,7 +308,6 @@ class ScenarioSpec:
             num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
             seed=seed if seed is not None else self.seed,
             kernel=kernel if kernel is not None else self.kernel,
-            shards=shards if shards is not None else self.shards,
             topology=topology if topology is not None else self.topology,
         )
 
@@ -332,7 +323,6 @@ class ScenarioSpec:
             "seed": self.seed,
             "deadline_ns": self.deadline_ns,
             "kernel": self.kernel,
-            "shards": self.shards,
             "topology": self.topology,
         }
 

@@ -7,7 +7,6 @@ from repro.sim.engine import (
     EventHandle,
     Process,
     Simulator,
-    Timeline,
     process_events_executed,
 )
 from repro.sim.link import DuplexLink, Link
@@ -33,7 +32,6 @@ __all__ = [
     "Simulator",
     "StatsSink",
     "Summary",
-    "Timeline",
     "ideal_mct_ns",
     "make_rng",
     "process_events_executed",

@@ -16,13 +16,12 @@ same time base and report into the same place::
 and unit tests) or a ``SimContext``; fabric models create one context per
 ``run()`` via :meth:`~repro.fabrics.base.Fabric.new_context`.
 
-For deterministic sharding, :meth:`SimContext.lane` derives a sibling
-context whose ``sim`` is a :class:`~repro.sim.engine.LaneView`: same
-clock, same queue, same RNG and stats sinks, but a private sequence-number
-stream ``(lane << LANE_SHIFT) | n``.  Components built on lane contexts
-produce event keys that do not depend on the global interleaving of
-scheduling calls, which is what lets per-shard kernels merge their event
-streams back into the exact serial order (see docs/DETERMINISM.md).
+:meth:`SimContext.lane` derives a sibling context whose ``sim`` is a
+:class:`~repro.sim.engine.LaneView`: same clock, same queue, same RNG and
+stats sinks, but a private sequence-number stream ``(lane << LANE_SHIFT) |
+n``.  Components built on lane contexts produce event keys that do not
+depend on the global interleaving of scheduling calls, which keeps the
+golden fixtures and fault-event keys stable (see docs/DETERMINISM.md).
 """
 
 from __future__ import annotations
@@ -57,18 +56,6 @@ class StatsSink:
                 out[f"{name}_count"] = len(values)
                 out[f"{name}_mean"] = float(np.mean(values))
         return out
-
-    def merge(self, other: "StatsSink") -> None:
-        """Fold another sink into this one (shard-result aggregation).
-
-        Counters add; series concatenate in call order.  Shard merges
-        that need a deterministic series order must sort upstream —
-        per-shard sinks arrive in shard-id order, which is stable.
-        """
-        for name, amount in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + amount
-        for name, values in other.series.items():
-            self.series.setdefault(name, []).extend(values)
 
 
 class SimContext:

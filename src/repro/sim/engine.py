@@ -37,26 +37,22 @@ Scheduling surface (see docs/DETERMINISM.md for the full contract):
 Sequence numbers and lanes
 --------------------------
 
-``seq`` defaults to a single process-wide-per-simulator counter, which makes
-tie order depend on global scheduling order — fine for one kernel instance,
-unreconstructible once a simulation is sharded.  :class:`LaneView` gives a
-component a private seq stream ``(lane << LANE_SHIFT) | n``: tie order among
-same-``(time, priority)`` events becomes ``(lane, n)``, a property of *which
-component* scheduled the event and *how many* events it had scheduled before
-— both computable inside a single shard.  A sharded run that replays every
-lane's local order therefore reproduces the serial total order exactly.
-:meth:`Simulator.inject` is the shard-mailbox entry point: it inserts events
-with explicit ``(time, priority, seq)`` keys, so cross-shard deliveries keep
-the key their sender's lane assigned.  :meth:`Simulator.run_window` runs
-strictly below a conservative horizon (see ``repro.sim.shard``).
+``seq`` defaults to a single per-simulator counter, which makes tie order
+depend on the global interleaving of scheduling calls: wiring one more
+component, or scheduling one extra bookkeeping event, renumbers every event
+after it.  :class:`LaneView` gives a component a private seq stream
+``(lane << LANE_SHIFT) | n``: tie order among same-``(time, priority)``
+events becomes ``(lane, n)``, a property of *which component* scheduled the
+event and *how many* events it had scheduled before.  The EDM golden
+fixtures pin the order these lanes produce, and fault events keyed on a
+link's lane keep their keys however the rest of the cluster is wired
+(docs/DETERMINISM.md).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import insort
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, nsmallest
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -78,8 +74,8 @@ _COMPACT_MIN = 64
 
 #: Lane-composite sequence numbers are ``(lane << LANE_SHIFT) | n``.  The
 #: low field bounds events-per-lane at 2**44 (a multi-day run at current
-#: event rates); the high field bounds lanes at Python-int-is-unbounded,
-#: but keeping the shift fixed keeps serial and sharded keys comparable.
+#: event rates); lanes are unbounded Python ints.  The shift is part of
+#: the golden fixtures' event order, so it never changes.
 LANE_SHIFT = 44
 
 #: Process-wide count of events executed across every Simulator instance.
@@ -91,17 +87,6 @@ _EVENTS_EXECUTED = 0
 def process_events_executed() -> int:
     """Total events executed by all simulators in this process so far."""
     return _EVENTS_EXECUTED
-
-
-def add_external_events(count: int) -> None:
-    """Credit events executed outside this process (sharded workers).
-
-    The multiprocessing shard backend runs its kernels in child
-    processes; their counts are folded back here so the experiment
-    runner's events/sec deltas stay meaningful.
-    """
-    global _EVENTS_EXECUTED
-    _EVENTS_EXECUTED += count
 
 
 class _Event:
@@ -808,46 +793,6 @@ class Simulator:
             _EVENTS_EXECUTED += processed
         return self._now
 
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` when drained.
-
-        The conservative shard loop uses this to compute the global
-        minimum next-event time each synchronization round.
-        """
-        return self._queue.peek_time()
-
-    def run_window(self, horizon: float) -> float:
-        """Run every pending event strictly before ``horizon``.
-
-        The conservative-parallel building block: a shard granted horizon
-        ``H`` may execute all events with ``time < H`` without risk of a
-        cross-shard straggler, because any remote event published in the
-        same window arrives at ``time >= H`` (sender time plus at least
-        one link propagation delay).  ``run(until)`` is inclusive, so the
-        strict bound is the largest float below ``horizon``.
-        """
-        return self.run(until=math.nextafter(horizon, -math.inf))
-
-    def inject(self, entries: Iterable[Tuple[float, int, int, EventCallback]]) -> int:
-        """Insert events with explicit ``(time, priority, seq, callback)`` keys.
-
-        The shard-mailbox entry point: cross-shard deliveries are executed
-        here with the exact key their sender's lane assigned, so the merged
-        event order is bit-identical to the serial run.  Times must not be
-        in this simulator's past.  Returns the number of events injected.
-        """
-        now = self._now
-        batch: List[_Entry] = []
-        for time, priority, seq, callback in entries:
-            if not now <= time < MAX_EVENT_TIME:
-                raise SimulationError(
-                    f"cannot inject at t={time}: now={now} (must be finite, not past)"
-                )
-            batch.append((time, priority, seq, callback))
-        if batch:
-            self._queue.push_raw_batch(batch)
-        return len(batch)
-
     def lane(self, lane: int) -> "LaneView":
         """A :class:`LaneView` over this simulator's clock and queue."""
         return LaneView(self, lane)
@@ -879,8 +824,8 @@ class LaneView:
     ``(lane << LANE_SHIFT) | n`` drawn from a per-lane counter.  Tie order
     among same-``(time, priority)`` events then depends only on which lane
     scheduled them and each lane's local ordinal — not on the global
-    interleaving of scheduling calls — which is what lets a sharded run
-    (where the interleaving differs) replay the serial order bit-exactly.
+    interleaving of scheduling calls — so the golden fixtures and
+    fault-event keys survive changes elsewhere in the wiring.
 
     Lane 0 is the root :class:`Simulator`'s own counter; component lanes
     must be positive.  The view exposes the scheduling surface
@@ -1006,26 +951,3 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r} t={self.sim.now:.2f}ns>"
-
-
-@dataclass
-class Timeline:
-    """A recorded sequence of (time, label, payload) trace points.
-
-    Used by tests and examples to assert on event ordering without coupling
-    to internal module state.
-    """
-
-    points: List[Tuple[float, str, Any]] = field(default_factory=list)
-
-    def record(self, time: float, label: str, payload: Any = None) -> None:
-        self.points.append((time, label, payload))
-
-    def labels(self) -> List[str]:
-        return [label for _, label, _ in self.points]
-
-    def times(self, label: Optional[str] = None) -> List[float]:
-        return [t for t, lab, _ in self.points if label is None or lab == label]
-
-    def __len__(self) -> int:
-        return len(self.points)

@@ -7,15 +7,12 @@ transmission only once the transmitter is free, which models the FIFO
 behaviour of a real Ethernet TX queue and lets fabric models account for
 self-queuing at the sender.
 
-Links are also where conservative sharding gets its lookahead: a payload
-accepted at time ``t`` cannot arrive before ``t + propagation_ns``, so the
-minimum propagation delay across all cross-shard links bounds how far one
-shard may run ahead of its neighbours (:attr:`Link.lookahead_ns`).
-:class:`ShardLink` is the cross-shard variant — identical occupancy and
-arrival arithmetic, but the delivery event is appended to a shard outbox
-(with the sender lane's ``(time, priority, seq)`` key) instead of being
-pushed into the local pending set; the shard coordinator routes outboxes
-into neighbour shards at window barriers via ``Simulator.inject``.
+A link schedules its deliveries through the simulator handle it was built
+with.  Fabric models hand each link the :class:`~repro.sim.engine.LaneView`
+of the component that transmits on it, so a delivery's tie-break key comes
+from the sender's lane: the golden fixtures pin that order, and fault
+events posted on a link's handle keep their keys however the rest of the
+cluster is wired.
 """
 
 from __future__ import annotations
@@ -99,16 +96,6 @@ class Link(Process):
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    @property
-    def lookahead_ns(self) -> float:
-        """Minimum sender-to-receiver latency this link guarantees.
-
-        Serialization time is payload-dependent, so only the propagation
-        delay is a safe lower bound; the shard planner takes the minimum
-        of this over every cut link to derive the conservative window.
-        """
-        return self.propagation_ns
-
     def send(self, payload: Any, size_bytes: int) -> float:
         """Enqueue ``payload`` for transmission; returns its delivery time.
 
@@ -185,89 +172,6 @@ class Link(Process):
             return 0.0
         busy = min(self.busy_until, self.now) - since
         return max(0.0, min(1.0, busy / elapsed))
-
-
-class ShardLink(Link):
-    """A :class:`Link` whose far end lives in another shard.
-
-    Occupancy, serialization, and arrival arithmetic are inherited
-    unchanged (including the fault-injection hooks), so a topology cut
-    does not perturb timing.  Instead of pushing the delivery event
-    locally, :meth:`send` appends ``(arrival, priority, seq, route_key,
-    payload)`` to the shard's outbox; the coordinator forwards outbox
-    entries to the shard owning ``route_key``, which executes them via
-    ``Simulator.inject`` with the exact key assigned here.  Sequence
-    numbers come from the sender's lane, so the merged order is
-    bit-identical to the serial run's.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth_gbps: float,
-        propagation_ns: float,
-        route_key: Tuple,
-        outbox: List[Tuple[float, int, int, Tuple, Any]],
-        name: str = "",
-    ) -> None:
-        if propagation_ns <= 0:
-            raise SimulationError(
-                "cross-shard links need positive propagation for lookahead, "
-                f"got {propagation_ns}"
-            )
-        # The receiver callback lives in another process; route by key.
-        super().__init__(
-            sim, bandwidth_gbps, propagation_ns,
-            receiver=self._unreachable, name=name or "shardlink",
-        )
-        self.route_key = route_key
-        self.outbox = outbox
-
-    @staticmethod
-    def _unreachable(payload: Any) -> None:  # pragma: no cover
-        raise SimulationError("ShardLink delivery must be routed, not called")
-
-    def send(self, payload: Any, size_bytes: int) -> float:
-        if size_bytes <= 0:
-            raise SimulationError(f"payload size must be positive, got {size_bytes}")
-        sim = self.sim
-        now = sim._now
-        free = self._tx_free_at
-        start = free if free > now else now
-        finish = start + size_bytes * 8.0 / self._effective_rate
-        self._tx_free_at = finish
-        self.busy_until = finish
-        arrival = finish + self.propagation_ns
-        self.bytes_sent += size_bytes
-        self.outbox.append((arrival, 0, next(sim._seq), self.route_key, payload))
-        return arrival
-
-    def send_batch(self, items: Iterable[Tuple[Any, int]]) -> List[float]:
-        sim = self.sim
-        now = sim._now
-        free = self._tx_free_at
-        rate = self._effective_rate
-        propagation = self.propagation_ns
-        outbox = self.outbox
-        key = self.route_key
-        arrivals: List[float] = []
-        total = 0
-        for payload, size_bytes in items:
-            if size_bytes <= 0:
-                raise SimulationError(
-                    f"payload size must be positive, got {size_bytes}"
-                )
-            start = free if free > now else now
-            free = start + size_bytes * 8.0 / rate
-            total += size_bytes
-            arrival = free + propagation
-            arrivals.append(arrival)
-            outbox.append((arrival, 0, next(sim._seq), key, payload))
-        if arrivals:
-            self._tx_free_at = free
-            self.busy_until = free
-            self.bytes_sent += total
-        return arrivals
 
 
 class DuplexLink:

@@ -1,4 +1,4 @@
-"""Switch substrates: the EDM PHY switch and the baseline L2 switch."""
+"""Switch substrates: the EDM PHY switch and the baseline L2 pipeline latency."""
 
 from repro.switchfab.failover import (
     DuplicateSuppressor,
@@ -11,8 +11,6 @@ from repro.switchfab.l2switch import (
     PACKET_MANAGER_NS,
     PARSING_NS,
     PIPELINE_NS,
-    L2Packet,
-    L2Switch,
 )
 from repro.switchfab.switch import EdmSwitch
 
@@ -22,8 +20,6 @@ __all__ = [
     "EdmSwitch",
     "FailoverController",
     "MirroredSender",
-    "L2Packet",
-    "L2Switch",
     "MATCH_ACTION_NS",
     "PACKET_MANAGER_NS",
     "PARSING_NS",

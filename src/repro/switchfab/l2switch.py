@@ -1,22 +1,11 @@
-"""Baseline layer-2 store-and-forward switch (Table 1, §2.4 limitation 4).
+"""Baseline layer-2 switch pipeline latency (Table 1, §2.4 limitation 4).
 
 The forwarding pipeline latency and its breakdown come straight from the
 paper's Table 1 caption for a switch programmed with a single exact-match
 table: parsing 87 ns, match-action + lookup 202 ns, packet manager 93 ns,
-crossbar 18 ns — 400 ns total.  Frames are received in full (store and
-forward), run through the pipeline, and queue at the egress port; finite
-egress buffers drop on overflow, which is how the reactive baselines
-experience congestion.
+crossbar 18 ns — 400 ns total.  The baseline fabrics charge this latency
+per switch traversal.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
-from repro.errors import FabricError
-from repro.sim.engine import Process, Simulator
-from repro.sim.link import Link
 
 #: Table 1's pipeline breakdown, in nanoseconds.
 PARSING_NS = 87.0
@@ -26,77 +15,3 @@ CROSSBAR_NS = 18.0
 
 #: Total L2 forwarding pipeline latency (Table 1: 400 ns per traversal).
 PIPELINE_NS = PARSING_NS + MATCH_ACTION_NS + PACKET_MANAGER_NS + CROSSBAR_NS
-
-
-@dataclass
-class L2Packet:
-    """A frame traversing the baseline switch."""
-
-    src: int
-    dst: int
-    size_bytes: int
-    payload: Any = None
-    enqueued_at: float = 0.0
-
-
-@dataclass
-class PortStats:
-    """Per-egress-port accounting."""
-
-    forwarded: int = 0
-    dropped: int = 0
-    queued_bytes: int = 0
-    max_queued_bytes: int = 0
-
-
-class L2Switch(Process):
-    """Store-and-forward switch with a fixed-latency forwarding pipeline."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        pipeline_ns: float = PIPELINE_NS,
-        egress_buffer_bytes: Optional[int] = None,
-    ) -> None:
-        super().__init__(sim, "l2-switch")
-        if pipeline_ns < 0:
-            raise FabricError(f"pipeline latency must be >= 0: {pipeline_ns}")
-        self.pipeline_ns = pipeline_ns
-        self.egress_buffer_bytes = egress_buffer_bytes
-        self.egress: Dict[int, Link] = {}
-        self.stats: Dict[int, PortStats] = {}
-
-    def attach_port(self, node_id: int, egress_link: Link) -> None:
-        self.egress[node_id] = egress_link
-        self.stats[node_id] = PortStats()
-
-    def on_ingress(self, packet: L2Packet) -> None:
-        """A fully-received frame enters the forwarding pipeline."""
-        if packet.dst not in self.egress:
-            raise FabricError(f"no egress port for node {packet.dst}")
-        self.schedule(self.pipeline_ns, lambda: self._enqueue(packet))
-
-    def _enqueue(self, packet: L2Packet) -> None:
-        stats = self.stats[packet.dst]
-        if (
-            self.egress_buffer_bytes is not None
-            and stats.queued_bytes + packet.size_bytes > self.egress_buffer_bytes
-        ):
-            stats.dropped += 1
-            return
-        stats.queued_bytes += packet.size_bytes
-        stats.max_queued_bytes = max(stats.max_queued_bytes, stats.queued_bytes)
-        link = self.egress[packet.dst]
-        packet.enqueued_at = self.now
-        link.send(packet, packet.size_bytes)
-        # The link serializes FIFO; account the buffer as drained when the
-        # frame's transmission finishes.
-        drain_at = link.busy_until
-        self.sim.schedule_at(drain_at, lambda: self._drained(packet))
-        stats.forwarded += 1
-
-    def _drained(self, packet: L2Packet) -> None:
-        self.stats[packet.dst].queued_bytes -= packet.size_bytes
-
-    def queue_depth_bytes(self, node_id: int) -> int:
-        return self.stats[node_id].queued_bytes

@@ -12,8 +12,8 @@ decoupled from any one fabric's switch model:
   live-run link/switch surface handed to ``topology_hook`` consumers
   (fault injection, instrumentation) on every tier.
 
-The full contract — determinism, oversubscription semantics, fault and
-shard visibility — is documented in docs/TOPOLOGY.md.
+The full contract — determinism, oversubscription semantics, fault
+visibility — is documented in docs/TOPOLOGY.md.
 """
 
 from repro.topology.routing import EcmpHasher

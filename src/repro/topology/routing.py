@@ -4,7 +4,7 @@ Real switches pick an equal-cost path by hashing the flow 5-tuple with a
 boot-time salt.  The simulator's analogue must satisfy the determinism
 contract (docs/DETERMINISM.md): path choice has to be a pure function of
 the cluster seed and the (src, dst) pair — never of RNG *draw order*,
-dict iteration, or which shard evaluates it.  :class:`EcmpHasher`
+dict iteration, or which component evaluates it.  :class:`EcmpHasher`
 therefore derives its salt from the cluster seed with splitmix64-style
 integer mixing instead of drawing from the run's
 ``numpy.random.Generator``: the RNG call sequence every model component
@@ -36,7 +36,7 @@ class EcmpHasher:
 
     The salt is a pure function of the cluster seed; ``spine_for`` is a
     pure function of (salt, src, dst).  Same seed → same path table on
-    every run, kernel, and shard; different seeds → statistically
+    every run and kernel; different seeds → statistically
     independent spine loading.
     """
 

@@ -8,7 +8,7 @@ counts, oversubscription ratio, core propagation — plus the pure
 arithmetic every layer shares: which leaf a host hangs off
 (:meth:`TopologySpec.leaf_of`), how fast a leaf↔spine trunk runs
 (:meth:`TopologySpec.trunk_gbps`).  Wiring lives in the fabrics; routing
-lives in :mod:`repro.topology.routing`; the live-run fault/shard surface
+lives in :mod:`repro.topology.routing`; the live-run fault surface
 lives in :mod:`repro.topology.substrate`.
 
 ``parse_topology`` turns the CLI/scenario string form into a spec::

@@ -1,4 +1,4 @@
-"""The live-run topology surface: what faults and shards can reach.
+"""The live-run topology surface: what faults can reach.
 
 A :class:`SubstrateTopology` is the handle a fabric passes to its
 ``topology_hook`` after wiring and before the event loop starts.  It is
@@ -7,14 +7,8 @@ the *generalized* form of the single-switch surface PR 3 introduced in
 compatibility): host access links keyed by node id, every switch keyed
 by tier, and — new with multi-tier topologies — the core trunk links
 keyed ``(leaf, spine)`` so a :class:`~repro.scenarios.faults.FaultInjector`
-can target any tier.
-
-Sharded builds populate ``uplinks``/``downlinks``/``core_links`` with
-only the *locally present* link objects, but carry the global shape in
-``num_hosts`` and ``core_keys``: fault schedules clamp node ids and core
-indices against the global shape first and then filter to local links,
-so every shard derives the identical schedule and each physical link is
-faulted exactly once across the whole run (docs/TOPOLOGY.md §faults).
+can target any tier.  Fault schedules clamp node ids and core indices
+against ``num_hosts`` and ``core_keys`` (docs/TOPOLOGY.md §faults).
 """
 
 from __future__ import annotations
@@ -38,11 +32,10 @@ class SubstrateTopology:
       (host→first-switch and last-switch→host respectively).
     * ``switches`` — live switch objects keyed by tier tuple, e.g.
       ``("switch",)``, ``("leaf", 2)``, ``("spine", 0)``.
-    * ``core_links`` — locally-present trunk links keyed
-      ``(leaf, spine)``; when both halves are local the tuple is ordered
-      (leaf→spine, spine→leaf).
-    * ``num_hosts`` / ``core_keys`` — the *global* shape (defaults
-      derived from the local dicts for serial builds).
+    * ``core_links`` — trunk links keyed ``(leaf, spine)``, each tuple
+      ordered (leaf→spine, spine→leaf).
+    * ``num_hosts`` / ``core_keys`` — the cluster shape, derived from the
+      link dicts.
     """
 
     ctx: object
@@ -53,14 +46,14 @@ class SubstrateTopology:
     core_links: Dict[Tuple[int, int], Tuple[Link, ...]] = field(
         default_factory=dict
     )
-    num_hosts: int = 0
-    core_keys: Tuple[Tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.num_hosts == 0:
-            self.num_hosts = len(self.uplinks)
-        if not self.core_keys and self.core_links:
-            self.core_keys = tuple(sorted(self.core_links))
+    @property
+    def num_hosts(self) -> int:
+        return len(self.uplinks)
+
+    @property
+    def core_keys(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(sorted(self.core_links))
 
     @property
     def sim(self):

@@ -1,9 +1,12 @@
-"""Tests for the discrete-event engine: ordering, cancellation, determinism."""
+"""Tests for the discrete-event engine: ordering, cancellation, determinism, lanes."""
+
+import random
+from functools import partial
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator, Timeline
+from repro.sim.engine import KERNELS, LaneView, Simulator
 
 
 class TestScheduling:
@@ -128,12 +131,60 @@ class TestDeterminism:
         assert run_once() == run_once()
 
 
-class TestTimeline:
-    def test_records_and_filters(self):
-        tl = Timeline()
-        tl.record(1.0, "a", None)
-        tl.record(2.0, "b", None)
-        tl.record(3.0, "a", "payload")
-        assert tl.labels() == ["a", "b", "a"]
-        assert tl.times("a") == [1.0, 3.0]
-        assert len(tl) == 3
+class TestLaneView:
+    """Lanes give components private seq streams: ties run in (lane, n) order."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ties_run_in_lane_order_whatever_the_scheduling_order(
+        self, kernel, seed
+    ):
+        sim, seen = Simulator(kernel=kernel), []
+        lanes = {lane: sim.lane(lane) for lane in (1, 2, 5)}
+        # Each lane schedules three same-(time, priority) events through
+        # every entry point; the calls interleave in a seeded random order.
+        calls = [(lane, n) for lane in lanes for n in range(3)]
+        random.Random(seed).shuffle(calls)
+        issued = {lane: 0 for lane in lanes}
+        for lane, _ in calls:
+            n = issued[lane]
+            issued[lane] += 1
+            tag = (lane, n)
+            view = lanes[lane]
+            if n == 0:
+                view.post(10.0, partial(seen.append, tag))
+            elif n == 1:
+                view.schedule_at(10.0, partial(seen.append, tag))
+            else:
+                view.schedule_batch(
+                    [(10.0, partial(seen.append, tag))], absolute=True
+                )
+        # The root simulator is lane 0, so its events lead every tie.
+        sim.post_at(10.0, partial(seen.append, (0, 0)))
+        sim.run()
+        assert seen == [(0, 0)] + sorted(calls)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_priority_outranks_lane(self, kernel):
+        sim, seen = Simulator(kernel=kernel), []
+        sim.lane(1).post(5.0, partial(seen.append, "low lane, late priority"),
+                         priority=1)
+        sim.lane(9).post(5.0, partial(seen.append, "high lane, early priority"))
+        sim.run()
+        assert seen == ["high lane, early priority", "low lane, late priority"]
+
+    def test_views_share_the_root_clock(self):
+        sim = Simulator()
+        view = sim.lane(3)
+        times = []
+        view.schedule(7.0, lambda: times.append(view.now))
+        sim.run()
+        assert times == [7.0] and sim.now == 7.0
+
+    @pytest.mark.parametrize("lane", [0, -1])
+    def test_non_positive_lane_rejected(self, lane):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.lane(lane)
+        with pytest.raises(SimulationError):
+            LaneView(sim, lane)

@@ -8,19 +8,16 @@ execution layer's contract instead of hoping a real crash shows up:
   grid, and the recovered artifact is bit-identical to a fault-free run;
 * a run resumed from a crash-truncated checkpoint journal reduces to the
   same artifact as a clean run;
-* a dead or hung shard worker raises a typed error within its timeout
-  and leaves no child processes; the ``auto`` backend degrades to the
-  inprocess backend with identical results;
+* a chaos spec naming a key its fault kind does not take is a typed
+  error, not a fault that silently never fires;
 * an interrupted artifact write never leaves truncated JSON at the
   final path.
 """
 
 import json
-import multiprocessing
 import os
 import time
 from contextlib import contextmanager
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -56,15 +53,6 @@ from repro.experiments import (
     make_cell,
     register,
     write_artifact,
-)
-from repro.sim.engine import Simulator
-from repro.sim.shard import (
-    SHARD_BACKEND_ENV,
-    SHARD_TIMEOUT_ENV,
-    ShardPlanner,
-    ShardRuntime,
-    ShardedSimulator,
-    processes_backend_available,
 )
 
 # --------------------------------------------------------------------------- #
@@ -139,7 +127,7 @@ def _reduced_sections(result):
 class TestChaosGrammar:
     def test_parse_fault_list(self):
         faults = parse_chaos(
-            "kill_worker:cell=3;hang:shard=1:hold_s=2.5;partial_artifact:count=2"
+            "kill_worker:cell=3;hang:cell=1:hold_s=2.5;partial_artifact:count=2"
         )
         assert faults[0] == ChaosFault(kind="kill_worker", params=(("cell", 3),))
         assert faults[1].kind == "hang"
@@ -155,7 +143,7 @@ class TestChaosGrammar:
         (fault,) = parse_chaos("kill_worker:cell=2")
         assert fault.matches("kill_worker", {"cell": 2})
         assert not fault.matches("kill_worker", {"cell": 1})
-        assert not fault.matches("kill_worker", {"shard": 2})
+        assert not fault.matches("kill_worker", {})
         assert not fault.matches("hang", {"cell": 2})
 
     def test_unknown_kind_rejected(self):
@@ -170,15 +158,31 @@ class TestChaosGrammar:
         with pytest.raises(ConfigError):
             parse_chaos("kill_worker:count=two")
 
+    @pytest.mark.parametrize("text", [
+        "kill_worker:cel=3",        # typo of cell=
+        "kill_worker:shard=1",      # the removed shard target
+        "hang:shard=1:hold_s=2",
+        "partial_artifact:cell=1",  # partial_artifact only takes count=
+    ])
+    def test_unknown_param_rejected(self, text):
+        with pytest.raises(ConfigError, match="unknown chaos param"):
+            parse_chaos(text)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runner_rejects_bad_env_before_running(self, jobs):
+        with _env(REPRO_CHAOS="kill_worker:shard=1", **_FAST):
+            with pytest.raises(ConfigError, match="unknown chaos param"):
+                Runner(jobs=jobs).run("exec_toy")
+
     def test_empty_env_means_no_faults(self):
         with _env(REPRO_CHAOS=None):
             assert find_fault("kill_worker", cell=0) is None
 
     def test_find_fault_reads_environment(self):
-        with _env(REPRO_CHAOS="hang:shard=1"):
-            assert find_fault("hang", shard=1) is not None
-            assert find_fault("hang", shard=0) is None
-            assert find_fault("kill_worker", shard=1) is None
+        with _env(REPRO_CHAOS="hang:cell=1"):
+            assert find_fault("hang", cell=1) is not None
+            assert find_fault("hang", cell=0) is None
+            assert find_fault("kill_worker", cell=1) is None
 
 
 # --------------------------------------------------------------------------- #
@@ -467,149 +471,3 @@ class TestAtomicWrites:
             path = write_artifact(result, out_dir=str(tmp_path))
         data = json.loads(open(path, encoding="utf-8").read())
         assert data["results"] == result.reduced
-
-
-# --------------------------------------------------------------------------- #
-# Shard-backend fault tolerance                                               #
-# --------------------------------------------------------------------------- #
-
-
-def _shard_builder(shard_id):
-    """Two-shard toy simulation with a few windows of deterministic events."""
-    sim = Simulator()
-    runtime = ShardRuntime(shard_id, sim)
-    fired = []
-    for step in range(3):
-        when = 1.0 + shard_id + 10.0 * step
-        sim.schedule_at(when, partial(fired.append, when))
-    runtime.collect = lambda: (shard_id, tuple(fired))
-    return runtime
-
-
-def _two_shard_plan():
-    planner = ShardPlanner()
-    planner.add_node("a", pin=0)
-    planner.add_node("b", pin=1)
-    planner.add_edge("a", "b", lookahead_ns=5.0)  # forces several windows
-    return planner.plan(2)
-
-
-def _no_live_shard_children():
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        alive = [
-            p
-            for p in multiprocessing.active_children()
-            if p.name.startswith("shard-")
-        ]
-        if not alive:
-            return True
-        time.sleep(0.05)
-    return False
-
-
-needs_fork = pytest.mark.skipif(
-    not processes_backend_available(),
-    reason="fork backend unavailable on this platform",
-)
-
-
-class TestShardFaultTolerance:
-    @needs_fork
-    def test_dead_shard_raises_typed_error_naming_shard_and_window(self):
-        with _env(REPRO_CHAOS="kill_worker:shard=1"):
-            sim = ShardedSimulator(
-                _two_shard_plan(), _shard_builder, backend="processes"
-            )
-            with pytest.raises(ExecutionError, match=r"shard 1 .*window 1"):
-                sim.run()
-        assert _no_live_shard_children()
-
-    @needs_fork
-    def test_hung_shard_times_out_within_budget(self):
-        with _env(
-            REPRO_CHAOS="hang:shard=1:hold_s=60",
-            **{SHARD_TIMEOUT_ENV: "0.5"},
-        ):
-            sim = ShardedSimulator(
-                _two_shard_plan(), _shard_builder, backend="processes"
-            )
-            start = time.monotonic()
-            with pytest.raises(CellTimeoutError, match="shard 1"):
-                sim.run()
-            assert time.monotonic() - start < 30.0  # bounded, not 60 s
-        assert _no_live_shard_children()
-
-    @needs_fork
-    def test_auto_backend_degrades_to_identical_inprocess_run(self):
-        with _env(REPRO_CHAOS=None):
-            expected = ShardedSimulator(
-                _two_shard_plan(), _shard_builder, backend="inprocess"
-            ).run()
-        with _env(REPRO_CHAOS="kill_worker:shard=1"):
-            sim = ShardedSimulator(
-                _two_shard_plan(), _shard_builder, backend="auto"
-            )
-            assert sim.backend == "processes"  # chose forked workers first
-            results = sim.run()
-        assert results == expected  # bit-identical after the fallback
-        assert sim.backend == "inprocess"
-        (incident,) = sim.incidents
-        assert incident["kind"] == "shard_backend_fallback"
-        assert "shard 1" in incident["detail"]
-        assert _no_live_shard_children()
-
-    def test_env_override_pins_the_backend(self):
-        with _env(**{SHARD_BACKEND_ENV: "inprocess"}):
-            sim = ShardedSimulator(
-                _two_shard_plan(), _shard_builder, backend="auto"
-            )
-        assert sim.backend == "inprocess"
-        assert sim.run() == [(0, (1.0, 11.0, 21.0)), (1, (2.0, 12.0, 22.0))]
-
-    def test_unknown_env_backend_rejected(self):
-        from repro.errors import SimulationError
-
-        with _env(**{SHARD_BACKEND_ENV: "threads"}):
-            with pytest.raises(SimulationError):
-                ShardedSimulator(
-                    _two_shard_plan(), _shard_builder, backend="auto"
-                )
-
-    @needs_fork
-    def test_edm_fabric_recovers_bit_identical_via_fallback(self):
-        """End to end: a chaos-killed shard under the EDM fabric degrades to
-        the inprocess backend and still reproduces the serial run exactly."""
-        from repro.fabrics.base import ClusterConfig
-        from repro.fabrics.edm import EdmFabric
-        from repro.workloads.api import workload_from_spec
-        from repro.workloads.distributions import fixed_size
-        from repro.workloads.synthetic import SyntheticSpec
-
-        spec = SyntheticSpec(
-            num_nodes=8,
-            link_gbps=100.0,
-            load=0.6,
-            message_count=120,
-            size_cdf=fixed_size(64),
-            write_fraction=0.5,
-            seed=3,
-        )
-        messages = workload_from_spec(spec).materialize()
-
-        def snapshot(result):
-            return (
-                [(r.message.uid, r.completed_at) for r in result.records],
-                result.incomplete,
-                result.stats,
-            )
-
-        serial = EdmFabric(ClusterConfig(num_nodes=8, seed=3, shards=1)).run(
-            list(messages)
-        )
-        with _env(REPRO_CHAOS="kill_worker:shard=1"):
-            sharded = EdmFabric(
-                ClusterConfig(num_nodes=8, seed=3, shards=2)
-            ).run(list(messages), shard_backend="auto")
-        assert snapshot(sharded) == snapshot(serial)
-        assert _no_live_shard_children()

@@ -2,14 +2,21 @@
 
 These exercise the real end-to-end paths of §3.2 — RREQ as implicit
 notification, /N/ + /G/ for writes, chunked RRES, atomic RMW at the
-memory node, in-order per-pair delivery, and the §3.3 deadlock timer.
+memory node, in-order per-pair delivery, the §3.3 deadlock timer, and
+what a ``run(deadline_ns=...)`` cut leaves behind.
 """
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.opcodes import RmwOpcode
 from repro.fabrics.base import ClusterConfig, OfferedMessage
 from repro.fabrics.edm import EdmCluster, EdmFabric
 from repro.host.nic import HostConfig
 from repro.memctrl.dram import DramTiming
+from repro.workloads.api import workload_from_spec
+from repro.workloads.distributions import fixed_size
+from repro.workloads.synthetic import SyntheticSpec
 
 ZERO_DRAM = DramTiming(row_hit_ns=0.0, row_miss_ns=0.0, bandwidth_gbps=1e9)
 
@@ -182,3 +189,42 @@ class TestFabricWrapper:
         read_ns = fabric.measure_unloaded(64, is_read=True)
         write_ns = fabric.measure_unloaded(64, is_read=False)
         assert read_ns > 0 and write_ns > 0
+
+
+def _snapshot(result):
+    return (
+        [(r.message.uid, r.completed_at) for r in result.records],
+        result.incomplete,
+        result.stats,
+    )
+
+
+class TestDeadlineCut:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        deadline_ns=st.sampled_from([300.0, 1000.0, 5000.0]),
+    )
+    def test_deadline_cuts_identically(self, seed, deadline_ns):
+        """A deadline strands exactly the messages the full run finishes
+        after it, and both kernels strand the same ones."""
+        messages = workload_from_spec(SyntheticSpec(
+            num_nodes=6, link_gbps=100.0, load=0.8, message_count=80,
+            size_cdf=fixed_size(64), write_fraction=0.5, seed=seed,
+            incast_fraction=0.25, incast_degree=5,
+        )).materialize()
+
+        def run(kernel="calendar", **kwargs):
+            config = ClusterConfig(num_nodes=6, seed=seed, kernel=kernel)
+            return EdmFabric(config).run(list(messages), **kwargs)
+
+        full = run()
+        cut = run(deadline_ns=deadline_ns)
+        assert full.incomplete == 0
+        before = [
+            (r.message.uid, r.completed_at)
+            for r in full.records if r.completed_at <= deadline_ns
+        ]
+        assert _snapshot(cut)[0] == before
+        assert cut.incomplete == len(messages) - len(before)
+        assert _snapshot(cut) == _snapshot(run("heap", deadline_ns=deadline_ns))

@@ -1,4 +1,4 @@
-"""Unit tests for the EDM switch and the baseline L2 switch."""
+"""Unit tests for the EDM switch and the baseline L2 pipeline latency."""
 
 import pytest
 
@@ -13,7 +13,7 @@ from repro.host.wire import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.switchfab.l2switch import PIPELINE_NS, L2Packet, L2Switch
+from repro.switchfab.l2switch import PIPELINE_NS
 from repro.switchfab.switch import EdmSwitch
 
 
@@ -98,41 +98,3 @@ class TestEdmSwitch:
 class TestL2Switch:
     def test_pipeline_latency_matches_table1(self):
         assert PIPELINE_NS == pytest.approx(400.0)
-
-    def test_forwarding_adds_pipeline_delay(self):
-        sim = Simulator()
-        switch = L2Switch(sim)
-        out = []
-        link = Link(sim, 100.0, 10.0, receiver=lambda p: out.append((sim.now, p)))
-        switch.attach_port(1, link)
-        switch.on_ingress(L2Packet(src=0, dst=1, size_bytes=64))
-        sim.run()
-        arrival = out[0][0]
-        assert arrival == pytest.approx(400.0 + 64 * 8 / 100.0 + 10.0)
-
-    def test_finite_buffer_drops(self):
-        sim = Simulator()
-        switch = L2Switch(sim, egress_buffer_bytes=100)
-        link = Link(sim, 100.0, 10.0, receiver=lambda p: None)
-        switch.attach_port(1, link)
-        for _ in range(5):
-            switch.on_ingress(L2Packet(src=0, dst=1, size_bytes=64))
-        sim.run()
-        assert switch.stats[1].dropped > 0
-        assert switch.stats[1].forwarded >= 1
-
-    def test_unknown_port_rejected(self):
-        sim = Simulator()
-        switch = L2Switch(sim)
-        with pytest.raises(FabricError):
-            switch.on_ingress(L2Packet(src=0, dst=9, size_bytes=64))
-
-    def test_queue_drains(self):
-        sim = Simulator()
-        switch = L2Switch(sim)
-        link = Link(sim, 100.0, 10.0, receiver=lambda p: None)
-        switch.attach_port(1, link)
-        for _ in range(3):
-            switch.on_ingress(L2Packet(src=0, dst=1, size_bytes=64))
-        sim.run()
-        assert switch.queue_depth_bytes(1) == 0

@@ -2,24 +2,22 @@
 
 Covers the spec parser, deterministic ECMP hashing, the leaf-spine
 substrate on both the queueing fabrics and EDM — including the headline
-determinism properties: calendar == heap and serial == sharded replay,
-bit-identically, with and without core-link faults — plus byte
-conservation across multi-hop paths and subtree-atomic shard planning.
+determinism property, calendar == heap bit-identically with and without
+core-link faults — plus byte conservation across multi-hop paths.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FabricError, ScenarioError, SimulationError, TopologyError
+from repro.errors import FabricError, ScenarioError, TopologyError
 from repro.fabrics import fabric_by_name, fabric_info
 from repro.fabrics.base import ClusterConfig, OfferedMessage
-from repro.fabrics.edm import EdmFabric, edm_shard_plan
+from repro.fabrics.edm import EdmFabric
 from repro.scenarios.catalog import scenario_by_name
 from repro.scenarios.engine import run_scenario
 from repro.scenarios.faults import FaultInjector
 from repro.scenarios.spec import FaultSpec
-from repro.sim.shard import ShardPlanner
 from repro.topology import (
     SINGLE,
     EcmpHasher,
@@ -260,11 +258,10 @@ class TestEdmLeafSpine:
     #: all runs must replay the very same message objects to compare.
     MESSAGES = _workload(8, count=96)
 
-    def _run(self, *, shards=1, kernel="calendar", faults=()):
+    def _run(self, *, kernel="calendar", faults=()):
         messages = self.MESSAGES
         config = ClusterConfig(num_nodes=8, link_gbps=100.0, seed=3,
-                               kernel=kernel, shards=shards,
-                               topology=self.TOPOLOGY)
+                               kernel=kernel, topology=self.TOPOLOGY)
         fabric = EdmFabric(config)
         if faults:
             span = max(m.arrival_ns for m in messages)
@@ -272,97 +269,52 @@ class TestEdmLeafSpine:
                 tuple(f.resolved(span) for f in faults)
             )
             fabric.topology_hook = injector.install
-        if shards > 1:
-            return fabric.run(messages, shard_backend="inprocess")
         return fabric.run(messages)
 
-    def test_serial_matches_sharded_and_heap(self):
+    def test_calendar_matches_heap(self):
         serial = self._run()
         assert serial.incomplete == 0
-        baseline = _completions(serial)
-        assert baseline == _completions(self._run(shards=2))
-        assert baseline == _completions(self._run(shards=3))
-        assert baseline == _completions(self._run(kernel="heap"))
+        assert _completions(serial) == _completions(self._run(kernel="heap"))
 
-    def test_event_counts_match_serial_vs_sharded(self):
-        serial, sharded = self._run(), self._run(shards=2)
-        assert serial.stats["sim_events"] == sharded.stats["sim_events"]
+    def test_event_counts_match_calendar_vs_heap(self):
+        calendar, heap = self._run(), self._run(kernel="heap")
+        assert calendar.stats["sim_events"] == heap.stats["sim_events"]
 
-    def test_core_fault_bit_identical_serial_vs_sharded(self):
+    def test_core_fault_calendar_matches_heap(self):
         faults = (FaultSpec(kind="link_down", at_ns=0.3, until_ns=0.6,
                             nodes=(1,), relative=True, scope="core"),)
         serial = self._run(faults=faults)
         assert serial.incomplete == 0
         baseline = _completions(serial)
         assert baseline != _completions(self._run())  # fault has teeth
-        assert baseline == _completions(self._run(shards=2, faults=faults))
-        assert baseline == _completions(self._run(shards=3, faults=faults))
         assert baseline == _completions(
             self._run(kernel="heap", faults=faults)
         )
 
-    @given(st.integers(2, 4), st.integers(2, 3))
+    @given(st.integers(2, 4))
     @settings(max_examples=6, deadline=None)
-    def test_any_shape_replays_sharded(self, leaves, shards):
+    def test_any_shape_calendar_matches_heap(self, leaves):
         messages = _workload(8, count=40)
 
-        def run(n_shards):
+        def run(kernel):
             config = ClusterConfig(
-                num_nodes=8, link_gbps=100.0, seed=5, shards=n_shards,
+                num_nodes=8, link_gbps=100.0, seed=5, kernel=kernel,
                 topology=f"leaf-spine:leaves={leaves},spines=1",
             )
-            fabric = EdmFabric(config)
-            if n_shards > 1:
-                return fabric.run(messages, shard_backend="inprocess")
-            return fabric.run(messages)
+            return EdmFabric(config).run(messages)
 
-        if shards - 1 > leaves:
-            return  # ClusterConfig rejects cuts leaving shards empty
-        assert _completions(run(1)) == _completions(run(shards))
+        calendar = run("calendar")
+        assert calendar.incomplete == 0
+        assert _completions(calendar) == _completions(run("heap"))
 
-    def test_scenario_row_identical_serial_vs_sharded(self):
+    def test_scenario_row_is_deterministic(self):
         base = scenario_by_name("edm_leafspine_corelink").scaled(
             num_nodes=8, message_count=160
         )
         serial = run_scenario(base)
-        sharded = run_scenario(base.scaled(shards=2))
-        serial.pop("stats"), sharded.pop("stats")
-        # shards is a wall-clock knob: everything else must match,
-        # including the planned fault schedule in the artifact.
-        assert serial == sharded
-        again = run_scenario(base)
-        again.pop("stats")
-        assert serial == again
-
-
-class TestSubtreeSharding:
-    def test_leaf_subtrees_never_split(self):
-        config = ClusterConfig(num_nodes=12, link_gbps=100.0, shards=3,
-                               topology="leaf-spine:leaves=4,spines=1")
-        plan = edm_shard_plan(config)
-        topo = config.topology
-        for node in range(12):
-            leaf = topo.leaf_of(node, 12)
-            assert plan.shard_of(("nic", node)) == plan.shard_of(("leaf", leaf))
-
-    def test_lookahead_is_core_propagation(self):
-        config = ClusterConfig(
-            num_nodes=8, link_gbps=100.0, shards=2,
-            topology="leaf-spine:leaves=4,spines=1,core_prop_ns=50",
-        )
-        plan = edm_shard_plan(config)
-        # Host<->leaf edges are never cut, so the window lookahead is the
-        # (larger) core propagation, not the access propagation.
-        assert plan.lookahead_ns == 50.0
-
-    def test_pin_and_subtree_conflict_rejected(self):
-        planner = ShardPlanner()
-        with pytest.raises(SimulationError):
-            planner.add_node("x", pin=0, subtree="t")
-
-    def test_too_many_shards_for_subtrees_rejected(self):
-        config = ClusterConfig(num_nodes=8, link_gbps=100.0,
-                               topology="leaf-spine:leaves=2,spines=1")
-        object.__setattr__(config, "shards", 4)  # bypass config's own gate
-        with pytest.raises(SimulationError):
-            edm_shard_plan(config)
+        # The row reports the fault events that actually fired.
+        summary = serial["fault_summary"]
+        assert summary["faults_fired"] == len(summary["log"]) >= 1
+        assert "planned" not in summary
+        assert serial == run_scenario(base)
+        assert serial == run_scenario(base.scaled(kernel="heap"))
