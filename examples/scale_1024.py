@@ -1,4 +1,4 @@
-"""A 1024-node scale point — the sweep size the calendar kernel unlocks.
+"""A 1024-node scale point — the sweep size the event kernel unlocks.
 
 The paper evaluates a 144-node cluster (§4.3); the ROADMAP pushes toward
 production scale.  This example runs the §4.3.1 microbenchmark on a
@@ -12,14 +12,14 @@ EDM's 9-bit node ids cap it at ``--nodes 512``.
 Run::
 
     PYTHONPATH=src python examples/scale_1024.py [--nodes 1024]
-    [--messages 20000] [--kernel calendar|heap] [--fabrics IRD,DCTCP]
+    [--messages 20000] [--kernel heap|calendar] [--fabrics IRD,DCTCP]
 """
 
 import argparse
 import time
 
 from repro.fabrics import ClusterConfig, fabric_by_name
-from repro.sim import process_events_executed
+from repro.sim import DEFAULT_KERNEL, process_events_executed
 from repro.workloads.synthetic import microbenchmark
 
 
@@ -31,7 +31,7 @@ def build_arg_parser(
     parser.add_argument("--messages", type=int, default=20_000)
     parser.add_argument("--load", type=float, default=0.7)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--kernel", type=str, default="calendar")
+    parser.add_argument("--kernel", type=str, default=DEFAULT_KERNEL)
     parser.add_argument("--fabrics", type=str, default=fabrics)
     return parser
 

@@ -4,7 +4,7 @@ Two halves, both riding :func:`scale_1024.run_point` as the driver:
 
 1. The queueing-substrate fabrics (IRD, DCTCP) at 8192 nodes — node
    count is unbounded for them, so this is the raw "how far does the
-   calendar kernel take us" demo.
+   event kernel take us" demo.
 2. EDM at 512 nodes: EDM's wire format carries 9-bit node ids
    (§3.1.4), so its cluster tops out there and its scale axis is event
    density at high load.
@@ -12,7 +12,7 @@ Two halves, both riding :func:`scale_1024.run_point` as the driver:
 Run::
 
     PYTHONPATH=src python examples/scale_8192.py [--nodes 8192]
-    [--messages 20000] [--kernel calendar|heap]
+    [--messages 20000] [--kernel heap|calendar]
 """
 
 import os

@@ -11,12 +11,17 @@ objects, maintaining:
   next chunk can be issued just in time to keep the link busy;
 * **implicit first grants** for RRES demands: the buffered RREQ/RMWREQ is
   forwarded to the memory node as the first grant (§3.1.1 step 4).
+
+Rounds are incremental: busy ports are tracked live and a round offers
+the matcher only the destinations whose state changed since the last
+(maximal) matching — see :class:`CentralScheduler` for the invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.clock import (
     SCHEDULER_CLOCK_GHZ,
@@ -84,7 +89,26 @@ class CentralScheduler:
 
     Time-driven API: the owner (switch model) calls :meth:`notify` when
     demands arrive and :meth:`schedule` to run a matching round at a given
-    simulation time; grants are returned for the owner to deliver.
+    simulation time; grants are returned for the owner to deliver.  Time
+    only moves forward: a round (or :meth:`next_release_after`) at a time
+    before the latest one raises :class:`~repro.errors.SchedulerError`.
+
+    Busy state is incremental.  Live ``busy_src``/``busy_dst`` sets hold
+    the ports inside a busy window, and a min-heap of
+    ``(release_at, src, dst)`` holds the pending releases.  One expiry
+    step pops the releases due by ``now`` and frees a port only if its
+    busy-until entry still equals the popped time.
+
+    **Dirty-destination rule.**  Without an iteration cap every round ends
+    in a maximal matching (see :mod:`repro.core.scheduler.pim`), so the
+    next round can only match at a destination whose state changed since.
+    Those *dirty* destinations are: the destination of a new demand, a
+    freed destination, and every destination holding a demand from a
+    freed source.  Demands leave a queue only when granted and priorities
+    only change at matched (hence busy) destinations, so nothing else can
+    create an eligible demand.  Each round passes only the dirty non-empty
+    destinations to the matcher.  With an iteration cap a round may stop
+    short of maximal, so every non-empty destination stays a candidate.
     """
 
     def __init__(self, config: SchedulerConfig) -> None:
@@ -97,6 +121,11 @@ class CentralScheduler:
         self.matcher = PimMatcher(self.bank, max_iterations=config.max_iterations)
         self._src_busy_until: Dict[int, float] = {}
         self._dst_busy_until: Dict[int, float] = {}
+        self._busy_src: Set[int] = set()
+        self._busy_dst: Set[int] = set()
+        self._releases: List[Tuple[float, int, int]] = []
+        self._dirty: Set[int] = set()
+        self._latest = float("-inf")
         self._first_granted: Set[int] = set()
         self.grants_issued = 0
         self.rounds_run = 0
@@ -114,9 +143,7 @@ class CentralScheduler:
     def notify(self, demand: Demand) -> None:
         """Register a demand (explicit /N/ or implicit via RREQ/RMWREQ)."""
         self.bank.add(demand)
-
-    def can_accept(self, src: int, dst: int) -> bool:
-        return self.bank.can_accept(src, dst)
+        self._dirty.add(demand.dst)
 
     @property
     def pending_demands(self) -> int:
@@ -132,37 +159,30 @@ class CentralScheduler:
     def dst_free_at(self, dst: int) -> float:
         return self._dst_busy_until.get(dst, 0.0)
 
-    @staticmethod
-    def _busy_ports(table: Dict[int, float], now: float) -> Set[int]:
-        """Ports with a live busy window; expired entries are pruned.
-
-        Rounds query with monotonically increasing ``now``, so an entry at
-        or before ``now`` can never become busy again without a fresh
-        grant re-adding it — dropping it keeps these per-round scans
-        proportional to the *currently* busy ports, not every port that
-        was ever granted.
-        """
-        busy = {port for port, t in table.items() if t > now}
-        if len(busy) != len(table):
-            stale = [port for port, t in table.items() if t <= now]
-            for port in stale:
-                del table[port]
-        return busy
-
-    def busy_sets(self, now: float) -> "tuple[Set[int], Set[int]]":
-        return (
-            self._busy_ports(self._src_busy_until, now),
-            self._busy_ports(self._dst_busy_until, now),
-        )
+    def _expire(self, now: float) -> None:
+        """Free every port whose busy window ended by ``now``."""
+        if now < self._latest:
+            raise SchedulerError(
+                f"scheduler time moved backwards: {now} < {self._latest}"
+            )
+        self._latest = now
+        releases = self._releases
+        while releases and releases[0][0] <= now:
+            release_at, src, dst = heappop(releases)
+            if self._src_busy_until.get(src) == release_at:
+                del self._src_busy_until[src]
+                self._busy_src.discard(src)
+                self._dirty.update(self.bank.destinations_from(src))
+            if self._dst_busy_until.get(dst) == release_at:
+                del self._dst_busy_until[dst]
+                self._busy_dst.discard(dst)
+                self._dirty.add(dst)
 
     def next_release_after(self, now: float) -> Optional[float]:
         """Earliest future time a busy port frees up (for re-scheduling)."""
-        best: Optional[float] = None
-        for table in (self._src_busy_until, self._dst_busy_until):
-            for t in table.values():
-                if t > now and (best is None or t < best):
-                    best = t
-        return best
+        self._expire(now)
+        releases = self._releases
+        return releases[0][0] if releases else None
 
     # ------------------------------------------------------------------ #
     # Matching + grant issue                                             #
@@ -170,16 +190,22 @@ class CentralScheduler:
 
     def schedule(self, now: float) -> List[IssuedGrant]:
         """Run one matching round at time ``now`` and issue chunk grants."""
-        if not self.bank:
+        self._expire(now)
+        bank = self.bank
+        dirty = self._dirty
+        if not bank:
+            dirty.clear()
             return []
-        busy_src, busy_dst = self.busy_sets(now)
-        result = self.matcher.run(busy_src, busy_dst)
+        if self.matcher.max_iterations is None:
+            candidates: Optional[List[int]] = sorted(dirty.intersection(bank._nonempty))
+        else:
+            candidates = None
+        dirty.clear()
+        result = self.matcher.run(self._busy_src, self._busy_dst, candidates)
         self.rounds_run += 1
         self.total_iterations += result.iterations
-        issued: List[IssuedGrant] = []
-        for demand in result.matches:
-            issued.append(self._issue(demand, now))
-        return issued
+        issue = self._issue
+        return [issue(demand, now) for demand in result.matches]
 
     def _issue(self, demand: Demand, now: float) -> IssuedGrant:
         chunk = min(self.config.chunk_bytes, demand.remaining_bytes)
@@ -205,35 +231,27 @@ class CentralScheduler:
                 hold_ns *= 2.0
             self._hold_ns_cache[chunk] = hold_ns
         release_at = now + hold_ns
-        self._src_busy_until[demand.src] = release_at
-        self._dst_busy_until[demand.dst] = release_at
+        src = demand.src
+        dst = demand.dst
+        self._src_busy_until[src] = release_at
+        self._dst_busy_until[dst] = release_at
+        heappush(self._releases, (release_at, src, dst))
 
         first = False
-        if demand.carried_request is not None and demand.message_uid is not None:
-            if demand.message_uid not in self._first_granted:
-                self._first_granted.add(demand.message_uid)
+        uid = demand.message_uid
+        if demand.carried_request is not None and uid is not None:
+            if uid not in self._first_granted:
+                self._first_granted.add(uid)
                 first = True
-                if completes:
-                    self._first_granted.discard(demand.message_uid)
-        if completes and demand.message_uid is not None:
-            self._first_granted.discard(demand.message_uid)
+        if completes and uid is not None:
+            self._first_granted.discard(uid)
 
         grant = Grant(
-            src=demand.src,
-            dst=demand.dst,
-            message_id=demand.message_id,
-            chunk_bytes=chunk,
-            granted_at=now,
-            message_uid=demand.message_uid,
-            for_response=demand.carried_request is not None,
+            src, dst, demand.message_id, chunk, now, uid,
+            demand.carried_request is not None,
         )
         self.grants_issued += 1
-        return IssuedGrant(
-            grant=grant,
-            demand=demand,
-            is_first_for_rres=first,
-            completes_message=completes,
-        )
+        return IssuedGrant(grant, demand, first, completes)
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

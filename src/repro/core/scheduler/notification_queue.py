@@ -128,6 +128,10 @@ class NotificationQueueBank:
             OrderedList(capacity=capacity, meter=self.meter) for _ in range(num_ports)
         ]
         self._pair_counts: Dict[Tuple[int, int, bool], int] = {}
+        # Per-source index ``dst -> pending demand count``: when a source
+        # port frees up, the grant engine marks exactly these destinations
+        # as matching candidates instead of rescanning every queue.
+        self._by_src: List[Dict[int, int]] = [{} for _ in range(num_ports)]
         # Cached totals: the matcher polls these every round, and summing
         # N per-port queues per poll is O(N^2) per simulated chunk-time.
         self._total = 0
@@ -139,6 +143,11 @@ class NotificationQueueBank:
     def nonempty_destinations(self) -> List[int]:
         """Destination ports with pending demands, in ascending order."""
         return sorted(self._nonempty)
+
+    def destinations_from(self, src: int) -> Dict[int, int]:
+        """Destinations holding a pending demand from ``src`` (live view:
+        ``dst -> count``; callers must not mutate it)."""
+        return self._by_src[src]
 
     def queue_for(self, dst: int) -> OrderedList[Demand]:
         self._check_port(dst)
@@ -167,6 +176,8 @@ class NotificationQueueBank:
         self._pair_counts[pair] = count + 1
         self._total += 1
         self._nonempty.add(dst)
+        dsts = self._by_src[demand.src]
+        dsts[dst] = dsts.get(dst, 0) + 1
 
     def remove(self, demand: Demand) -> None:
         """Remove a fully-granted demand (remaining bytes hit zero)."""
@@ -176,6 +187,12 @@ class NotificationQueueBank:
         self._total -= 1
         if not queue:
             self._nonempty.discard(dst)
+        dsts = self._by_src[demand.src]
+        left = dsts[dst] - 1
+        if left:
+            dsts[dst] = left
+        else:
+            del dsts[dst]
         pair = demand.pair
         count = self._pair_counts.get(pair, 0)
         if count <= 1:
@@ -204,10 +221,6 @@ class NotificationQueueBank:
         if not queue:
             return None
         return queue.peek_priority()
-
-    def demands_for_pair(self, src: int, dst: int) -> List[Demand]:
-        """All pending demands between a pair, in priority order."""
-        return [d for d in self.queue_for(dst).as_sorted_list() if d.src == src]
 
     def _check_port(self, port: int) -> None:
         if not 0 <= port < self.num_ports:

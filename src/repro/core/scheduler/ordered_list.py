@@ -151,13 +151,20 @@ class OrderedList(Generic[T]):
 
     def remove(self, value: T) -> None:
         """Remove a specific entry (identity match first, equality fallback)."""
-        for i, v in enumerate(self._values):
-            if v is value or v == value:
-                del self._keys[i]
-                del self._values[i]
-                self.meter.deletes += 1
-                return
-        raise SchedulerError(f"value not present in ordered list: {value!r}")
+        values = self._values
+        for i, v in enumerate(values):
+            if v is value:
+                break
+        else:
+            try:
+                i = values.index(value)
+            except ValueError:
+                raise SchedulerError(
+                    f"value not present in ordered list: {value!r}"
+                ) from None
+        del self._keys[i]
+        del values[i]
+        self.meter.deletes += 1
 
     def reprioritize(self, value: T, new_priority: float) -> None:
         """Update an entry's priority (delete + insert: used when SRPT's

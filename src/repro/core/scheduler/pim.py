@@ -13,6 +13,14 @@ Iterations repeat until no new matches form; PIM converges to a maximal
 matching in ~log2(N) iterations on average.  The matcher works over the
 :class:`NotificationQueueBank` and a caller-supplied port-busy view, so the
 grant engine can layer chunking and timed port release on top.
+
+**Maximality invariant.**  Without an iteration cap a round only stops
+when no free destination holds a demand from a free source, so it always
+ends in a maximal matching.  Until some destination's state changes, the
+next round can match nothing new there.  The grant engine therefore passes
+:meth:`PimMatcher.run` only its *dirty* destinations as candidates, and
+the matches, their order and the iteration count are the same as a scan
+over every non-empty queue.  The grant engine's docstring states the rule.
 """
 
 from __future__ import annotations
@@ -22,8 +30,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.scheduler.notification_queue import Demand, NotificationQueueBank
 from repro.core.scheduler.ordered_list import CycleMeter
-from repro.core.scheduler.priority_encoder import SourceRequestArray
-from repro.core.scheduler.policies import priority_of
 from repro.errors import SchedulerError
 
 #: Clock cycles per PIM iteration in EDM's hardware pipeline (§3.1.2).
@@ -67,39 +73,25 @@ class PimMatcher:
         if max_iterations is not None and max_iterations <= 0:
             raise SchedulerError(f"max_iterations must be positive: {max_iterations}")
         self.max_iterations = max_iterations
-        self._source_arrays: Dict[int, SourceRequestArray] = {}
 
-    def _source_array(self, src: int) -> SourceRequestArray:
-        array = self._source_arrays.get(src)
-        if array is None:
-            array = SourceRequestArray(self.bank.num_ports, meter=self.meter)
-            self._source_arrays[src] = array
-        return array
-
-    def sync_source_array(self, src: int) -> None:
-        """Refresh src's sorted request array from the queue heads (§3.1.2).
-
-        In hardware this update happens incrementally on every notification
-        arrival or priority change; re-deriving it from the queues keeps the
-        model simple while preserving the resolution order.
-        """
-        array = self._source_array(src)
-        for dst in range(self.bank.num_ports):
-            if dst == src:
-                continue
-            demands = self.bank.demands_for_pair(src, dst)
-            if demands:
-                best = min(priority_of(self.bank.policy, d) for d in demands)
-                array.update_destination(dst, best)
-            else:
-                array.update_destination(dst, None)
-
-    def run(self, busy_src: Set[int], busy_dst: Set[int]) -> MatchResult:
+    def run(
+        self,
+        busy_src: Set[int],
+        busy_dst: Set[int],
+        candidates: Optional[List[int]] = None,
+    ) -> MatchResult:
         """Form (an extension of) a maximal matching given busy port sets.
 
         ``busy_src`` / ``busy_dst`` are mutated: newly matched ports are
-        added, mirroring cycle 3 of the hardware loop.
+        added, mirroring cycle 3 of the hardware loop.  ``candidates`` are
+        the destinations allowed to propose, in ascending port order; the
+        default is every destination with a pending demand.  A caller may
+        narrow it only to destinations that can still hold an eligible
+        demand (see :class:`~repro.core.scheduler.grants.CentralScheduler`):
+        the others never propose, so the result is unchanged.
         """
+        if candidates is None:
+            candidates = self.bank.nonempty_destinations()
         result = MatchResult()
         while True:
             if (
@@ -107,7 +99,7 @@ class PimMatcher:
                 and result.iterations >= self.max_iterations
             ):
                 break
-            proposals = self._destination_proposals(busy_src, busy_dst)
+            proposals = self._destination_proposals(candidates, busy_src, busy_dst)
             if not proposals:
                 break
             result.iterations += 1
@@ -119,7 +111,7 @@ class PimMatcher:
         return result
 
     def _destination_proposals(
-        self, busy_src: Set[int], busy_dst: Set[int]
+        self, candidates: List[int], busy_src: Set[int], busy_dst: Set[int]
     ) -> Dict[int, List[Demand]]:
         """Cycle 1: each free destination proposes to one source."""
         proposals: Dict[int, List[Demand]] = {}
@@ -127,13 +119,12 @@ class PimMatcher:
         queues = bank._queues
         meter = bank.meter
         # Only destinations with pending demands can propose; iterating
-        # them in ascending port order matches a scan over all N ports
-        # (empty queues never proposed) without the O(N) sweep per
-        # iteration, which dominates at large port counts.  The eligible
-        # head is found by an inline scan of the priority-ordered queue —
-        # equivalent to bank.best_eligible, charged as the same single
-        # combinational peek.
-        for dst in bank.nonempty_destinations():
+        # the candidates in ascending port order matches a scan over all N
+        # ports (empty queues and non-candidates never propose) without
+        # the O(N) sweep per iteration.  The eligible head is found by an
+        # inline scan of the priority-ordered queue — equivalent to
+        # bank.best_eligible, charged as the same single combinational peek.
+        for dst in candidates:
             if dst in busy_dst:
                 continue
             meter.peeks += 1
@@ -153,10 +144,11 @@ class PimMatcher:
 
         Functionally identical to loading the proposals into the source's
         sorted request array and priority-encoding the winner
-        (:class:`SourceRequestArray`): the array orders entries by
-        (priority, insertion order) and the encoder picks the first, i.e.
-        the minimum over proposals by priority with earlier-proposed
-        destinations winning ties.
+        (:class:`~repro.core.scheduler.priority_encoder.SourceRequestArray`):
+        the array orders entries by (priority, insertion order) and the
+        encoder picks the first, i.e. the minimum over proposals by
+        priority with earlier-proposed (lower-numbered) destinations
+        winning ties.
         """
         accepted: List[Demand] = []
         priority = self.bank._priority_of

@@ -195,7 +195,7 @@ class Figure8aScale:
     """Simulation scale for Figure 8a (paper: 144 nodes, 100 Gbps).
 
     ``kernel`` picks the event-queue implementation for every simulator
-    in the sweep (``"calendar"`` or the ``"heap"`` fallback); results
+    in the sweep (``"heap"`` or the ``"calendar"`` reference); results
     are bit-identical either way.
     """
 

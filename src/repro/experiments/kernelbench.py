@@ -1,7 +1,7 @@
 """Kernel benchmark: the figure-8a smoke sweep under both event kernels.
 
-Runs the same sweep with the calendar-queue kernel and the binary-heap
-fallback, asserts the reduced results are bit-identical (the kernels must
+Runs the same sweep with the tuple-heap kernel and the calendar-queue
+reference, asserts the reduced results are bit-identical (the kernels must
 replay the exact same event order), and reports events/sec for each —
 the number ``BENCH_kernel.json`` tracks commit over commit.
 
@@ -32,11 +32,11 @@ def _churn(kernel: str, depth: int, ops: int = 50_000) -> float:
     seq = itertools.count()
     gap = random.expovariate
     for _ in range(depth):
-        queue.push_raw(gap(1.0) * 50.0, 0, next(seq), None)
+        queue.push_raw((gap(1.0) * 50.0, 0, next(seq), None))
     start = time.perf_counter()
     for _ in range(ops):
         entry = queue.pop()
-        queue.push_raw(entry[0] + gap(1.0) * 50.0, 0, next(seq), None)
+        queue.push_raw((entry[0] + gap(1.0) * 50.0, 0, next(seq), None))
     elapsed = time.perf_counter() - start
     return ops / elapsed
 

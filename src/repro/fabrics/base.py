@@ -164,8 +164,8 @@ class ClusterConfig:
     """Shared cluster parameters (§4.3: 144 nodes, 100 Gbps, single switch).
 
     ``kernel`` selects the event-queue implementation for every simulator
-    the fabric builds: ``"calendar"`` (the fast default) or ``"heap"``
-    (the reference fallback).  Both replay identical event orders.
+    the fabric builds: ``"heap"`` (the fast default) or ``"calendar"``
+    (the reference kernel).  Both replay identical event orders.
     """
 
     num_nodes: int = 144

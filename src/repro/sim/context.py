@@ -7,7 +7,7 @@ shares — the event clock, the seeded random stream, and the statistics
 sinks — so hosts, switches, and links built for the same run observe the
 same time base and report into the same place::
 
-    ctx = SimContext.create(seed=3, kernel="calendar")
+    ctx = SimContext.create(seed=3, kernel="heap")
     switch = EdmSwitch(ctx, scheduler_config)      # Process accepts a context
     ctx.stats.incr("frames_forwarded")
     ctx.sim.run()

@@ -5,15 +5,20 @@ broken first by an explicit integer priority, then by insertion order, so
 repeated runs with the same seed replay identically — a property the
 reproduction's regression tests rely on.
 
-Two kernels implement the pending-event set:
+Two kernels implement the pending-event set.  Both store plain
+``(time, priority, seq, payload)`` entry tuples, so ordering comparisons
+run at C speed, and each owns the pop loop :meth:`Simulator.run` delegates
+to:
 
-* ``"calendar"`` (default) — a calendar-queue/time-wheel scheduler
-  [R. Brown, CACM 1988]: events hash into time buckets of an adaptive
-  width, enqueue is an O(1) bucket insertion and dequeue scans forward
-  from the current bucket.  Entries are plain tuples, so ordering
-  comparisons run at C speed instead of through Python ``__lt__`` calls.
-* ``"heap"`` — the original binary-heap path, kept as a fallback and as
-  the reference implementation the equivalence tests replay against.
+* ``"heap"`` (default) — a binary heap of entry tuples driven by C
+  ``heapq``.  Fire-and-forget events enter through a bound
+  ``partial(heappush, heap)`` and the run loop calls ``heappop`` inline,
+  so neither side costs a Python frame per event.
+* ``"calendar"`` — a calendar-queue/time-wheel scheduler [R. Brown, CACM
+  1988]: events hash into time buckets of an adaptive width, enqueue is
+  an O(1) bucket insertion and dequeue scans forward from the current
+  bucket.  It is a different algorithm over the same order key, kept as
+  the reference the equivalence tests replay the heap against.
 
 Both kernels delete cancelled events lazily (a tombstone flag) and
 compact the queue once tombstones outnumber live events, so a workload
@@ -22,17 +27,21 @@ that arms-and-cancels timers cannot grow the queue without bound.
 Scheduling surface (see docs/DETERMINISM.md for the full contract):
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — cancellable,
-  return an :class:`EventHandle`.
+  return an :class:`EventHandle`; the entry's payload is an :class:`_Event`.
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget; the
-  hot paths use these because they skip the handle and (on the calendar
-  kernel) the event object entirely.
+  hot paths use these because they skip the handle and the event object:
+  the entry's payload is the bare callback.
 * :meth:`Simulator.schedule_batch` — bulk insertion with sequence numbers
   assigned in iteration order, bit-identical to a loop of ``schedule`` calls.
-* ``pop_if_before`` (kernel-internal) — the fused peek+pop the deadline run
-  loop uses; its window checks reuse push's ``int(time * inv_width)`` bucket
-  mapping via an absolute-bucket cursor (``_cur_abs``) because comparing
-  against ``k * width`` float products disagrees with the push mapping at
-  exact bucket boundaries and would strand the true minimum one bucket early.
+* ``pop_if_before`` (calendar-internal) — the fused peek+pop its run
+  loop uses; its window checks reuse push's ``int(time * inv_width)``
+  bucket mapping via an absolute-bucket cursor (``_cur_abs``) because
+  comparing against ``k * width`` float products disagrees with the push
+  mapping at exact bucket boundaries and would strand the true minimum one
+  bucket early.
+
+The clock is monotone: scheduling before ``now`` and ``run(until=t)``
+with ``t < now`` both raise :class:`~repro.errors.SimulationError`.
 
 Sequence numbers and lanes
 --------------------------
@@ -53,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import insort
+from functools import partial
 from heapq import heapify, heappop, heappush, nsmallest
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -61,9 +71,9 @@ from repro.errors import SimulationError
 EventCallback = Callable[[], None]
 
 #: Kernel registry keys, in preference order.
-KERNELS = ("calendar", "heap")
+KERNELS = ("heap", "calendar")
 
-DEFAULT_KERNEL = "calendar"
+DEFAULT_KERNEL = "heap"
 
 #: Events may not be scheduled at or beyond this time (guards the
 #: calendar bucket arithmetic against inf/NaN times).
@@ -104,11 +114,6 @@ class _Event:
         self.cancelled = False
         self.in_queue = True
 
-    def __lt__(self, other: "_Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<_Event t={self.time} prio={self.priority} seq={self.seq} {state}>"
@@ -141,93 +146,107 @@ class EventHandle:
         return self._event.time
 
 
-#: Queue entries are plain tuples so bucket sorts and comparisons run at
-#: C speed; ``seq`` is unique, so the trailing payload never compares.
-#: The payload is a bare callback for fire-and-forget events (the vast
-#: majority — link deliveries, pipeline stages) or an :class:`_Event`
-#: when the caller holds a cancellation handle.  ``pop`` returns an entry
-#: whose payload is always a callback.
+#: Queue entries are plain tuples so heap sifts, bucket sorts and
+#: comparisons run at C speed; ``seq`` is unique, so the trailing payload
+#: never compares.  The payload is a bare callback for fire-and-forget
+#: events (the vast majority — link deliveries, pipeline stages) or an
+#: :class:`_Event` when the caller holds a cancellation handle.  ``pop``
+#: returns an entry whose payload is always a callback.
 _Entry = Tuple[float, int, int, Any]
 
 
 class _HeapKernel:
-    """Binary-heap pending set — the seed implementation, kept as fallback.
+    """Binary heap of plain entry tuples — the default kernel.
 
-    Events sit directly on the heap and compare through ``_Event.__lt__``.
-    Cancelled events are purged when they surface at the top, or in bulk
-    once tombstones outnumber live events.
+    Entries are ``(time, priority, seq, payload)`` tuples, so sift
+    comparisons run in C; ``seq`` is unique, so the payload never
+    compares.  Fire-and-forget events push through :attr:`push_raw`, a
+    ``partial(heappush, heap)`` bound once, so posting an event costs no
+    Python frame.  Cancellable events carry an :class:`_Event` payload:
+    a cancelled one stays as a tombstone until it surfaces at the top, or
+    until tombstones outnumber live events and the heap is compacted in
+    place (the bound ``push_raw`` keeps pointing at the same list).
     """
 
     name = "heap"
 
-    __slots__ = ("_heap", "_tombstones")
+    __slots__ = ("_heap", "_tombstones", "push_raw")
 
     def __init__(self) -> None:
-        self._heap: List[_Event] = []
+        self._heap: List[_Entry] = []
         self._tombstones = 0
+        self.push_raw: Callable[[_Entry], None] = partial(heappush, self._heap)
 
     def __len__(self) -> int:
         return len(self._heap) - self._tombstones
 
     def push(self, event: _Event) -> None:
-        heappush(self._heap, event)
+        heappush(self._heap, (event.time, event.priority, event.seq, event))
 
-    def push_batch(self, events: List[_Event]) -> None:
-        if self._heap:
-            for event in events:
-                heappush(self._heap, event)
+    def push_raw_batch(self, entries: List[_Entry]) -> None:
+        heap = self._heap
+        if heap:
+            for entry in entries:
+                heappush(heap, entry)
         else:
-            self._heap = events
-            heapify(self._heap)
+            heap.extend(entries)
+            heapify(heap)
 
-    def push_raw(
-        self, time: float, priority: int, seq: int, callback: EventCallback
-    ) -> None:
-        heappush(self._heap, _Event(time, priority, seq, callback))
-
-    def push_raw_batch(self, events: List[Tuple[float, int, int, EventCallback]]) -> None:
-        self.push_batch([_Event(*fields) for fields in events])
+    def _drop_cancelled_head(self) -> None:
+        """Pop tombstones off the top so ``heap[0]`` (if any) is live."""
+        heap = self._heap
+        while heap:
+            payload = heap[0][3]
+            if type(payload) is not _Event or not payload.cancelled:
+                return
+            heappop(heap)
+            payload.in_queue = False
+            self._tombstones -= 1
 
     def peek_time(self) -> Optional[float]:
+        self._drop_cancelled_head()
         heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                head.in_queue = False
-                self._tombstones -= 1
-                continue
-            return head.time
-        return None
-
-    def pop_if_before(self, limit: float) -> Optional[_Entry]:
-        """Pop the next live event iff its time is <= ``limit``."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                head.in_queue = False
-                self._tombstones -= 1
-                continue
-            if head.time > limit:
-                return None
-            heappop(heap)
-            head.in_queue = False
-            return (head.time, head.priority, head.seq, head.callback)
-        return None
+        return heap[0][0] if heap else None
 
     def pop(self) -> Optional[_Entry]:
+        self._drop_cancelled_head()
         heap = self._heap
-        while heap:
-            event = heappop(heap)
-            if event.cancelled:
-                event.in_queue = False
-                self._tombstones -= 1
-                continue
-            event.in_queue = False
-            return (event.time, event.priority, event.seq, event.callback)
-        return None
+        if not heap:
+            return None
+        entry = heappop(heap)
+        payload = entry[3]
+        if type(payload) is _Event:
+            payload.in_queue = False
+            return (entry[0], entry[1], entry[2], payload.callback)
+        return entry
+
+    def run(
+        self, sim: "Simulator", until: Optional[float], max_events: Optional[int]
+    ) -> None:
+        """Execute events for :meth:`Simulator.run` (``until >= now``)."""
+        if max_events is not None:
+            _run_counted(self, sim, until, max_events)
+            return
+        heap = self._heap
+        event_type = _Event
+        limit = MAX_EVENT_TIME if until is None else until
+        processed = 0
+        try:
+            while heap and heap[0][0] <= limit:
+                time, _, _, payload = heappop(heap)
+                if type(payload) is event_type:
+                    payload.in_queue = False
+                    if payload.cancelled:
+                        self._tombstones -= 1
+                        continue
+                    payload = payload.callback
+                sim._now = time
+                payload()
+                processed += 1
+            if until is not None:
+                sim._now = until
+        finally:
+            _account(sim, processed)
 
     def on_cancel(self, event: _Event) -> None:
         self._tombstones += 1
@@ -238,15 +257,17 @@ class _HeapKernel:
             self.compact()
 
     def compact(self) -> None:
-        """Drop tombstones and re-heapify the survivors."""
-        live: List[_Event] = []
-        for event in self._heap:
-            if event.cancelled:
-                event.in_queue = False
+        """Drop tombstones and re-heapify the survivors, in place."""
+        heap = self._heap
+        live: List[_Entry] = []
+        for entry in heap:
+            payload = entry[3]
+            if type(payload) is _Event and payload.cancelled:
+                payload.in_queue = False
             else:
-                live.append(event)
-        heapify(live)
-        self._heap = live
+                live.append(entry)
+        heap[:] = live
+        heapify(heap)
         self._tombstones = 0
 
     @property
@@ -254,9 +275,10 @@ class _HeapKernel:
         return self._tombstones
 
     def clear(self) -> None:
-        for event in self._heap:
-            event.in_queue = False
-        self._heap = []
+        for entry in self._heap:
+            if type(entry[3]) is _Event:
+                entry[3].in_queue = False
+        self._heap.clear()
         self._tombstones = 0
 
 
@@ -324,20 +346,13 @@ class _CalendarKernel:
         if self._live > self._resize_up:
             self._rebuild()
 
-    def push_raw(
-        self, time: float, priority: int, seq: int, callback: EventCallback
-    ) -> None:
-        index = int(time * self._inv_width) & self._mask
-        insort(self._buckets[index], (time, priority, seq, callback))
+    def push_raw(self, entry: _Entry) -> None:
+        index = int(entry[0] * self._inv_width) & self._mask
+        insort(self._buckets[index], entry)
         self._live += 1
         self._peeked = None
         if self._live > self._resize_up:
             self._rebuild()
-
-    def push_batch(self, events: List[_Event]) -> None:
-        self.push_raw_batch(
-            [(e.time, e.priority, e.seq, e) for e in events]
-        )
 
     def push_raw_batch(self, entries: List[_Entry]) -> None:
         mask = self._mask
@@ -517,6 +532,29 @@ class _CalendarKernel:
             return (time, entry[1], entry[2], payload.callback)
         return entry
 
+    def run(
+        self, sim: "Simulator", until: Optional[float], max_events: Optional[int]
+    ) -> None:
+        """Execute events for :meth:`Simulator.run` (``until >= now``)."""
+        if max_events is not None:
+            _run_counted(self, sim, until, max_events)
+            return
+        pop_if_before = self.pop_if_before
+        limit = MAX_EVENT_TIME if until is None else until
+        processed = 0
+        try:
+            while True:
+                entry = pop_if_before(limit)
+                if entry is None:
+                    break
+                sim._now = entry[0]
+                entry[3]()
+                processed += 1
+            if until is not None:
+                sim._now = until
+        finally:
+            _account(sim, processed)
+
     def on_cancel(self, event: _Event) -> None:
         self._live -= 1
         self._tombstones += 1
@@ -599,7 +637,38 @@ class _CalendarKernel:
         self._configure(4, 1.0)
 
 
-_KERNEL_TYPES = {"calendar": _CalendarKernel, "heap": _HeapKernel}
+def _account(sim: "Simulator", processed: int) -> None:
+    global _EVENTS_EXECUTED
+    sim._events_processed += processed
+    _EVENTS_EXECUTED += processed
+
+
+def _run_counted(
+    kernel: Any, sim: "Simulator", until: Optional[float], max_events: int
+) -> None:
+    """The ``max_events`` run loop, shared by both kernels (a cold path)."""
+    processed = 0
+    try:
+        while True:
+            head_time = kernel.peek_time()
+            if head_time is None:
+                if until is not None:
+                    sim._now = until
+                break
+            if processed >= max_events:
+                break
+            if until is not None and head_time > until:
+                sim._now = until
+                break
+            entry = kernel.pop()
+            sim._now = entry[0]
+            entry[3]()
+            processed += 1
+    finally:
+        _account(sim, processed)
+
+
+_KERNEL_TYPES = {"heap": _HeapKernel, "calendar": _CalendarKernel}
 
 
 class Simulator:
@@ -607,14 +676,13 @@ class Simulator:
 
     Typical use::
 
-        sim = Simulator()                  # calendar-queue kernel
-        sim = Simulator(kernel="heap")     # binary-heap fallback
+        sim = Simulator()                    # tuple-heap kernel
+        sim = Simulator(kernel="calendar")   # calendar-queue reference
         sim.schedule(10.0, lambda: print("at t=10ns"))
         sim.run()
 
     Both kernels replay the exact same event order (asserted by the
-    equivalence tests); ``kernel="heap"`` trades speed for the simplest
-    possible queue implementation.
+    equivalence tests).
     """
 
     def __init__(self, kernel: str = DEFAULT_KERNEL) -> None:
@@ -630,8 +698,9 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         # Bound once: post/post_at run millions of times per fabric cell
-        # and the kernel object never changes after construction.
-        self._push_raw = self._queue.push_raw
+        # and the kernel object never changes after construction.  It
+        # takes one ``(time, priority, seq, callback)`` entry tuple.
+        self._push = self._queue.push_raw
 
     @property
     def now(self) -> float:
@@ -696,13 +765,13 @@ class Simulator:
         time = self._now + delay
         if not time < MAX_EVENT_TIME:
             raise SimulationError(f"event time must be finite, got {time}")
-        self._push_raw(time, priority, next(self._seq), callback)
+        self._push((time, priority, next(self._seq), callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
         """Fire-and-forget :meth:`schedule_at`."""
         if not self._now <= time < MAX_EVENT_TIME:
             self._check_time(time)
-        self._push_raw(time, priority, next(self._seq), callback)
+        self._push((time, priority, next(self._seq), callback))
 
     def schedule_batch(
         self,
@@ -738,59 +807,21 @@ class Simulator:
     ) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
-        Returns the simulation time when the run stopped.
+        Returns the simulation time when the run stopped.  The clock is
+        monotone: ``until`` before the current time raises
+        :class:`SimulationError`.  The kernel owns the pop loop.
         """
-        global _EVENTS_EXECUTED
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run backwards: until={until} < now={self._now}"
+            )
         self._running = True
-        processed = 0
-        queue = self._queue
-        peek_time = queue.peek_time
-        pop = queue.pop
         try:
-            if until is None and max_events is None:
-                # Fast path: drain the queue with the minimum of checks.
-                while True:
-                    entry = pop()
-                    if entry is None:
-                        break
-                    self._now = entry[0]
-                    entry[3]()
-                    processed += 1
-            elif max_events is None:
-                # Deadline-only loop: the dominant mode for fabric runs.
-                pop_if_before = queue.pop_if_before
-                while True:
-                    entry = pop_if_before(until)
-                    if entry is None:
-                        self._now = until if peek_time() is not None else max(
-                            self._now, until
-                        )
-                        break
-                    self._now = entry[0]
-                    entry[3]()
-                    processed += 1
-            else:
-                while True:
-                    head_time = peek_time()
-                    if head_time is None:
-                        if until is not None:
-                            self._now = max(self._now, until)
-                        break
-                    if max_events is not None and processed >= max_events:
-                        break
-                    if until is not None and head_time > until:
-                        self._now = until
-                        break
-                    entry = pop()
-                    self._now = entry[0]
-                    entry[3]()
-                    processed += 1
+            self._queue.run(self, until, max_events)
         finally:
             self._running = False
-            self._events_processed += processed
-            _EVENTS_EXECUTED += processed
         return self._now
 
     def lane(self, lane: int) -> "LaneView":
@@ -834,7 +865,7 @@ class LaneView:
     simulator it wraps.
     """
 
-    __slots__ = ("root", "lane", "kernel", "_seq", "_push_raw")
+    __slots__ = ("root", "lane", "kernel", "_seq", "_push")
 
     def __init__(self, sim: Simulator, lane: int) -> None:
         if lane <= 0:
@@ -843,7 +874,7 @@ class LaneView:
         self.lane = lane
         self.kernel = sim.kernel
         self._seq = itertools.count(lane << LANE_SHIFT)
-        self._push_raw = sim._queue.push_raw
+        self._push = sim._queue.push_raw
 
     @property
     def now(self) -> float:
@@ -884,13 +915,13 @@ class LaneView:
         time = root._now + delay
         if not time < MAX_EVENT_TIME:
             raise SimulationError(f"event time must be finite, got {time}")
-        self._push_raw(time, priority, next(self._seq), callback)
+        self._push((time, priority, next(self._seq), callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
         root = self.root
         if not root._now <= time < MAX_EVENT_TIME:
             root._check_time(time)
-        self._push_raw(time, priority, next(self._seq), callback)
+        self._push((time, priority, next(self._seq), callback))
 
     def schedule_batch(
         self,

@@ -118,7 +118,7 @@ class Link(Process):
         # Inlined post_at: arrival >= now by construction (start >= now,
         # positive serialization, non-negative propagation) and finite for
         # finite payload sizes, so post_at's validation cannot fire here.
-        sim._push_raw(arrival, 0, next(sim._seq), partial(receiver, payload))
+        sim._push((arrival, 0, next(sim._seq), partial(receiver, payload)))
         return arrival
 
     def send_batch(self, items: Iterable[Tuple[Any, int]]) -> List[float]:

@@ -9,7 +9,8 @@ parsing or table lookups.  Grants leave as /G/ blocks in one cycle.
 
 A matching round costs the scheduler's matching latency
 (``3·log2(N)/R`` ns on average, §3.1.3); rounds are (re)armed whenever a
-new demand arrives or a port's busy window expires.
+new demand arrives or a port's busy window expires.  The simulated clock
+only moves forward, which the scheduler's incremental rounds rely on.
 """
 
 from __future__ import annotations
@@ -204,11 +205,13 @@ class EdmSwitch(Process):
         self._round_armed_at = None
         self._round_handle = None
         now = self.sim._now
-        issued = self.scheduler.schedule(now)
+        scheduler = self.scheduler
+        issued = scheduler.schedule(now)
+        deliver = self._deliver_grant
         for item in issued:
-            self._deliver_grant(item)
-        if self.scheduler.pending_demands > 0:
-            next_release = self.scheduler.next_release_after(now)
+            deliver(item)
+        if scheduler.pending_demands:
+            next_release = scheduler.next_release_after(now)
             if next_release is not None:
                 self._arm_round(at=next_release)
             elif not issued:

@@ -20,7 +20,7 @@ Three layers:
   :func:`register_workload`.
 * :class:`WorkloadFeeder` — pumps a stream into a live
   :class:`~repro.sim.engine.Simulator` chunk by chunk through the
-  calendar kernel's ``schedule_batch``/``post_at``, so the pending-event
+  kernel's ``schedule_batch``/``post_at``, so the pending-event
   set holds one chunk of future arrivals instead of all of them.
 
 The five legacy free functions (``generate``, ``generate_trace``,

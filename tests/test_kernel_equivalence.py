@@ -213,6 +213,23 @@ class TestKernelBehaviour:
         with pytest.raises(SimulationError):
             sim.post(float("nan"), lambda: None)
 
+    def test_run_until_before_now_raises(self, kernel):
+        """The clock is monotone: a past ``until`` must not rewind it
+        behind events that already ran (it used to, with events pending)."""
+        sim, seen = Simulator(kernel=kernel), []
+        sim.post_at(10.0, lambda: seen.append(10))
+        sim.post_at(20.0, lambda: seen.append(20))
+        assert sim.run(until=15.0) == 15.0
+        with pytest.raises(SimulationError):
+            sim.run(until=5.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=5.0, max_events=1)
+        assert sim.now == 15.0
+        with pytest.raises(SimulationError):
+            sim.post_at(0.0, lambda: seen.append(0))
+        assert sim.run() == 20.0
+        assert seen == [10, 20]
+
     def test_schedule_batch_rejects_past(self, kernel):
         sim = Simulator(kernel=kernel)
         sim.schedule(10, lambda: None)

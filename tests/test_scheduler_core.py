@@ -1,5 +1,7 @@
 """Tests for notification queues, priority encoder, PIM, and the grant engine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.scheduler import (
     CentralScheduler,
     Demand,
+    IssuedGrant,
     NotificationQueueBank,
     PimMatcher,
     Policy,
@@ -15,7 +18,9 @@ from repro.core.scheduler import (
     priority_encode,
     priority_of,
 )
+from repro.core.messages import Grant
 from repro.errors import SchedulerError
+from repro.phy.encoder import block_count_for_message
 
 
 def demand(src, dst, size=64, t=0.0, mid=0, response=False):
@@ -53,6 +58,77 @@ class TestPriorityEncoder:
         array.update_destination(1, None)
         with pytest.raises(SchedulerError):
             array.request(1)
+
+
+def brute_force_encode(bits, output_count):
+    """The first ``output_count`` set indices, padded with None."""
+    places = [i for i, bit in enumerate(bits) if bit]
+    return (places + [None] * output_count)[:output_count]
+
+
+class TestEncoderOracle:
+    """priority_encode and SourceRequestArray against a brute-force encoder.
+
+    ``output_count`` repeats the resolution, dropping each winner's
+    request before the next: the sequence of winners must be the set
+    requests in priority order.
+    """
+
+    @pytest.mark.parametrize("input_width", [1, 5, 16, 23, 24])
+    @pytest.mark.parametrize("output_count", [1, 3, 4])
+    def test_priority_encode(self, input_width, output_count):
+        rng = random.Random(input_width + output_count)
+        for _ in range(50):
+            word = rng.randrange(2 ** input_width)
+            bits = [bool(word >> i & 1) for i in range(input_width)]
+            expected = brute_force_encode(bits, output_count)
+            winners = []
+            for _ in range(output_count):
+                winner = priority_encode(bits)
+                winners.append(winner)
+                if winner is not None:
+                    bits[winner] = False
+            assert winners == expected
+
+    @pytest.mark.parametrize("input_width", [5, 16, 23, 24])
+    @pytest.mark.parametrize("output_count", [1, 3, 4])
+    def test_source_request_array(self, input_width, output_count):
+        rng = random.Random(100 * input_width + output_count)
+        for _ in range(50):
+            array = SourceRequestArray(num_ports=input_width)
+            # Registered destinations with priorities from a small range,
+            # so ties (broken by registration order) are common; some
+            # destinations re-register, moving to the back of their tie.
+            registered = {}
+            for _ in range(rng.randrange(input_width * 2)):
+                dst = rng.randrange(input_width)
+                prio = float(rng.randrange(4)) if rng.random() < 0.9 else None
+                array.update_destination(dst, prio)
+                registered.pop(dst, None)
+                if prio is not None:
+                    registered[dst] = prio
+            order = sorted(
+                registered, key=lambda d: (registered[d], list(registered).index(d))
+            )
+            requested = {d for d in registered if rng.random() < 0.5}
+            bits = [d in requested for d in order]
+            expected = [
+                None if i is None else order[i]
+                for i in brute_force_encode(bits, output_count)
+            ]
+            winners = []
+            for _ in range(output_count):
+                array.clear_requests()
+                for dst in requested:
+                    array.request(dst)
+                winner = array.resolve()
+                winners.append(winner)
+                requested.discard(winner)
+            assert winners == expected
+
+    def test_source_request_array_needs_two_ports(self):
+        with pytest.raises(SchedulerError):
+            SourceRequestArray(num_ports=1)
 
 
 class TestPolicies:
@@ -165,6 +241,22 @@ class TestPim:
         bank.add(demand(0, 2, size=10))
         result = PimMatcher(bank, max_iterations=1).run(set(), set())
         assert result.matches[0].dst == 2
+
+    @pytest.mark.parametrize("policy", [Policy.SRPT, Policy.FCFS])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_source_conflict_lowest_priority_then_lowest_dst(self, policy, seed):
+        # Every destination proposes to source 0; the source keeps the
+        # lowest priority value, ties going to the lower-numbered port.
+        rng = random.Random(seed)
+        ports = rng.randrange(3, 12)
+        bank = NotificationQueueBank(num_ports=ports, policy=policy)
+        keys = {}
+        for dst in rng.sample(range(1, ports), rng.randrange(2, ports)):
+            value = rng.randrange(1, 4)
+            bank.add(demand(0, dst, size=64 * value, t=float(value), mid=dst))
+            keys[dst] = (value, dst)
+        result = PimMatcher(bank, max_iterations=1).run(set(), set())
+        assert [m.dst for m in result.matches] == [min(keys, key=keys.get)]
 
     def test_iterations_bounded(self):
         bank = NotificationQueueBank(num_ports=8)
@@ -319,3 +411,135 @@ class TestGrantEngine:
         sched.notify(demand(0, 1, size=64))
         sched.schedule(0.0)
         assert sched.average_iterations >= 1.0
+
+
+class FullRescanScheduler:
+    """Reference model: the grant engine's original full-rescan round.
+
+    Each round rebuilds both busy-port sets from the release tables, then
+    runs PIM over every non-empty destination.  Chunking, hold windows and
+    first-grant bookkeeping follow the same paper steps as
+    :class:`CentralScheduler`.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.bank = NotificationQueueBank(
+            num_ports=config.num_ports,
+            policy=config.policy,
+            max_active_per_pair=config.max_active_per_pair,
+        )
+        self.matcher = PimMatcher(self.bank, max_iterations=config.max_iterations)
+        self.src_busy_until = {}
+        self.dst_busy_until = {}
+        self.first_granted = set()
+
+    def notify(self, d):
+        self.bank.add(d)
+
+    def next_release_after(self, now):
+        future = [
+            t
+            for table in (self.src_busy_until, self.dst_busy_until)
+            for t in table.values()
+            if t > now
+        ]
+        return min(future) if future else None
+
+    def schedule(self, now):
+        if not self.bank:
+            return []
+        busy_src = {p for p, t in self.src_busy_until.items() if t > now}
+        busy_dst = {p for p, t in self.dst_busy_until.items() if t > now}
+        result = self.matcher.run(
+            busy_src, busy_dst, self.bank.nonempty_destinations()
+        )
+        return [self._issue(d, now) for d in result.matches]
+
+    def _issue(self, d, now):
+        chunk = min(self.config.chunk_bytes, d.remaining_bytes)
+        d.remaining_bytes -= chunk
+        completes = d.remaining_bytes == 0
+        if completes:
+            self.bank.remove(d)
+        else:
+            self.bank.reprioritize(d)
+        hold = block_count_for_message(chunk) * 8 * 8.0 / self.config.link_gbps
+        if not self.config.early_release:
+            hold *= 2.0
+        self.src_busy_until[d.src] = now + hold
+        self.dst_busy_until[d.dst] = now + hold
+        first = False
+        if d.carried_request is not None and d.message_uid not in self.first_granted:
+            self.first_granted.add(d.message_uid)
+            first = True
+        if completes:
+            self.first_granted.discard(d.message_uid)
+        grant = Grant(d.src, d.dst, d.message_id, chunk, now, d.message_uid,
+                      d.carried_request is not None)
+        return IssuedGrant(grant, d, first, completes)
+
+
+def issued_tuples(issued):
+    return [
+        (i.grant.src, i.grant.dst, i.grant.message_id, i.grant.chunk_bytes,
+         i.is_first_for_rres, i.completes_message)
+        for i in issued
+    ]
+
+
+class TestIncrementalRoundMatchesFullRescan:
+    """Dirty-destination rounds issue exactly what a full rescan issues."""
+
+    @pytest.mark.parametrize("ports", [2, 3, 8, 16, 33])
+    @pytest.mark.parametrize("policy", [Policy.SRPT, Policy.FCFS])
+    @pytest.mark.parametrize("max_iterations", [None, 1])
+    def test_random_traces(self, ports, policy, max_iterations):
+        for seed in range(4):
+            rng = random.Random(f"{ports}-{policy.value}-{max_iterations}-{seed}")
+            config = SchedulerConfig(
+                num_ports=ports, link_gbps=100.0, chunk_bytes=64, policy=policy,
+                max_iterations=max_iterations, early_release=rng.random() < 0.8,
+            )
+            fast, ref = CentralScheduler(config), FullRescanScheduler(config)
+            now, uid, rounds = 0.0, 0, 0
+            for _ in range(400):
+                action = rng.random()
+                if action < 0.45:
+                    src, dst = rng.sample(range(ports), 2)
+                    response = rng.random() < 0.3
+                    if not ref.bank.can_accept(src, dst, response):
+                        continue
+                    uid += 1
+                    d = Demand(
+                        src=src, dst=dst, message_id=uid % 256,
+                        total_bytes=rng.choice([1, 8, 64, 100, 256, 1000]),
+                        notified_at=now, message_uid=uid,
+                        carried_request="rreq" if response else None,
+                    )
+                    fast.notify(d.clone())
+                    ref.notify(d.clone())
+                    continue
+                if action < 0.8:
+                    # The switch's cadence: the next round at the next
+                    # release (or now, when nothing is busy).
+                    release = ref.next_release_after(now)
+                    now = release if release is not None else now
+                elif action < 0.9:
+                    now += rng.choice([0.0, 0.5, 3.0, 40.0])
+                got, want = fast.schedule(now), ref.schedule(now)
+                rounds += 1
+                assert issued_tuples(got) == issued_tuples(want), (seed, rounds)
+                assert fast.next_release_after(now) == ref.next_release_after(now)
+                assert fast.pending_demands == len(ref.bank)
+            assert rounds > 50
+
+    def test_schedule_backwards_raises(self):
+        sched = CentralScheduler(SchedulerConfig(num_ports=4, link_gbps=100.0))
+        sched.notify(demand(0, 1, size=64))
+        sched.schedule(10.0)
+        sched.schedule(10.0)  # same time is fine
+        with pytest.raises(SchedulerError):
+            sched.schedule(9.0)
+        with pytest.raises(SchedulerError):
+            sched.next_release_after(5.0)

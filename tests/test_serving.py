@@ -193,12 +193,12 @@ class TestDeterminism:
         assert serial.reduced == parallel.reduced
 
     def test_runner_kernel_override_is_bit_identical(self):
-        calendar = Runner(jobs=1).run(
+        heap = Runner(jobs=1).run(
             "serving", profiles=("steady_ab",), ops_per_client=15
         )
-        heap = Runner(jobs=1).run(
+        calendar = Runner(jobs=1).run(
             "serving", profiles=("steady_ab",), ops_per_client=15,
-            kernel="heap",
+            kernel="calendar",
         )
         c_row = dict(calendar.reduced["steady_ab"])
         h_row = dict(heap.reduced["steady_ab"])
