@@ -21,11 +21,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.scheduler import Policy
 from repro.errors import ConfigError
 from repro.sim.engine import DEFAULT_KERNEL
+from repro.experiments.figures import shared_workload
 from repro.experiments.runner import Cell, ExperimentSpec, Runner, make_cell, register
 from repro.fabrics.base import ClusterConfig
 from repro.fabrics.edm import EdmFabric
 from repro.workloads.distributions import HADOOP_SORT, fixed_size
-from repro.workloads.api import workload_from_spec
 from repro.workloads.synthetic import SyntheticSpec
 
 FAMILIES = (
@@ -186,7 +186,7 @@ def run_ablation_cell(cell: Cell) -> float:
         seed=cell.seed,
         incast_fraction=cell.param("incast_fraction", 0.0),
     )
-    messages = workload_from_spec(spec).materialize()
+    messages = shared_workload(spec)
     result = fabric.run_with_baselines(
         messages, deadline_ns=cell.param("deadline_ns")
     )

@@ -9,12 +9,18 @@ CLI, and the benchmark harness; they all route through the
 bit-identical to serial.  Experiment scale (node count, message count)
 is parameterized so tests run small and benches run at representative
 size.
+
+Sweeps build cells as ``for x: for fabric``, so the fabric cells at one
+grid point offer the *same* frozen workload spec.  :func:`shared_workload`
+materializes each spec once per process and hands every fabric the same
+immutable tuple; with ``jobs > 1`` each worker keeps its own memo, and a
+cell's result never depends on which cell ran before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.kvstore import (
     FIGURE7_SPLITS,
@@ -249,7 +255,30 @@ def _cluster_config(cell: Cell) -> ClusterConfig:
     )
 
 
-def _synthetic_messages(cell: Cell, write_fraction: float) -> List[OfferedMessage]:
+#: One-entry memo behind :func:`shared_workload`.
+_memo_spec: Any = None
+_memo_messages: Tuple[OfferedMessage, ...] = ()
+
+
+def shared_workload(spec: Any) -> Tuple[OfferedMessage, ...]:
+    """The materialized workload of a frozen spec, memoized per process.
+
+    Only the most recent spec is kept, and its entry is dropped *before*
+    the next spec is materialized, so at most one workload is resident.
+    The tuple is immutable, so no fabric run can alter what the next
+    cell with an equal spec receives.
+    """
+    global _memo_spec, _memo_messages
+    if spec != _memo_spec:
+        _memo_spec, _memo_messages = None, ()
+        _memo_messages = tuple(workload_from_spec(spec).materialize())
+        _memo_spec = spec
+    return _memo_messages
+
+
+def _synthetic_messages(
+    cell: Cell, write_fraction: float
+) -> Tuple[OfferedMessage, ...]:
     """The 64 B microbenchmark workload for one (load, fabric) cell."""
     spec = SyntheticSpec(
         num_nodes=cell.param("num_nodes"),
@@ -261,12 +290,12 @@ def _synthetic_messages(cell: Cell, write_fraction: float) -> List[OfferedMessag
         seed=cell.seed,
         incast_fraction=0.0,
     )
-    return workload_from_spec(spec).materialize()
+    return shared_workload(spec)
 
 
 def _run_point(
     fabric: Fabric,
-    messages: List[OfferedMessage],
+    messages: Sequence[OfferedMessage],
     deadline_ns: float,
 ) -> Dict[str, float]:
     result = fabric.run_with_baselines(messages, deadline_ns=deadline_ns)
@@ -458,7 +487,7 @@ def _figure8b_cells(
 
 
 def _figure8b_cell(cell: Cell) -> float:
-    trace = workload_from_spec(
+    trace = shared_workload(
         TraceSpec(
             app=cell.param("app"),
             num_nodes=cell.param("num_nodes"),
@@ -467,7 +496,7 @@ def _figure8b_cell(cell: Cell) -> float:
             message_count=cell.param("message_count"),
             seed=cell.seed,
         )
-    ).materialize()
+    )
     fabric = fabric_by_name(cell.fabric, _cluster_config(cell))
     result = fabric.run(trace, deadline_ns=cell.param("deadline_ns"))
     return result.mean_normalized_mct(_calibrate_ideal(fabric))

@@ -17,6 +17,7 @@ implicitly by the chunk never arriving, and keeps pacing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.fabrics.base import (
@@ -100,16 +101,14 @@ class IrdFabric(Fabric):
             flow = min(grantable, key=lambda f: f.remaining)
             chunk = min(self.CHUNK_BYTES, flow.remaining)
             flow.remaining -= chunk
-            sim.post_at(
-                sim.now + half_rtt, lambda: sender_side(recv, flow, chunk)
-            )
+            sim.post_at(sim._now + half_rtt, partial(sender_side, recv, flow, chunk))
             arm(recv, tx_ns(chunk))
 
         def arm(recv: _Receiver, delay: float) -> None:
             if recv.pacing:
                 return
             recv.pacing = True
-            sim.post_at(sim.now + delay, lambda: pace(recv))
+            sim.post_at(sim._now + delay, partial(pace, recv))
 
         # Grants colliding at a busy sender queue there (Homa-style) and are
         # served in arrival order when the sender frees up.  The conflict
@@ -137,10 +136,11 @@ class IrdFabric(Fabric):
                 return
             recv, flow, chunk = sender_queue[sender].pop(0)
             duration = tx_ns(chunk)
-            sender_busy_until[sender] = sim.now + duration
-            arrive_at = sim.now + duration + half_rtt
-            sim.post_at(arrive_at, lambda: chunk_arrived(recv, flow, chunk))
-            sim.post_at(sim.now + duration, lambda: serve_sender(sender))
+            now = sim._now
+            sender_busy_until[sender] = now + duration
+            arrive_at = now + duration + half_rtt
+            sim.post_at(arrive_at, partial(chunk_arrived, recv, flow, chunk))
+            sim.post_at(now + duration, partial(serve_sender, sender))
 
         def chunk_arrived(recv: _Receiver, flow: _Flow, chunk: int) -> None:
             flow.delivered += chunk
@@ -172,7 +172,7 @@ class IrdFabric(Fabric):
 
         sim.schedule_batch(
             (
-                (m.arrival_ns, lambda m=m: launch(m))
+                (m.arrival_ns, partial(launch, m))
                 for m in sorted(messages, key=lambda m: m.arrival_ns)
             ),
             absolute=True,

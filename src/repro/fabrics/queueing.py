@@ -26,6 +26,12 @@ pipeline/queue/pause machinery; PFC pause and CXL credits act
 switch-locally (per-hop backpressure, not end-to-end — the documented
 simplification).  The single-switch path is byte- and event-identical to
 the pre-topology code.
+
+Each :class:`BaselineSwitch` resolves its policy once, at wiring time:
+lossy vs pause vs credit, FIFO vs SRPT, and the buffer/ECN thresholds
+become plain attributes, so the per-frame path tests no enum and runs no
+mechanism its protocol lacks.  That resolution adds, removes and
+reorders no simulated event — the baseline golden fixture pins it.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Hashable, List, Optional
+from functools import partial
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence
 
 from repro.errors import FabricError
 from repro.fabrics.base import (
@@ -88,7 +95,7 @@ class ProtocolPolicy:
     use_rate_control: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowMessage:
     """Per-offered-message bookkeeping inside a baseline run."""
 
@@ -107,7 +114,7 @@ class FlowMessage:
         self.remaining_bytes = self.data_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """A MAC frame in flight."""
 
@@ -118,7 +125,6 @@ class Frame:
     seq: int
     is_request: bool = False
     marked: bool = False
-    enqueued_at: float = 0.0
 
     @property
     def priority(self) -> float:
@@ -141,6 +147,7 @@ class BaselineHost(Process):
         self.link_gbps = link_gbps
         self.policy = policy
         self.uplink: Optional[Link] = None
+        self._rate_control = policy.use_rate_control
         self.rate_factor = 1.0
         self.alpha = 0.0
         self._queue: Deque[Frame] = deque()
@@ -161,9 +168,9 @@ class BaselineHost(Process):
     def _pump(self) -> None:
         if self._pump_armed or not self._queue:
             return
-        delay = max(0.0, self._next_send_at - self.now)
+        delay = max(0.0, self._next_send_at - self.sim._now)
         self._pump_armed = True
-        self.post(delay, self._send_head)
+        self.sim.post(delay, self._send_head)
 
     def _send_head(self) -> None:
         self._pump_armed = False
@@ -176,7 +183,7 @@ class BaselineHost(Process):
         # Pacing: the next frame may start once this one would finish at the
         # host's current (possibly reduced) rate.
         paced = frame.wire_bytes * 8.0 / (self.link_gbps * self.rate_factor)
-        self._next_send_at = self.now + paced
+        self._next_send_at = self.sim._now + paced
         self._pump()
 
     # -- congestion feedback (DCTCP control law) ------------------------ #
@@ -190,7 +197,7 @@ class BaselineHost(Process):
         produces mild slowdown, the property that keeps DCTCP stable at
         high load.
         """
-        if not self.policy.use_rate_control:
+        if not self._rate_control:
             return
         self._acks_total += 1
         if marked:
@@ -250,10 +257,18 @@ class BaselineSwitch(Process):
         super().__init__(sim, name or f"{policy.name}-switch")
         self.policy = policy
         self.pipeline_ns = pipeline_ns
+        # The policy resolved once: the per-frame path reads these flags.
+        self._lossy = policy.lossless is LosslessMode.NONE
+        self._pause = policy.lossless is LosslessMode.PAUSE
+        self._credit = policy.lossless is LosslessMode.CREDIT
+        self._srpt = policy.discipline is QueueDiscipline.SRPT
+        self._buffer_bytes = policy.buffer_bytes
+        self._ecn_bytes = policy.ecn_threshold_bytes
         self.egress_links: Dict[Hashable, Link] = {}
         self.egress: Dict[Hashable, _EgressState] = {}
         self.ingress: Dict[Hashable, Deque[Frame]] = {}
-        self._ingress_blocked: Dict[Hashable, bool] = {}
+        #: Frames waiting in all ingress FIFOs (lossless modes only).
+        self._ingress_backlog = 0
         self.drops = 0
         self.route: Optional[Callable[[Frame], Hashable]] = None
         self.on_mark: Optional[Callable[[Frame], None]] = None
@@ -265,7 +280,6 @@ class BaselineSwitch(Process):
         state.credits = self.policy.credit_bytes
         self.egress[node_id] = state
         self.ingress[node_id] = deque()
-        self._ingress_blocked[node_id] = False
 
     def _egress_port(self, frame: Frame) -> Hashable:
         if self.route is None:
@@ -275,7 +289,7 @@ class BaselineSwitch(Process):
     # -- ingress --------------------------------------------------------- #
 
     def on_ingress(self, frame: Frame) -> None:
-        self.post(self.pipeline_ns, lambda: self._after_pipeline(frame, frame.src))
+        self._ingress(frame, frame.src)
 
     def ingress_receiver(self, port: Hashable) -> Callable[[Frame], None]:
         """A receiver callback tagging arrivals with the ingress ``port``.
@@ -285,18 +299,20 @@ class BaselineSwitch(Process):
         frame's ``src`` names the original host, not the trunk the frame
         arrived on — and lossless FIFOs are per ingress *port*.
         """
+        return partial(self._ingress, port=port)
 
-        def receive(frame: Frame) -> None:
-            self.post(self.pipeline_ns, lambda: self._after_pipeline(frame, port))
-
-        return receive
-
-    def _after_pipeline(self, frame: Frame, port: Hashable) -> None:
-        if self.policy.lossless == LosslessMode.NONE:
-            self._enqueue_egress(frame)
+    def _ingress(self, frame: Frame, port: Hashable) -> None:
+        """Run the L2 pipeline, then queue at egress (lossy) or ingress."""
+        if self._lossy:
+            self.sim.post(self.pipeline_ns, partial(self._enqueue_egress, frame))
         else:
-            self.ingress[port].append(frame)
-            self._advance_ingress(port)
+            self.sim.post(self.pipeline_ns, partial(self._hold_ingress, frame, port))
+
+    def _hold_ingress(self, frame: Frame, port: Hashable) -> None:
+        """Lossless modes: the frame joins its ingress FIFO after the pipeline."""
+        self.ingress[port].append(frame)
+        self._ingress_backlog += 1
+        self._advance_ingress(port)
 
     def _advance_ingress(self, src: Hashable) -> None:
         """Move ingress head frames to egress while permitted (HoL point)."""
@@ -304,15 +320,14 @@ class BaselineSwitch(Process):
         while queue:
             head = queue[0]
             state = self.egress[self._egress_port(head)]
-            if self.policy.lossless == LosslessMode.PAUSE and state.paused:
-                return  # head-of-line blocked
-            if (
-                self.policy.lossless == LosslessMode.CREDIT
-                and state.credits < head.wire_bytes
-            ):
+            if self._pause:
+                if state.paused:
+                    return  # head-of-line blocked
+            elif state.credits < head.wire_bytes:
                 return  # out of credits: blocked
             queue.popleft()
-            if self.policy.lossless == LosslessMode.CREDIT:
+            self._ingress_backlog -= 1
+            if self._credit:
                 state.credits -= head.wire_bytes
             self._enqueue_egress(head)
 
@@ -322,21 +337,16 @@ class BaselineSwitch(Process):
         port = self._egress_port(frame)
         state = self.egress[port]
         depth = state.queued_bytes
-        if (
-            self.policy.buffer_bytes is not None
-            and depth + frame.wire_bytes > self.policy.buffer_bytes
-        ):
+        buffer_bytes = self._buffer_bytes
+        if buffer_bytes is not None and depth + frame.wire_bytes > buffer_bytes:
             self._drop(frame, state)
             return
-        if (
-            self.policy.ecn_threshold_bytes is not None
-            and depth >= self.policy.ecn_threshold_bytes
-        ):
+        ecn_bytes = self._ecn_bytes
+        if ecn_bytes is not None and depth >= ecn_bytes:
             frame.marked = True
             if self.on_mark is not None:
                 self.on_mark(frame)
-        frame.enqueued_at = self.now
-        if self.policy.discipline == QueueDiscipline.SRPT:
+        if self._srpt:
             # Insert by priority (stable for equal priorities).  Index 0 is
             # the frame currently on the wire — it cannot be displaced.
             floor = 1 if state.serving and state.queued else 0
@@ -351,12 +361,13 @@ class BaselineSwitch(Process):
         else:
             state.queued.append(frame)
         state.queued_bytes += frame.wire_bytes
-        self._update_pause(port)
+        if self._pause:
+            self._update_pause(state)
         if len(state.queued) == 1:
             self._serve(port)
 
     def _drop(self, frame: Frame, state: _EgressState) -> None:
-        if self.policy.discipline == QueueDiscipline.SRPT and state.queued:
+        if self._srpt and state.queued:
             # pFabric drops the *lowest priority* resident frame instead,
             # if the arriving frame outranks it.
             worst_idx = max(
@@ -384,24 +395,23 @@ class BaselineSwitch(Process):
         link = self.egress_links[port]
         link.send(frame, frame.wire_bytes)
         done_at = link.busy_until
-        self.sim.post_at(done_at, lambda: self._served(port, frame))
+        self.sim.post_at(done_at, partial(self._served, port, frame))
 
     def _served(self, port: Hashable, frame: Frame) -> None:
         state = self.egress[port]
         state.serving = False
         state.queued.pop(0)
         state.queued_bytes -= frame.wire_bytes
-        if self.policy.lossless == LosslessMode.CREDIT:
+        if self._credit:
             state.credits += frame.wire_bytes
             self._kick_all_ingress()
-        self._update_pause(port)
+        elif self._pause:
+            self._update_pause(state)
         if state.queued:
             self._serve(port)
 
-    def _update_pause(self, port: Hashable) -> None:
-        if self.policy.lossless != LosslessMode.PAUSE:
-            return
-        state = self.egress[port]
+    def _update_pause(self, state: _EgressState) -> None:
+        """PFC only: XOFF above the high mark, XON (and drain) below the low."""
         if not state.paused and state.queued_bytes >= self.policy.pause_xoff_bytes:
             state.paused = True
         elif state.paused and state.queued_bytes <= self.policy.pause_xon_bytes:
@@ -409,6 +419,8 @@ class BaselineSwitch(Process):
             self._kick_all_ingress()
 
     def _kick_all_ingress(self) -> None:
+        if not self._ingress_backlog:
+            return
         for src in self.ingress:
             if self.ingress[src]:
                 self._advance_ingress(src)
@@ -564,7 +576,7 @@ class QueueingFabric(Fabric):
 
     def run(
         self,
-        messages: List[OfferedMessage],
+        messages: Sequence[OfferedMessage],
         *,
         deadline_ns: Optional[float] = None,
     ) -> FabricResult:
@@ -601,10 +613,9 @@ class QueueingFabric(Fabric):
                 _launch_data(flow)
                 return
             # Per-frame ACK back to the data sender (carries the ECN echo).
-            sender = hosts[frame.src]
-            was_marked = frame.marked
+            now = sim._now
             sim.post_at(
-                sim.now + feedback_delay, lambda: sender.on_ack(was_marked)
+                now + feedback_delay, partial(hosts[frame.src].on_ack, frame.marked)
             )
             flow.packets_delivered += 1
             flow.remaining_bytes = max(
@@ -614,13 +625,15 @@ class QueueingFabric(Fabric):
                 flow.packets_delivered >= flow.packets_total
                 and flow.completed_at is None
             ):
-                flow.completed_at = sim.now
+                flow.completed_at = now
                 result.records.append(
-                    CompletionRecord(message=flow.offered, completed_at=sim.now)
+                    CompletionRecord(message=flow.offered, completed_at=now)
                 )
 
         for node in range(self.config.num_nodes):
             substrate.downlinks[node].connect(deliver)
+
+        wire_bytes_of: Dict[int, int] = {}  # payload -> frame wire bytes
 
         def _launch_data(flow: FlowMessage) -> None:
             host = hosts[flow.data_src]
@@ -628,13 +641,10 @@ class QueueingFabric(Fabric):
             seq = 0
             while remaining > 0:
                 payload = min(remaining, MTU_PAYLOAD_BYTES)
-                frame = Frame(
-                    src=flow.data_src,
-                    dst=flow.data_dst,
-                    wire_bytes=frame_wire_bytes(payload),
-                    flow=flow,
-                    seq=seq,
-                )
+                wire_bytes = wire_bytes_of.get(payload)
+                if wire_bytes is None:
+                    wire_bytes = wire_bytes_of[payload] = frame_wire_bytes(payload)
+                frame = Frame(flow.data_src, flow.data_dst, wire_bytes, flow, seq)
                 host.inject(frame)
                 remaining -= payload
                 seq += 1
@@ -668,9 +678,8 @@ class QueueingFabric(Fabric):
         def on_drop(frame: Frame) -> None:
             # A dropped single-frame memory message can only recover via
             # timeout (§2.4 limitation 6).
-            sender = hosts[frame.src]
             sim.post_at(
-                sim.now + self.policy.rto_ns, lambda: sender.inject(frame)
+                sim._now + self.policy.rto_ns, partial(hosts[frame.src].inject, frame)
             )
 
         for sw in switches:
@@ -681,7 +690,7 @@ class QueueingFabric(Fabric):
 
         sim.schedule_batch(
             (
-                (m.arrival_ns, lambda m=m: launch(m))
+                (m.arrival_ns, partial(launch, m))
                 for m in sorted(messages, key=lambda m: m.arrival_ns)
             ),
             absolute=True,
@@ -695,7 +704,7 @@ class QueueingFabric(Fabric):
         return result
 
     def run_with_baselines(
-        self, messages: List[OfferedMessage], **kwargs
+        self, messages: Sequence[OfferedMessage], **kwargs
     ) -> FabricResult:
         result = self.run(messages, **kwargs)
         read_size, write_size = dominant_sizes(messages)

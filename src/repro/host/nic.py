@@ -24,7 +24,7 @@ wire transfers they consume.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.clock import PCS_CYCLE_NS
 from repro.core.messages import (
@@ -178,6 +178,9 @@ class EdmHostNic(Process):
         # Serving: RRES messages this node generates for peers' requests,
         # keyed by (requester, requester's id) — a separate id namespace.
         self.serving_table = MessageStateTable()
+        # RRES grants that reached this node before their forwarded
+        # request, keyed like the serving table (see _hold_early_grant).
+        self._early_grants: Dict[Tuple[int, int], List[Grant]] = {}
         self.ids = MessageIdAllocator()
         self.limiter = NotificationRateLimiter(config.max_active_per_pair)
         self.controller: Optional[MemoryController] = None
@@ -369,7 +372,10 @@ class EdmHostNic(Process):
 
     def _emit_chunk(self, grant: Grant, batch: Optional[list] = None) -> None:
         table = self.serving_table if grant.for_response else self.state_table
-        state = table.get(grant.dst, grant.message_id)
+        state = table.find(grant.dst, grant.message_id)
+        if state is None:
+            self._hold_early_grant(grant)
+            return
         message = state.message
         if message.mtype is MessageType.RRES and not state.data_ready:
             # Memory still reading: hold the grant until data is buffered.
@@ -401,6 +407,24 @@ class EdmHostNic(Process):
                 # through a zero-latency callback no real NIC could see.
                 self._release_limiter_slot(grant.dst)
 
+    def _hold_early_grant(self, grant: Grant) -> None:
+        """Park an RRES /G/ that overtook its forwarded request.
+
+        The switch sends a /G/ in 1 cycle but forwards the buffered RREQ
+        in 4, so with a hold window under 3 cycles (64 B chunks) the
+        second grant of an RRES leaves first; when other transfers queue
+        between the two, the grant lands before :meth:`_service_request`
+        has created the serving entry.  It joins that entry's pending
+        grants once the request arrives — exactly where it would have
+        gone had it arrived a moment later, since the read is in flight.
+        """
+        if not grant.for_response:
+            raise HostError(
+                f"no state table entry for {(grant.dst, grant.message_id)}"
+            )
+        key = (grant.dst, grant.message_id)
+        self._early_grants.setdefault(key, []).append(grant)
+
     # -- forwarded requests (memory node) ------------------------------- #
 
     def _service_request(self, message: MemoryMessage) -> None:
@@ -411,6 +435,10 @@ class EdmHostNic(Process):
         rres = make_rres(message, created_at=now)
         state = MessageState(message=rres, data_ready=False)
         self.serving_table.add(rres.dst, rres.message_id, state)
+        if self._early_grants:
+            early = self._early_grants.pop((rres.dst, rres.message_id), None)
+            if early is not None:
+                state.pending_grants.extend(early)
         wait = max(0.0, done_at - now)
         self.sim.post(wait, partial(self._rres_data_ready, rres, state))
 

@@ -112,18 +112,27 @@ class TestRunnerPerf:
         ]
 
     def test_kernel_threads_through_scale(self):
-        scale = Figure8aScale(
-            num_nodes=4, message_count=200,
-            fabric_names=("DCTCP",), kernel="heap",
+        # DCTCP plus both lossless paths (PFC pause, CXL credits), each
+        # run once per kernel: the reduced figure and per-cell event
+        # counts must match.
+        fabrics = ("DCTCP", "PFC", "CXL")
+        heap = Runner(jobs=1).run(
+            "figure8a",
+            loads=(0.5,),
+            scale=Figure8aScale(
+                num_nodes=4, message_count=200,
+                fabric_names=fabrics, kernel="heap",
+            ),
         )
-        heap = Runner(jobs=1).run("figure8a", loads=(0.5,), scale=scale)
         calendar = Runner(jobs=1).run(
             "figure8a",
             loads=(0.5,),
             scale=Figure8aScale(
-                num_nodes=4, message_count=200, fabric_names=("DCTCP",),
+                num_nodes=4, message_count=200,
+                fabric_names=fabrics, kernel="calendar",
             ),
         )
+        assert [c.param("kernel") for c in calendar.cells] == ["calendar"] * 3
         assert heap.reduced == calendar.reduced
         assert [p["events"] for p in heap.cell_perf] == [
             p["events"] for p in calendar.cell_perf

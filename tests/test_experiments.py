@@ -1,6 +1,9 @@
 """Tests for the experiment drivers (small scales)."""
 
+import dataclasses
 import math
+
+import pytest
 
 from repro.experiments import (
     Figure8aScale,
@@ -15,6 +18,15 @@ from repro.experiments import (
     run_table1,
     summarize_shape_checks,
 )
+from repro.experiments.figures import (
+    _figure8a_cell,
+    _figure8a_cells,
+    _figure8a_reduce,
+    shared_workload,
+)
+from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
+from repro.workloads import SyntheticSpec, workload_from_spec
+from repro.workloads.distributions import fixed_size
 
 SMALL_8A = Figure8aScale(num_nodes=8, message_count=1200,
                          fabric_names=("EDM", "DCTCP"))
@@ -75,3 +87,47 @@ class TestSimulationDrivers:
         results = run_figure8a_loads(loads=(0.3,), scale=SMALL_8A)
         text = format_grid(results, "Figure 8a")
         assert "Figure 8a" in text and "EDM" in text
+
+
+def _spec(load=0.5, seed=1):
+    return SyntheticSpec(
+        num_nodes=6, link_gbps=100.0, load=load, message_count=200,
+        size_cdf=fixed_size(64), seed=seed, incast_fraction=0.0,
+    )
+
+
+class TestSharedWorkload:
+    def test_equal_spec_returns_the_same_tuple(self):
+        first = shared_workload(_spec())
+        assert isinstance(first, tuple)
+        assert shared_workload(_spec()) is first
+        assert list(first) == workload_from_spec(_spec()).materialize()
+
+    def test_different_seed_or_load_misses(self):
+        base = shared_workload(_spec())
+        other_seed = shared_workload(_spec(seed=2))
+        assert other_seed is not base
+        assert list(other_seed) == workload_from_spec(_spec(seed=2)).materialize()
+        other_load = shared_workload(_spec(load=0.9))
+        assert other_load is not other_seed
+        assert list(other_load) == workload_from_spec(_spec(load=0.9)).materialize()
+
+    def test_fabric_runs_leave_the_shared_tuple_intact(self):
+        messages = shared_workload(_spec())
+        fresh = workload_from_spec(_spec()).materialize()
+        config = ClusterConfig(num_nodes=6, seed=1)
+        for name in fabric_names():
+            fabric_by_name(name, config).run_with_baselines(messages)
+        assert shared_workload(_spec()) is messages
+        assert list(messages) == fresh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            messages[0].size_bytes = 1
+
+    def test_figure8a_results_do_not_depend_on_cell_order(self):
+        scale = Figure8aScale(num_nodes=6, message_count=300)
+        cells = _figure8a_cells(loads=(0.4, 0.8), scale=scale)
+        forward = [_figure8a_cell(cell) for cell in cells]
+        backward = [_figure8a_cell(cell) for cell in reversed(cells)][::-1]
+        assert _figure8a_reduce(cells, forward) == _figure8a_reduce(
+            cells, backward
+        )

@@ -6,6 +6,8 @@ memory node, in-order per-pair delivery, the §3.3 deadlock timer, and
 what a ``run(deadline_ns=...)`` cut leaves behind.
 """
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from repro.core.opcodes import RmwOpcode
 from repro.fabrics.base import ClusterConfig, OfferedMessage
 from repro.fabrics.edm import EdmCluster, EdmFabric
 from repro.host.nic import HostConfig
+from repro.host.wire import TransferKind
 from repro.memctrl.dram import DramTiming
 from repro.workloads.api import workload_from_spec
 from repro.workloads.distributions import fixed_size
@@ -143,6 +146,57 @@ class TestOrderingAndConcurrency:
             cluster.nic(0).read(1, i * 64, 64, lambda c: done.append(c))
         cluster.sim.run()
         assert len(done) == 8
+
+
+class TestEarlyResponseGrant:
+    """An RRES /G/ can reach the memory node before the forwarded RREQ.
+
+    The switch sends a /G/ in 1 cycle but forwards a request in 4; at
+    64 B chunks the scheduler's next grant comes one 5.76 ns hold window
+    after the first, so the second grant leaves first, and traffic queued
+    between the two can land it before the node knows the RRES exists.
+    """
+
+    def _delay_requests_to(self, cluster, node, delay_ns):
+        link = cluster.switch.egress[node]
+        deliver = link.receiver
+
+        def receive(transfer):
+            if transfer.kind == TransferKind.REQUEST:
+                cluster.sim.post(delay_ns, partial(deliver, transfer))
+            else:
+                deliver(transfer)
+
+        link.receiver = receive
+
+    def test_read_completes_when_grants_overtake_the_request(self):
+        cluster = EdmCluster(
+            ClusterConfig(num_nodes=2, link_gbps=100.0, chunk_bytes=64),
+            dram_timing=ZERO_DRAM,
+        )
+        self._delay_requests_to(cluster, 1, delay_ns=50.0)
+        done = []
+        cluster.nic(0).read(1, 0x100, 1024, lambda c: done.append(c))
+        cluster.sim.run()
+        assert len(done) == 1 and not done[0].timed_out
+        memory = cluster.nic(1)
+        assert len(memory.serving_table) == 0 and not memory._early_grants
+
+    def test_early_grants_do_not_change_an_in_order_read(self):
+        def latency(delay_ns):
+            cluster = EdmCluster(
+                ClusterConfig(num_nodes=2, link_gbps=100.0, chunk_bytes=64),
+                dram_timing=ZERO_DRAM,
+            )
+            if delay_ns:
+                self._delay_requests_to(cluster, 1, delay_ns)
+            done = []
+            cluster.nic(0).read(1, 0x100, 1024, lambda c: done.append(c))
+            cluster.sim.run()
+            return done[0].latency_ns
+
+        # A late request delays the whole response by at most its delay.
+        assert latency(0.0) < latency(50.0) <= latency(0.0) + 50.0
 
 
 class TestDeadlockTimer:
