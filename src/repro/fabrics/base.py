@@ -14,6 +14,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,10 @@ class OfferedMessage:
             raise FabricError(f"size must be positive: {self.size_bytes}")
         if self.arrival_ns < 0:
             raise FabricError(f"arrival must be >= 0: {self.arrival_ns}")
+
+
+#: Injection key of an :class:`OfferedMessage` (``Simulator.inject_arrivals``).
+arrival_time = attrgetter("arrival_ns")
 
 
 @dataclass

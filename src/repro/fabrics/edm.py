@@ -37,6 +37,7 @@ from repro.fabrics.base import (
     Fabric,
     FabricResult,
     OfferedMessage,
+    arrival_time,
     dominant_sizes,
 )
 from repro.host.nic import Completion, CompletionRouter, EdmHostNic, HostConfig
@@ -306,13 +307,7 @@ class EdmFabric(Fabric):
                 nic.write(message.dst, address, message.size_bytes, on_complete)
 
         if isinstance(messages, (list, tuple)):
-            ctx.sim.schedule_batch(
-                (
-                    (m.arrival_ns, lambda m=m: launch(m))
-                    for m in sorted(messages, key=lambda m: m.arrival_ns)
-                ),
-                absolute=True,
-            )
+            ctx.sim.inject_arrivals(messages, launch, key=arrival_time)
             ctx.sim.run(until=deadline_ns)
             offered = len(messages)
         else:

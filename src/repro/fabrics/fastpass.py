@@ -24,6 +24,7 @@ from repro.fabrics.base import (
     Fabric,
     FabricResult,
     OfferedMessage,
+    arrival_time,
     dominant_sizes,
 )
 from repro.mac.frame import frame_wire_bytes
@@ -119,13 +120,7 @@ class FastpassFabric(Fabric):
             outstanding[node] += 1
             notifications_link.send(message, CONTROL_WIRE_BYTES)
 
-        sim.schedule_batch(
-            (
-                (m.arrival_ns, lambda m=m: launch(m))
-                for m in sorted(messages, key=lambda m: m.arrival_ns)
-            ),
-            absolute=True,
-        )
+        sim.inject_arrivals(messages, launch, key=arrival_time)
         sim.run(until=deadline_ns)
         result.incomplete = len(messages) - len(result.records)
         ctx.stats.incr("messages_offered", len(messages))

@@ -26,6 +26,7 @@ from repro.fabrics.base import (
     Fabric,
     FabricResult,
     OfferedMessage,
+    arrival_time,
     dominant_sizes,
 )
 from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
@@ -170,13 +171,7 @@ class IrdFabric(Fabric):
             recv.pending.append(flow)
             arm(recv, 0.0)
 
-        sim.schedule_batch(
-            (
-                (m.arrival_ns, partial(launch, m))
-                for m in sorted(messages, key=lambda m: m.arrival_ns)
-            ),
-            absolute=True,
-        )
+        sim.inject_arrivals(messages, launch, key=arrival_time)
         sim.run(until=deadline_ns)
         result.incomplete = len(messages) - len(result.records)
         ctx.stats.incr("messages_offered", len(messages))

@@ -8,13 +8,18 @@
   queues to X*N entries (§3.1.2).
 * **Mega-message batching** folds several small pending messages to the
   same destination into one notification, reducing /N/ overhead (§3.1.2).
+* The **message id allocator** hands out the 8-bit per-destination ids.
+
+All of this state grows with the traffic, not with cluster size times the
+id space: a peer a node has never talked to costs nothing, and one it has
+costs an id watermark until it first releases an id.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import MemoryMessage
 from repro.errors import HostError
@@ -87,28 +92,47 @@ class MessageStateTable:
 
 
 class MessageIdAllocator:
-    """Allocates the 8-bit per-destination message ids and recycles them."""
+    """Allocates the 8-bit per-destination message ids and recycles them.
+
+    Ids toward a peer come fresh in ascending order until the space is
+    used up, then recycled in release order.  A peer costs one fresh-id
+    watermark until its first release creates its recycled-id list; only
+    ids in flight are held in the outstanding set.
+    """
 
     def __init__(self, id_space: int = 256) -> None:
-        self._free: Dict[int, Deque[int]] = {}
+        self._fresh: Dict[int, int] = {}  # peer -> next never-used id
+        self._recycled: Dict[int, List[int]] = {}  # release order
+        self._outstanding: Set[StateKey] = set()
         self._id_space = id_space
 
     def allocate(self, peer: int) -> int:
-        free = self._free.get(peer)
-        if free is None:
-            free = self._free[peer] = deque(range(self._id_space))
-        if not free:
-            raise HostError(
-                f"message-id space exhausted toward peer {peer}; "
-                f"complete some messages before issuing more"
-            )
-        return free.popleft()
+        message_id = self._fresh.get(peer, 0)
+        if message_id < self._id_space:
+            self._fresh[peer] = message_id + 1
+        else:
+            recycled = self._recycled.get(peer)
+            if not recycled:
+                raise HostError(
+                    f"message-id space exhausted toward peer {peer}; "
+                    f"complete some messages before issuing more"
+                )
+            message_id = recycled.pop(0)
+        self._outstanding.add((peer, message_id))
+        return message_id
 
     def release(self, peer: int, message_id: int) -> None:
-        free = self._free.get(peer)
-        if free is None:
-            free = self._free[peer] = deque()
-        free.append(message_id)
+        try:
+            self._outstanding.remove((peer, message_id))
+        except KeyError:
+            raise HostError(
+                f"message id {message_id} toward peer {peer} is not outstanding"
+            ) from None
+        recycled = self._recycled.get(peer)
+        if recycled is None:
+            self._recycled[peer] = [message_id]
+        else:
+            recycled.append(message_id)
 
 
 class NotificationRateLimiter:

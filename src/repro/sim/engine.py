@@ -33,6 +33,8 @@ Scheduling surface (see docs/DETERMINISM.md for the full contract):
   the entry's payload is the bare callback.
 * :meth:`Simulator.schedule_batch` — bulk insertion with sequence numbers
   assigned in iteration order, bit-identical to a loop of ``schedule`` calls.
+* :meth:`Simulator.inject_arrivals` — a workload's arrivals with the keys
+  ``schedule_batch`` would give them, but only the next one pending.
 * ``pop_if_before`` (calendar-internal) — the fused peek+pop its run
   loop uses; its window checks reuse push's ``int(time * inv_width)``
   bucket mapping via an absolute-bucket cursor (``_cur_abs``) because
@@ -92,6 +94,9 @@ LANE_SHIFT = 44
 #: The experiment runner reads deltas around each cell to report
 #: events/sec without threading a handle through the fabric models.
 _EVENTS_EXECUTED = 0
+
+#: End-of-stream marker for :meth:`Simulator.inject_arrivals`.
+_END = object()
 
 
 def process_events_executed() -> int:
@@ -799,6 +804,46 @@ class Simulator:
         if entries:
             self._queue.push_raw_batch(entries)
         return len(entries)
+
+    def inject_arrivals(
+        self,
+        items: Iterable[Any],
+        launch: Callable[[Any], None],
+        *,
+        key: Callable[[Any], float],
+    ) -> int:
+        """Run ``launch(item)`` at absolute time ``key(item)`` for every item.
+
+        Same keys as :meth:`schedule_batch` (priority 0) over the items
+        stable-sorted by ``key``: every time is validated before anything is
+        queued, and the n arrivals take one contiguous block ``[s, s + n)``
+        of the root seq counter, so every later root-lane seq is unchanged
+        too.  Only the
+        next arrival is pending: each one pushes its successor before it
+        calls ``launch``, so the queue holds one arrival however long the
+        workload.  Returns the number of arrivals.
+        """
+        ordered = sorted(items, key=key)
+        for item in ordered:
+            self._check_time(key(item))
+        count = len(ordered)
+        if not count:
+            return 0
+        first_seq = next(self._seq)
+        self._seq = itertools.count(first_seq + count)
+        push = self._push
+        arrivals = iter(ordered)
+        seqs = itertools.count(first_seq)
+
+        def arrive(item: Any) -> None:
+            successor = next(arrivals, _END)
+            if successor is not _END:
+                push((key(successor), 0, next(seqs), partial(arrive, successor)))
+            launch(item)
+
+        first = next(arrivals)
+        push((key(first), 0, next(seqs), partial(arrive, first)))
+        return count
 
     def run(
         self,

@@ -1,6 +1,10 @@
 """Tests for host-side state: tables, id allocation, rate limiting, batching."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.messages import make_wreq
 from repro.errors import HostError
@@ -70,6 +74,91 @@ class TestIdAllocator:
         alloc = MessageIdAllocator(id_space=1)
         alloc.allocate(1)
         alloc.allocate(2)  # different peer: fine
+
+    def test_release_toward_unused_peer_rejected(self):
+        alloc = MessageIdAllocator()
+        with pytest.raises(HostError, match="not outstanding"):
+            alloc.release(7, 5)
+        # The peer's fresh ids are untouched by the rejected release.
+        assert [alloc.allocate(7) for _ in range(256)] == list(range(256))
+
+    def test_double_release_rejected(self):
+        alloc = MessageIdAllocator(id_space=2)
+        first = alloc.allocate(1)
+        alloc.release(1, first)
+        with pytest.raises(HostError, match="not outstanding"):
+            alloc.release(1, first)
+        # Without the guard the id would come back twice: [1, 0, 0].
+        assert [alloc.allocate(1), alloc.allocate(1)] == [1, 0]
+        with pytest.raises(HostError, match="exhausted"):
+            alloc.allocate(1)
+
+    def test_release_of_never_allocated_id_rejected(self):
+        alloc = MessageIdAllocator(id_space=4)
+        alloc.allocate(1)
+        for bad in (1, 3, -1):
+            with pytest.raises(HostError, match="not outstanding"):
+                alloc.release(1, bad)
+
+    def test_silent_peers_cost_no_recycled_store(self):
+        alloc = MessageIdAllocator()
+        for peer in range(100):
+            assert alloc.allocate(peer) == 0
+        assert alloc._recycled == {}
+
+
+class _FifoAllocator:
+    """The pre-filled FIFO the allocator replaced: the reference model."""
+
+    def __init__(self, id_space):
+        self._free = {}
+        self._id_space = id_space
+
+    def allocate(self, peer):
+        free = self._free.get(peer)
+        if free is None:
+            free = self._free[peer] = deque(range(self._id_space))
+        if not free:
+            raise HostError(f"message-id space exhausted toward peer {peer}")
+        return free.popleft()
+
+    def release(self, peer, message_id):
+        self._free.setdefault(peer, deque()).append(message_id)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except HostError as exc:
+        return "exhausted" if "exhausted" in str(exc) else repr(exc)
+
+
+@given(
+    id_space=st.integers(min_value=1, max_value=5),
+    ops=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=1_000),
+        ),
+        max_size=60,
+    ),
+)
+def test_allocator_matches_fifo_reference(id_space, ops):
+    """Random allocate/release traces give the FIFO's ids and exhaustion."""
+    alloc, fifo = MessageIdAllocator(id_space), _FifoAllocator(id_space)
+    outstanding = {}
+    for is_release, peer, pick in ops:
+        held = outstanding.setdefault(peer, [])
+        if is_release and held:
+            message_id = held.pop(pick % len(held))
+            alloc.release(peer, message_id)
+            fifo.release(peer, message_id)
+            continue
+        got = _outcome(lambda: alloc.allocate(peer))
+        assert got == _outcome(lambda: fifo.allocate(peer))
+        if got != "exhausted":
+            held.append(got)
 
 
 class TestRateLimiter:
