@@ -15,8 +15,6 @@ Usage::
     python -m repro.cli scenario list
     python -m repro.cli scenario run --jobs 4
     python -m repro.cli scenario run pfc_incast_failover --nodes 8 --messages 400
-    python -m repro.cli bench-kernel --nodes 16 --messages 4000
-    python -m repro.cli bench-gate --baseline BENCH_baseline.json --current BENCH_kernel.json
     python -m repro.cli checks
 
 Simulation subcommands fan their parameter grid out over ``--jobs``
@@ -31,7 +29,7 @@ import dataclasses
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.experiments import (
     Figure8aScale,
     Figure8bScale,
@@ -165,7 +163,12 @@ def _cmd_figure7(args: argparse.Namespace) -> None:
 
 
 def _parse_loads(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--loads must be comma-separated numbers: {text!r}"
+        ) from None
 
 
 def _parse_fabrics(text: str) -> Optional[tuple]:
@@ -404,45 +407,6 @@ def _cmd_scenario(args: argparse.Namespace) -> None:
     print(format_scenario_results(result.reduced))
 
 
-def _cmd_bench_gate(args: argparse.Namespace) -> None:
-    import json
-
-    from repro.experiments.benchgate import gate_failures, gate_report
-
-    with open(args.baseline, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    with open(args.current, encoding="utf-8") as fh:
-        current = json.load(fh)
-    print(gate_report(baseline, current, args.tolerance))
-    failures = gate_failures(baseline, current, args.tolerance)
-    if failures:
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        sys.exit(1)
-    print("bench gate: PASS")
-
-
-def _cmd_bench_kernel(args: argparse.Namespace) -> None:
-    from repro.experiments.kernelbench import (
-        format_kernel_bench,
-        run_kernel_bench,
-        write_kernel_bench,
-    )
-
-    payload = run_kernel_bench(
-        num_nodes=args.nodes,
-        message_count=args.messages,
-        loads=_parse_loads(args.loads),
-        seed=args.seed,
-        jobs=args.jobs,
-        fabric_names=_parse_fabrics(args.fabrics),
-    )
-    print(format_kernel_bench(payload))
-    if args.out:
-        path = write_kernel_bench(payload, args.out)
-        print(f"[artifact] {path}", file=sys.stderr)
-
-
 def _cmd_checks(_: argparse.Namespace) -> None:
     checks = summarize_shape_checks()
     width = max(len(k) for k in checks)
@@ -626,37 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runner_args(scenario_run)
     scenario_run.set_defaults(fn=_cmd_scenario)
-
-    gate = sub.add_parser(
-        "bench-gate",
-        help="fail when BENCH_kernel events/sec regressed vs a baseline",
-    )
-    gate.add_argument("--baseline", type=str, default="BENCH_baseline.json")
-    gate.add_argument("--current", type=str, default="BENCH_kernel.json")
-    gate.add_argument(
-        "--tolerance", type=float, default=None,
-        help="allowed %% drop (default: $REPRO_BENCH_TOLERANCE_PCT or 30)",
-    )
-    gate.set_defaults(fn=_cmd_bench_gate)
-
-    bench = sub.add_parser(
-        "bench-kernel",
-        help="figure-8a smoke sweep under both kernels -> BENCH_kernel.json",
-    )
-    bench.add_argument("--nodes", type=int, default=16)
-    bench.add_argument("--messages", type=int, default=4000)
-    bench.add_argument("--loads", type=str, default="0.3,0.8")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--jobs", type=int, default=1)
-    bench.add_argument(
-        "--fabrics", type=str, default="",
-        help="comma-separated fabric names (default: all seven)",
-    )
-    bench.add_argument(
-        "--out", type=str, default="BENCH_kernel.json",
-        help="output JSON path (empty = print only)",
-    )
-    bench.set_defaults(fn=_cmd_bench_kernel)
 
     sub.add_parser("checks", help="Headline shape checks").set_defaults(fn=_cmd_checks)
     return parser

@@ -47,10 +47,6 @@ class WorkloadError(ReproError):
     """Raised by workload and trace generators on invalid parameters."""
 
 
-class BenchmarkError(ReproError):
-    """A benchmark invariant failed (e.g. kernels diverged)."""
-
-
 class ConfigError(ReproError):
     """Raised when an experiment or component is misconfigured."""
 

@@ -36,28 +36,14 @@ from repro.experiments.serving import (
     serving_profile,
     serving_profiles,
 )
-from repro.experiments.benchgate import (
-    DEFAULT_TOLERANCE_PCT,
-    gate_failures,
-    gate_tolerance_pct,
-)
-from repro.experiments.kernelbench import (
-    format_kernel_bench,
-    kernel_microbench,
-    run_kernel_bench,
-    write_kernel_bench,
-)
 
 # Importing the scenario engine registers the "scenarios" experiment, so
 # runner workers (which import this package by name) can resolve it.
 import repro.scenarios.engine  # noqa: E402,F401  isort: skip
 
 __all__ = [
-    "DEFAULT_TOLERANCE_PCT",
     "FAMILIES",
     "Cell",
-    "gate_failures",
-    "gate_tolerance_pct",
     "ExperimentSpec",
     "Figure8aScale",
     "Figure8bScale",
@@ -66,13 +52,9 @@ __all__ = [
     "artifact_payload",
     "experiment_names",
     "format_grid",
-    "format_kernel_bench",
     "format_serving_results",
     "serving_profile",
     "serving_profiles",
-    "kernel_microbench",
-    "run_kernel_bench",
-    "write_kernel_bench",
     "get_experiment",
     "make_cell",
     "register",

@@ -249,10 +249,10 @@ class RunnerResult:
         The throughput ratio is computed over *clean* cells only: a
         retried cell's wall time includes scheduler noise from the fault
         (and a resumed cell's was measured by an earlier process), so
-        both are excluded from ``events_per_s`` — this is what keeps the
-        bench gate's ratchet honest under chaos (see
-        ``experiments/benchgate.py``).  Event *counts* still sum over
-        every cell: they are deterministic, faults or not.
+        both are excluded from ``events_per_s``.  Event *counts* still
+        sum over every cell: they are deterministic, faults or not.  The
+        repo benchmark (``bench/run.py``) reads both fields from the
+        artifact's ``perf`` block.
         """
         events = sum(p["events"] for p in self.cell_perf)
         wall = sum(p["wall_s"] for p in self.cell_perf)

@@ -9,8 +9,8 @@ consume ``.arrivals()`` lazily::
     for message in stream.arrivals():
         ...
 
-The legacy ``generate*`` free functions survive as deprecated
-materializing shims; see the README's migration guide.
+``.materialize()`` returns the whole stream as a list when one is
+genuinely needed.
 """
 
 # The streaming protocol and spec registry (the supported API).
@@ -37,12 +37,7 @@ from repro.workloads.distributions import (
     app_cdf,
     fixed_size,
 )
-from repro.workloads.shapes import (
-    IncastSpec,
-    ShuffleSpec,
-    generate_incast,
-    generate_shuffle,
-)
+from repro.workloads.shapes import IncastSpec, ShuffleSpec
 from repro.workloads.streaming import (
     IncastWorkload,
     ShuffleWorkload,
@@ -53,11 +48,10 @@ from repro.workloads.streaming import (
 )
 from repro.workloads.synthetic import (
     SyntheticSpec,
-    generate,
     mean_wire_bytes,
     microbenchmark,
 )
-from repro.workloads.traces import TraceSpec, all_apps, generate_trace, validate_app
+from repro.workloads.traces import TraceSpec, all_apps, validate_app
 from repro.workloads.ycsb import (
     READ_VALUE_BYTES,
     WORKLOAD_A,
@@ -69,7 +63,6 @@ from repro.workloads.ycsb import (
     YcsbOp,
     YcsbWorkload,
     ZipfianKeyChooser,
-    generate_ops,
     workload_by_name,
 )
 
@@ -123,12 +116,6 @@ __all__ = [
     # Trace helpers
     "all_apps",
     "validate_app",
-    # Non-deprecated convenience
+    # Convenience
     "microbenchmark",
-    # Deprecated shims (to be removed two releases after this one)
-    "generate",
-    "generate_incast",
-    "generate_ops",
-    "generate_shuffle",
-    "generate_trace",
 ]

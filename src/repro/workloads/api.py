@@ -22,11 +22,6 @@ Three layers:
   :class:`~repro.sim.engine.Simulator` chunk by chunk through the
   kernel's ``schedule_batch``/``post_at``, so the pending-event
   set holds one chunk of future arrivals instead of all of them.
-
-The five legacy free functions (``generate``, ``generate_trace``,
-``generate_ops``, ``generate_incast``, ``generate_shuffle``) survive as
-deprecated shims that materialize the corresponding stream; see the
-README's migration guide.
 """
 
 from __future__ import annotations
@@ -61,11 +56,13 @@ def substream(seed: Optional[int], *key: int) -> np.random.Generator:
     Derived from ``(seed, *key)`` through :class:`numpy.random.SeedSequence`,
     so per-source streams can be generated lazily and merged in time order
     without replaying one shared generator's draw sequence.  ``seed=None``
-    asks for fresh OS entropy (a non-reproducible workload, as with the
-    legacy generators).
+    asks for fresh OS entropy (a non-reproducible workload).  A negative
+    seed raises :class:`WorkloadError`.
     """
     if seed is None:
         return make_rng(None)
+    if seed < 0:
+        raise WorkloadError(f"seed must be non-negative: {seed}")
     return np.random.default_rng(np.random.SeedSequence((int(seed), *key)))
 
 
@@ -210,11 +207,11 @@ class Workload(abc.ABC):
         return getattr(self.spec, "message_count", None)
 
     def materialize(self, limit: Optional[int] = None) -> List[Any]:
-        """The stream as a list (the legacy shims' return shape).
+        """The stream as a list.
 
         ``limit`` truncates; prefer consuming :meth:`arrivals` lazily —
-        materializing is O(n) memory and exists for compatibility and
-        tests.
+        materializing is O(n) memory and exists for callers that need a
+        list (shared workloads, tests).
         """
         it = self.arrivals()
         if limit is None:

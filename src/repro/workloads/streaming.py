@@ -4,10 +4,11 @@ Each class here turns one frozen spec type into a lazy arrival stream
 implementing the :class:`~repro.workloads.api.Workload` protocol:
 
 * :class:`IncastWorkload`, :class:`ShuffleWorkload`, and
-  :class:`YcsbOpsWorkload` reproduce the legacy ``generate_incast`` /
-  ``generate_shuffle`` / ``generate_ops`` outputs **bit-identically**
-  seed-for-seed (the shape algorithms already produce arrivals in — or
-  within a bounded window of — emission order, so they stream directly).
+  :class:`YcsbOpsWorkload` reproduce the original list-building
+  algorithms **bit-identically** seed-for-seed (the shape algorithms
+  already produce arrivals in — or within a bounded window of — emission
+  order, so they stream directly).  Those algorithms are kept as
+  reference oracles in ``tests/test_workload_api.py``.
 * :class:`SyntheticWorkload` (and :class:`TraceWorkload`, which wraps
   it) defines the canonical mixed smooth+incast stream with *per-source
   RNG substreams* merged in time order.  The legacy generator consumed
@@ -15,9 +16,7 @@ implementing the :class:`~repro.workloads.api.Workload` protocol:
   fundamentally cannot stream in O(1) memory — emitting the earliest
   arrival required every draw to have happened.  Substreams make each
   source independently generatable, so a k-way heap merge emits arrivals
-  with O(num_nodes) state regardless of message count.  The deprecated
-  ``generate()`` shim materializes this stream, so shim and stream stay
-  bit-identical by construction.
+  with O(num_nodes) state regardless of message count.
 
 All streams are reproducible: iterating a workload twice (or iterating
 and then calling ``materialize``) yields the same sequence, and message
@@ -152,7 +151,7 @@ class SyntheticWorkload(Workload):
 
 
 class IncastWorkload(Workload):
-    """Streaming pure-incast storms; bit-identical to ``generate_incast``.
+    """Streaming pure-incast storms; bit-identical to the list-building reference.
 
     The legacy algorithm's event times strictly increase and its post-hoc
     sort is stable, so generation order *is* arrival order — the stream
@@ -204,7 +203,7 @@ class IncastWorkload(Workload):
 
 
 class ShuffleWorkload(Workload):
-    """Streaming shuffle rounds; bit-identical to ``generate_shuffle``.
+    """Streaming shuffle rounds; bit-identical to the list-building reference.
 
     Jitter can push a sender's transfer past the next round's start, so
     the stream keeps a small lookahead heap keyed ``(arrival, uid)`` and
@@ -271,7 +270,7 @@ class YcsbSpec:
 
 
 class YcsbOpsWorkload(Workload):
-    """Streaming YCSB operations; bit-identical to ``generate_ops``.
+    """Streaming YCSB operations; bit-identical to the list-building reference.
 
     The legacy generator is a single sequential RNG walk with no sort,
     so the stream replays the exact same draws one op at a time.

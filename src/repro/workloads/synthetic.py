@@ -8,15 +8,11 @@ mixed write:read ratios at load 0.8.
 
 This module owns the spec and sizing math; the arrival stream itself is
 :class:`repro.workloads.streaming.SyntheticWorkload`, reached through
-``workload_from_spec(spec)``.  The old ``generate()`` entry point remains
-as a deprecated shim that materializes the stream (and with it, the old
-unbounded ``lru_cache`` memoization is gone — streams cost O(1) memory,
-so there is nothing worth pinning).
+``workload_from_spec(spec)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -78,28 +74,6 @@ def mean_wire_bytes(cdf: SizeCdf) -> float:
         mean += message_wire_bytes(size) * (prob - prev)
         prev = prob
     return mean
-
-
-def generate(spec: SyntheticSpec) -> List[OfferedMessage]:
-    """Deprecated: materialize the synthetic stream as a list.
-
-    .. deprecated::
-        Use ``workload_from_spec(spec)`` and consume ``.arrivals()``
-        lazily (or ``.materialize()`` when a list is genuinely needed).
-        A node's mean injection rate is ``load * link_gbps`` wire bits
-        per ns; with mean wire size S bits the per-node inter-arrival
-        mean is ``S / (load * link_gbps)`` ns.
-    """
-    warnings.warn(
-        "generate() is deprecated; build the stream with "
-        "workload_from_spec(spec) and iterate .arrivals() "
-        "(or .materialize() for a list)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.workloads.api import workload_from_spec
-
-    return workload_from_spec(spec).materialize()
 
 
 def microbenchmark(

@@ -7,12 +7,10 @@ write mix with heavy-tailed sizes drawn from the per-application CDFs in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import WorkloadError
-from repro.fabrics.base import OfferedMessage
 
 
 @dataclass(frozen=True)
@@ -25,25 +23,6 @@ class TraceSpec:
     load: float
     message_count: int
     seed: Optional[int] = 0
-
-
-def generate_trace(spec: TraceSpec) -> List[OfferedMessage]:
-    """Deprecated: materialize the trace stream as a list.
-
-    .. deprecated::
-        Use ``workload_from_spec(spec)`` and consume ``.arrivals()``
-        lazily.  Traces are synthetic traffic under the application's
-        heavy-tailed size CDF with the paper's equal read/write mix.
-    """
-    warnings.warn(
-        "generate_trace() is deprecated; build the stream with "
-        "workload_from_spec(spec) and iterate .arrivals()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.workloads.api import workload_from_spec
-
-    return workload_from_spec(spec).materialize()
 
 
 def all_apps() -> List[str]:

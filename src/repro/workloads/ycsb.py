@@ -11,9 +11,8 @@ request (8 B RREQ) fetches a 1 KB object; each write carries 100 B
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -109,36 +108,6 @@ class ZipfianKeyChooser:
         u = self._rng.random()
         rank = int(np.searchsorted(self._cdf, u))
         return int(self._permutation[min(rank, self.keyspace - 1)])
-
-
-def generate_ops(
-    workload: YcsbWorkload,
-    count: int,
-    keyspace: int = 10_000,
-    theta: float = 0.99,
-    seed: Optional[int] = 0,
-) -> List[YcsbOp]:
-    """Deprecated: materialize ``count`` YCSB operations as a list.
-
-    .. deprecated::
-        Use ``workload_from_spec(YcsbSpec(workload=..., ...))`` and
-        consume ``.arrivals()`` lazily.  The stream reproduces this
-        function's historical output bit-for-bit seed-for-seed.
-    """
-    warnings.warn(
-        "generate_ops() is deprecated; build the stream with "
-        "workload_from_spec(YcsbSpec(...)) and iterate .arrivals()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.workloads.api import workload_from_spec
-    from repro.workloads.streaming import YcsbSpec
-
-    spec = YcsbSpec(
-        workload=workload.name, message_count=count,
-        keyspace=keyspace, theta=theta, seed=seed,
-    )
-    return workload_from_spec(spec).materialize()
 
 
 def workload_by_name(name: str) -> YcsbWorkload:

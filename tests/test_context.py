@@ -1,8 +1,8 @@
 """SimContext wiring, uid determinism, and runner perf recording."""
 
-from repro.experiments import Runner
+from repro.experiments import Runner, RunnerResult
 from repro.experiments.figures import Figure8aScale
-from repro.fabrics import ClusterConfig, fabric_by_name
+from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
 from repro.fabrics.edm import EdmCluster
 from repro.sim import Process, SimContext, Simulator, StatsSink
 from repro.workloads.api import workload_from_spec
@@ -112,28 +112,40 @@ class TestRunnerPerf:
         ]
 
     def test_kernel_threads_through_scale(self):
-        # DCTCP plus both lossless paths (PFC pause, CXL credits), each
-        # run once per kernel: the reduced figure and per-cell event
-        # counts must match.
-        fabrics = ("DCTCP", "PFC", "CXL")
-        heap = Runner(jobs=1).run(
-            "figure8a",
-            loads=(0.5,),
-            scale=Figure8aScale(
-                num_nodes=4, message_count=200,
-                fabric_names=fabrics, kernel="heap",
-            ),
+        # All seven fabrics over a two-load Figure 8a sweep, once per
+        # kernel: the reduced figure and per-cell event counts must match.
+        heap, calendar = (
+            Runner(jobs=1).run(
+                "figure8a",
+                loads=(0.3, 0.8),
+                scale=Figure8aScale(
+                    num_nodes=16, message_count=1000, kernel=kernel
+                ),
+            )
+            for kernel in ("heap", "calendar")
         )
-        calendar = Runner(jobs=1).run(
-            "figure8a",
-            loads=(0.5,),
-            scale=Figure8aScale(
-                num_nodes=4, message_count=200,
-                fabric_names=fabrics, kernel="calendar",
-            ),
-        )
-        assert [c.param("kernel") for c in calendar.cells] == ["calendar"] * 3
+        assert len(calendar.cells) == 2 * len(fabric_names())
+        assert {c.param("kernel") for c in calendar.cells} == {"calendar"}
         assert heap.reduced == calendar.reduced
         assert [p["events"] for p in heap.cell_perf] == [
             p["events"] for p in calendar.cell_perf
         ]
+
+    def test_perf_summary_rate_skips_retried_and_resumed_cells(self):
+        perf = [
+            {"events": 100, "wall_s": 1.0, "attempts": 1},
+            {"events": 300, "wall_s": 1.0},
+            {"events": 50, "wall_s": 5.0, "attempts": 2},
+            {"events": 70, "wall_s": 7.0, "attempts": 1, "resumed": True},
+        ]
+        result = RunnerResult(
+            experiment="figure8a", jobs=1, cells=[], cell_results=[],
+            reduced=None, elapsed_s=2.5, cell_perf=perf,
+        )
+        summary = result.perf_summary()
+        assert summary["events"] == 520
+        assert summary["events_per_s"] == 200
+        assert summary["cell_wall_s"] == 14.0
+        assert summary["elapsed_s"] == 2.5
+        assert summary["retried_cells"] == 1
+        assert summary["resumed_cells"] == 1

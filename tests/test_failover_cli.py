@@ -139,3 +139,31 @@ class TestCli:
         from repro.cli import main
         with pytest.raises(SystemExit):
             main(["nope"])
+
+    @pytest.mark.parametrize("loads", ["abc", ","])
+    def test_malformed_loads_is_a_usage_error(self, loads, tmp_path, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["figure8a", "--loads", loads, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error: --loads must be comma-separated numbers" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure8a", "--loads", "0.5"],
+            ["figure8b", "--apps", "memcached"],
+            ["run", "figure8a_mix"],
+        ],
+    )
+    def test_negative_seed_is_a_usage_error(self, argv, tmp_path, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main([
+                *argv, "--seed", "-1", "--nodes", "4", "--messages", "50",
+                "--fabrics", "EDM", "--out", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "error: seed must be non-negative: -1" in capsys.readouterr().err

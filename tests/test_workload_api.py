@@ -2,9 +2,8 @@
 
 Covers the protocol surface (RateShape, ArrivalProcess, spec registry),
 bit-identity of the streams against the legacy generator algorithms
-(copied here verbatim as reference implementations), the deprecation
-shims, O(1) streaming memory, and WorkloadFeeder == monolithic-batch
-replay equivalence.
+(copied here verbatim as reference implementations), O(1) streaming
+memory, and WorkloadFeeder == monolithic-batch replay equivalence.
 """
 
 import itertools
@@ -206,6 +205,10 @@ class TestSubstream:
     def test_none_seed_gives_fresh_entropy(self):
         assert substream(None, 1).random() != substream(None, 1).random()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(WorkloadError, match="non-negative"):
+            substream(-1, 0)
+
 
 # --------------------------------------------------------------------------- #
 # Spec registry                                                               #
@@ -338,61 +341,6 @@ class TestBitIdentity:
             )
         )
         assert list(w) == list(w)
-
-
-# --------------------------------------------------------------------------- #
-# Deprecation shims                                                           #
-# --------------------------------------------------------------------------- #
-
-
-class TestDeprecationShims:
-    def test_generate_warns_and_matches_stream(self):
-        from repro.workloads.synthetic import generate
-
-        spec = SyntheticSpec(
-            num_nodes=4, link_gbps=100.0, load=0.5, message_count=50,
-            size_cdf=fixed_size(64), seed=1,
-        )
-        with pytest.deprecated_call():
-            legacy = generate(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_incast_warns_and_matches_stream(self):
-        from repro.workloads.shapes import generate_incast
-
-        spec = IncastSpec(
-            num_nodes=6, link_gbps=100.0, load=0.6, message_count=60, degree=3,
-        )
-        with pytest.deprecated_call():
-            legacy = generate_incast(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_shuffle_warns_and_matches_stream(self):
-        from repro.workloads.shapes import generate_shuffle
-
-        spec = ShuffleSpec(num_nodes=5, link_gbps=100.0, load=0.5, rounds=4)
-        with pytest.deprecated_call():
-            legacy = generate_shuffle(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_trace_warns_and_matches_stream(self):
-        from repro.workloads.traces import generate_trace
-
-        spec = TraceSpec(
-            app="spark", num_nodes=4, link_gbps=100.0, load=0.5,
-            message_count=80, seed=3,
-        )
-        with pytest.deprecated_call():
-            legacy = generate_trace(spec)
-        assert legacy == workload_from_spec(spec).materialize()
-
-    def test_generate_ops_warns_and_matches_stream(self):
-        from repro.workloads.ycsb import WORKLOAD_A, generate_ops
-
-        with pytest.deprecated_call():
-            legacy = generate_ops(WORKLOAD_A, count=120, keyspace=64, seed=9)
-        spec = YcsbSpec(workload="A", message_count=120, keyspace=64, seed=9)
-        assert legacy == workload_from_spec(spec).materialize()
 
 
 # --------------------------------------------------------------------------- #
