@@ -12,14 +12,14 @@ EDM's 9-bit node ids cap it at ``--nodes 512``.
 Run::
 
     PYTHONPATH=src python examples/scale_1024.py [--nodes 1024]
-    [--messages 20000] [--kernel heap|calendar] [--fabrics IRD,DCTCP]
+    [--messages 20000] [--fabrics IRD,DCTCP]
 """
 
 import argparse
 import time
 
 from repro.fabrics import ClusterConfig, fabric_by_name
-from repro.sim import DEFAULT_KERNEL, process_events_executed
+from repro.sim import process_events_executed
 from repro.workloads.synthetic import microbenchmark
 
 
@@ -31,7 +31,6 @@ def build_arg_parser(
     parser.add_argument("--messages", type=int, default=20_000)
     parser.add_argument("--load", type=float, default=0.7)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--kernel", type=str, default=DEFAULT_KERNEL)
     parser.add_argument("--fabrics", type=str, default=fabrics)
     return parser
 
@@ -42,13 +41,10 @@ def run_point(
     *,
     nodes: int,
     seed: int,
-    kernel: str,
     deadline_ns: float = 50_000_000.0,
 ) -> None:
     """Run one fabric over ``messages`` and print its scale report line."""
-    config = ClusterConfig(
-        num_nodes=nodes, link_gbps=100.0, seed=seed, kernel=kernel
-    )
+    config = ClusterConfig(num_nodes=nodes, link_gbps=100.0, seed=seed)
     fabric = fabric_by_name(name, config)
     events_before = process_events_executed()
     start = time.perf_counter()
@@ -59,7 +55,7 @@ def run_point(
     print(
         f"{name:>9}: {len(result.records)}/{len(messages)} completed, "
         f"mean latency {mean:8.1f} ns | {events} events in {wall:.2f}s "
-        f"({kernel} kernel, {events / wall / 1e3:.0f}k ev/s)"
+        f"({events / wall / 1e3:.0f}k ev/s)"
     )
 
 
@@ -74,10 +70,7 @@ def main() -> None:
         seed=args.seed,
     )
     for name in args.fabrics.split(","):
-        run_point(
-            name, messages,
-            nodes=args.nodes, seed=args.seed, kernel=args.kernel,
-        )
+        run_point(name, messages, nodes=args.nodes, seed=args.seed)
 
 
 if __name__ == "__main__":

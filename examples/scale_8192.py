@@ -12,7 +12,7 @@ Two halves, both riding :func:`scale_1024.run_point` as the driver:
 Run::
 
     PYTHONPATH=src python examples/scale_8192.py [--nodes 8192]
-    [--messages 20000] [--kernel heap|calendar]
+    [--messages 20000]
 """
 
 import os
@@ -41,10 +41,7 @@ def main() -> None:
         seed=args.seed,
     )
     for name in args.fabrics.split(","):
-        run_point(
-            name, messages,
-            nodes=args.nodes, seed=args.seed, kernel=args.kernel,
-        )
+        run_point(name, messages, nodes=args.nodes, seed=args.seed)
 
     print(f"\nEDM at its wire-format ceiling ({EDM_MAX_NODES} nodes) ...")
     edm_messages = microbenchmark(
@@ -54,10 +51,7 @@ def main() -> None:
         message_count=args.messages,
         seed=args.seed,
     )
-    run_point(
-        "EDM", edm_messages,
-        nodes=EDM_MAX_NODES, seed=args.seed, kernel=args.kernel,
-    )
+    run_point("EDM", edm_messages, nodes=EDM_MAX_NODES, seed=args.seed)
 
 
 if __name__ == "__main__":

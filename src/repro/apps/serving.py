@@ -34,8 +34,7 @@ Shape of a run:
 
 Every random draw descends from the spec seed through per-tenant and
 per-client substreams, and all scheduling goes through the event
-kernel, so a run replays bit-identically serial vs parallel and
-calendar vs heap kernel.
+kernel, so a run replays bit-identically serial vs parallel.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from repro.errors import ConfigError
 from repro.fabrics.base import ClusterConfig
 from repro.fabrics.edm import EdmCluster
 from repro.host.nic import Completion
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS
 from repro.workloads.api import RateShape, substream
 from repro.workloads.ycsb import (
     OpType,
@@ -134,7 +132,6 @@ class ServingSpec:
     link_gbps: float = 100.0
     ops_per_client: int = 50
     seed: int = 0
-    kernel: str = DEFAULT_KERNEL
     faults: Tuple["FaultSpec", ...] = ()
     fault_horizon_ns: Optional[float] = None
     deadline_ns: Optional[float] = None
@@ -158,10 +155,6 @@ class ServingSpec:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative: {self.seed}")
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {self.kernel!r} (choose from {', '.join(KERNELS)})"
-            )
         for fault in self.faults:
             if fault.kind not in SERVING_FAULT_KINDS:
                 raise ConfigError(
@@ -193,7 +186,6 @@ class ServingSpec:
         *,
         ops_per_client: Optional[int] = None,
         seed: Optional[int] = None,
-        kernel: Optional[str] = None,
         num_nodes: Optional[int] = None,
     ) -> "ServingSpec":
         """A copy with overridden scale knobs (None keeps the spec value)."""
@@ -203,7 +195,6 @@ class ServingSpec:
                 ops_per_client if ops_per_client is not None else self.ops_per_client
             ),
             seed=seed if seed is not None else self.seed,
-            kernel=kernel if kernel is not None else self.kernel,
             num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
         )
 
@@ -215,7 +206,6 @@ class ServingSpec:
             "link_gbps": self.link_gbps,
             "ops_per_client": self.ops_per_client,
             "seed": self.seed,
-            "kernel": self.kernel,
             "faults": [f.to_dict() for f in self.faults],
             "fault_horizon_ns": self.fault_horizon_ns,
             "deadline_ns": self.deadline_ns,
@@ -362,7 +352,6 @@ class ServingCluster:
             num_nodes=spec.num_nodes,
             link_gbps=spec.link_gbps,
             seed=spec.seed,
-            kernel=spec.kernel,
         )
         # Tenants shard keys across the memory nodes; each tenant owns a
         # contiguous slot range on every memory node so stores never alias.
@@ -478,7 +467,6 @@ class ServingCluster:
             "clients": spec.total_clients,
             "ops_per_client": spec.ops_per_client,
             "seed": spec.seed,
-            "kernel": spec.kernel,
             "makespan_ns": self.sim.now,
             "events": self.sim.events_processed,
             "faults": [f.describe() for f in spec.faults],

@@ -44,7 +44,6 @@ from repro.experiments import (
 from repro.execution import new_checkpoint_path
 from repro.latency.breakdown import format_breakdown, read_breakdown, write_breakdown
 from repro.latency.table1 import format_table1
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS
 
 
 def _cmd_table1(_: argparse.Namespace) -> None:
@@ -181,7 +180,6 @@ def _figure8a_options(args: argparse.Namespace) -> Dict[str, Any]:
         message_count=args.messages,
         seed=args.seed,
         fabric_names=_parse_fabrics(args.fabrics),
-        kernel=args.kernel,
         topology=args.topology,
     )
     return {"loads": _parse_loads(args.loads), "scale": scale}
@@ -193,7 +191,6 @@ def _figure8b_options(args: argparse.Namespace) -> Dict[str, Any]:
         message_count=args.messages,
         seed=args.seed,
         fabric_names=_parse_fabrics(args.fabrics),
-        kernel=args.kernel,
         topology=args.topology,
     )
     return {"apps": args.apps.split(",") if args.apps else None, "scale": scale}
@@ -221,7 +218,6 @@ _RUN_FLAG_DEFAULTS = {
     "families": "",
     "profiles": "",
     "ops_per_client": 0,
-    "kernel": DEFAULT_KERNEL,
     "topology": "single",
 }
 
@@ -328,7 +324,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
             # Canonical ablation seed is 3 (what the benchmarks use).
             "seed": 3 if args.seed is None else args.seed,
             "message_count": args.messages or None,
-            "kernel": args.kernel,
         }
         if args.families:
             options["families"] = tuple(args.families.split(","))
@@ -338,7 +333,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             name, args,
             (
                 "nodes", "messages", "seed", "loads", "apps", "fabrics",
-                "families", "profiles", "ops_per_client", "kernel", "topology",
+                "families", "profiles", "ops_per_client", "topology",
             ),
         )
         options = {}
@@ -374,8 +369,6 @@ def _serving_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["ops_per_client"] = args.ops_per_client
     if args.nodes:
         options["num_nodes"] = args.nodes
-    if args.kernel != DEFAULT_KERNEL:
-        options["kernel"] = args.kernel
     return options
 
 
@@ -390,8 +383,6 @@ def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["num_nodes"] = args.nodes
     if args.messages:
         options["message_count"] = args.messages
-    if args.kernel != DEFAULT_KERNEL:
-        options["kernel"] = args.kernel
     if getattr(args, "topology", "single") != "single":
         options["topology"] = args.topology
     return options
@@ -464,10 +455,6 @@ def _add_scale_args(
         help="comma-separated fabric names (default: all seven)",
     )
     parser.add_argument(
-        "--kernel", type=str, default=DEFAULT_KERNEL, choices=KERNELS,
-        help="event-queue kernel (results are bit-identical across kernels)",
-    )
-    parser.add_argument(
         "--topology", type=str, default="single",
         help="substrate topology: 'single' or "
         "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md); "
@@ -483,8 +470,7 @@ _SCALING_EPILOG = (
     "(embarrassingly parallel); each simulation runs serially on one "
     "core; --topology leaf-spine:leaves=L,spines=S swaps the single "
     "switch for a routed Clos substrate (docs/TOPOLOGY.md). "
-    "--jobs and --kernel are bit-identical to their serial, default "
-    "equivalents — see docs/ARCHITECTURE.md and docs/DETERMINISM.md. "
+    "--jobs N is bit-identical to its serial equivalent — see docs/ARCHITECTURE.md and docs/DETERMINISM.md. "
     "Interrupted sweeps resume from their checkpoint journal with "
     "--resume <path>.ckpt.jsonl (docs/RESILIENCE.md); faulty cells are "
     "retried with the same seed, so a recovered run's artifact equals a "
@@ -578,10 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument(
         "--seed", type=int, default=None,
         help="override every scenario's seed (default: spec value)",
-    )
-    scenario_run.add_argument(
-        "--kernel", type=str, default=DEFAULT_KERNEL, choices=KERNELS,
-        help="event-queue kernel (results are bit-identical across kernels)",
     )
     scenario_run.add_argument(
         "--topology", type=str, default="single",

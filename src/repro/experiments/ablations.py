@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.scheduler import Policy
 from repro.errors import ConfigError
-from repro.sim.engine import DEFAULT_KERNEL
 from repro.experiments.figures import shared_workload
 from repro.experiments.runner import Cell, ExperimentSpec, Runner, make_cell, register
 from repro.fabrics.base import ClusterConfig
@@ -109,7 +108,6 @@ def build_ablation_cells(
     link_gbps: float = 100.0,
     seed: int = 3,
     message_count: Optional[int] = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> List[Cell]:
     """Cells for the requested families (default: all seven)."""
     cells: List[Cell] = []
@@ -131,7 +129,6 @@ def build_ablation_cells(
                         "link_gbps": link_gbps,
                         "message_count": count,
                         "deadline_ns": 5_000_000_000.0,
-                        "kernel": kernel,
                     },
                     extra={
                         "family": family,
@@ -169,7 +166,6 @@ def run_ablation_cell(cell: Cell) -> float:
         chunk_bytes=cell.param("chunk_bytes", 256),
         max_active_per_pair=cell.param("max_active_per_pair", 3),
         seed=cell.seed,
-        kernel=cell.param("kernel", DEFAULT_KERNEL),
     )
     fabric = EdmFabric(
         config,

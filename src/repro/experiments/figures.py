@@ -32,7 +32,6 @@ from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
 from repro.fabrics.base import Fabric, OfferedMessage
 from repro.latency.breakdown import read_breakdown, total_ns, write_breakdown
 from repro.latency.table1 import compute_table1, latency_ratios
-from repro.sim.engine import DEFAULT_KERNEL
 from repro.experiments.runner import (
     Cell,
     ExperimentSpec,
@@ -198,12 +197,7 @@ def run_figure7(link_gbps: float = 100.0, jobs: int = 1) -> List[Dict[str, objec
 
 @dataclass(frozen=True)
 class Figure8aScale:
-    """Simulation scale for Figure 8a (paper: 144 nodes, 100 Gbps).
-
-    ``kernel`` picks the event-queue implementation for every simulator
-    in the sweep (``"heap"`` or the ``"calendar"`` reference); results
-    are bit-identical either way.
-    """
+    """Simulation scale for Figure 8a (paper: 144 nodes, 100 Gbps)."""
 
     num_nodes: int = 144
     link_gbps: float = 100.0
@@ -211,7 +205,6 @@ class Figure8aScale:
     seed: int = 1
     deadline_ns: float = 2_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None  # None = all seven
-    kernel: str = DEFAULT_KERNEL
     #: Substrate topology spec string (docs/TOPOLOGY.md): ``"single"`` or
     #: ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``.  Only fabrics
     #: tagged ``multitier`` accept a multi-tier value.
@@ -240,7 +233,6 @@ def _scale_params(scale) -> Dict[str, object]:
         "link_gbps": scale.link_gbps,
         "message_count": scale.message_count,
         "deadline_ns": scale.deadline_ns,
-        "kernel": getattr(scale, "kernel", DEFAULT_KERNEL),
         "topology": getattr(scale, "topology", "single"),
     }
 
@@ -250,7 +242,6 @@ def _cluster_config(cell: Cell) -> ClusterConfig:
         num_nodes=cell.param("num_nodes"),
         link_gbps=cell.param("link_gbps"),
         seed=cell.seed,
-        kernel=cell.param("kernel", DEFAULT_KERNEL),
         topology=cell.param("topology", "single"),
     )
 
@@ -462,7 +453,6 @@ class Figure8bScale:
     seed: int = 1
     deadline_ns: float = 5_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None
-    kernel: str = DEFAULT_KERNEL
     #: Substrate topology spec string (see Figure8aScale).
     topology: str = "single"
 

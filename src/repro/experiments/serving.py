@@ -131,7 +131,6 @@ def _serving_cells(
     profiles: Optional[Sequence[str]] = None,
     seed: Optional[int] = None,
     ops_per_client: Optional[int] = None,
-    kernel: Optional[str] = None,
     num_nodes: Optional[int] = None,
 ) -> List[Cell]:
     selected = list(profiles) if profiles else serving_profiles()
@@ -146,8 +145,6 @@ def _serving_cells(
         overrides = {}
         if ops_per_client is not None:
             overrides["ops_per_client"] = ops_per_client
-        if kernel is not None:
-            overrides["kernel"] = kernel
         if num_nodes is not None:
             overrides["num_nodes"] = num_nodes
         cells.append(
@@ -167,7 +164,6 @@ def _serving_cell(cell: Cell) -> Dict[str, object]:
         spec.scaled(
             ops_per_client=cell.param("ops_per_client"),
             seed=cell.seed,
-            kernel=cell.param("kernel"),
             num_nodes=cell.param("num_nodes"),
         )
     )

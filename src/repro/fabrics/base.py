@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import FabricError
 from repro.sim.context import SimContext, StatsSink
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.topology.spec import SINGLE, TopologySpec, parse_topology
 
@@ -166,12 +166,7 @@ class FabricResult:
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Shared cluster parameters (§4.3: 144 nodes, 100 Gbps, single switch).
-
-    ``kernel`` selects the event-queue implementation for every simulator
-    the fabric builds: ``"heap"`` (the fast default) or ``"calendar"``
-    (the reference kernel).  Both replay identical event orders.
-    """
+    """Shared cluster parameters (§4.3: 144 nodes, 100 Gbps, single switch)."""
 
     num_nodes: int = 144
     link_gbps: float = 100.0
@@ -179,7 +174,6 @@ class ClusterConfig:
     chunk_bytes: int = 256
     max_active_per_pair: int = 3
     seed: int = 0
-    kernel: str = DEFAULT_KERNEL
     #: Shape of the switching substrate (docs/TOPOLOGY.md).  Accepts a
     #: :class:`~repro.topology.spec.TopologySpec` or its string form
     #: (``"single"``, ``"leaf-spine:leaves=4,spines=2"``); only fabrics
@@ -200,10 +194,6 @@ class ClusterConfig:
             raise FabricError(f"link rate must be positive: {self.link_gbps}")
         if self.seed < 0:
             raise FabricError(f"seed must be non-negative: {self.seed}")
-        if self.kernel not in KERNELS:
-            raise FabricError(
-                f"unknown kernel {self.kernel!r} (choose from {', '.join(KERNELS)})"
-            )
         self.topology.validate_cluster(self.num_nodes)
 
 
@@ -237,7 +227,7 @@ class Fabric(abc.ABC):
         the unloaded-baseline probes) never see each other's clock.
         """
         return SimContext(
-            sim=Simulator(kernel=self.config.kernel),
+            sim=Simulator(),
             rng=self.rng,
             stats=StatsSink(),
         )

@@ -61,8 +61,7 @@ class EdmCluster:
 
     All components share one :class:`SimContext` (clock + RNG + stats) but
     schedule through per-component seq lanes; pass ``context`` to join a
-    cluster to an existing simulation, else a fresh one is created with
-    the config's kernel.
+    cluster to an existing simulation, else a fresh one is created.
     """
 
     def __init__(
@@ -78,9 +77,7 @@ class EdmCluster:
         from repro.switchfab.switch import EdmSwitch  # local: avoid cycle
 
         self.config = config
-        self.ctx = context if context is not None else SimContext(
-            sim=Simulator(kernel=config.kernel)
-        )
+        self.ctx = context if context is not None else SimContext(sim=Simulator())
         self.sim = self.ctx.sim
         self.router = CompletionRouter()
         scheduler_config = SchedulerConfig(

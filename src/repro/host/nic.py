@@ -262,7 +262,12 @@ class EdmHostNic(Process):
         args: Tuple[int, ...],
         on_complete: CompletionCallback,
     ) -> MemoryMessage:
-        """Issue an atomic read-modify-write (§3.2.1)."""
+        """Issue an atomic read-modify-write (§3.2.1).
+
+        A paper mechanism with its own tests, but no artifact issues it:
+        the serving experiment's YCSB-F read-modify-write is a GET then a
+        PUT (:meth:`repro.apps.kvstore.RemoteKvStore.read_modify_write`).
+        """
         message_id = self.ids.allocate(dst)
         message = make_rmwreq(
             self.node_id, dst, address, opcode, args,

@@ -86,7 +86,9 @@ class MemoryController:
         """Atomic RMW (§3.2.1): read + modify + conditional write-back.
 
         The three steps occupy the channel without preemption; the write
-        back is skipped when a CAS fails, saving its latency.
+        back is skipped when a CAS fails, saving its latency.  No artifact
+        reaches this path: YCSB-F issues a GET then a PUT, not a native
+        RMW.
         """
         start = self._start_time(now)
         old_value, read_latency = self.dram.read_word(address)

@@ -110,7 +110,6 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
         num_nodes=spec.num_nodes,
         link_gbps=spec.link_gbps,
         seed=spec.seed,
-        kernel=spec.kernel,
         topology=spec.topology,
     )
     fabric = fabric_info(spec.fabric).factory(config)
@@ -164,7 +163,6 @@ def _scenario_cells(
     seed: Optional[int] = None,
     num_nodes: Optional[int] = None,
     message_count: Optional[int] = None,
-    kernel: Optional[str] = None,
     topology: Optional[str] = None,
 ) -> List[Cell]:
     selected = list(names) if names else scenario_names()
@@ -183,8 +181,6 @@ def _scenario_cells(
             overrides["num_nodes"] = num_nodes
         if message_count is not None:
             overrides["message_count"] = message_count
-        if kernel is not None:
-            overrides["kernel"] = kernel
         if topology is not None:
             overrides["topology"] = topology
         cells.append(
@@ -206,7 +202,6 @@ def _scenario_cell(cell: Cell) -> Dict[str, object]:
             num_nodes=cell.param("num_nodes"),
             message_count=cell.param("message_count"),
             seed=cell.seed,
-            kernel=cell.param("kernel"),
             topology=cell.param("topology"),
         )
     )

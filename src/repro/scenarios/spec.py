@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import ScenarioError, TopologyError
 from repro.fabrics import fabric_info
-from repro.sim.engine import DEFAULT_KERNEL, KERNELS
 from repro.topology.spec import parse_topology
 
 #: Fault kinds the injector understands.
@@ -196,7 +195,6 @@ class ScenarioSpec:
     link_gbps: float = 100.0
     seed: int = 0
     deadline_ns: Optional[float] = None
-    kernel: str = DEFAULT_KERNEL
     #: Switching topology in ``parse_topology`` string form (``"single"``
     #: or ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``); multi-tier
     #: shapes need a fabric tagged ``multitier`` (docs/TOPOLOGY.md).
@@ -238,10 +236,6 @@ class ScenarioSpec:
             raise ScenarioError(f"cluster needs >= 2 nodes: {self.num_nodes}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be non-negative: {self.seed}")
-        if self.kernel not in KERNELS:
-            raise ScenarioError(
-                f"unknown kernel {self.kernel!r} (choose from {', '.join(KERNELS)})"
-            )
         if self.deadline_ns is not None and self.deadline_ns <= 0:
             raise ScenarioError(f"deadline must be positive: {self.deadline_ns}")
         self._check_degraded_overlap()
@@ -290,7 +284,6 @@ class ScenarioSpec:
         num_nodes: Optional[int] = None,
         message_count: Optional[int] = None,
         seed: Optional[int] = None,
-        kernel: Optional[str] = None,
         topology: Optional[str] = None,
     ) -> "ScenarioSpec":
         """A copy with overridden scale knobs (None keeps the spec value).
@@ -307,7 +300,6 @@ class ScenarioSpec:
             workload=workload,
             num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
             seed=seed if seed is not None else self.seed,
-            kernel=kernel if kernel is not None else self.kernel,
             topology=topology if topology is not None else self.topology,
         )
 
@@ -322,7 +314,6 @@ class ScenarioSpec:
             "link_gbps": self.link_gbps,
             "seed": self.seed,
             "deadline_ns": self.deadline_ns,
-            "kernel": self.kernel,
             "topology": self.topology,
         }
 

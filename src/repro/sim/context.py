@@ -7,7 +7,7 @@ shares — the event clock, the seeded random stream, and the statistics
 sinks — so hosts, switches, and links built for the same run observe the
 same time base and report into the same place::
 
-    ctx = SimContext.create(seed=3, kernel="heap")
+    ctx = SimContext.create(seed=3)
     switch = EdmSwitch(ctx, scheduler_config)      # Process accepts a context
     ctx.stats.incr("frames_forwarded")
     ctx.sim.run()
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.engine import DEFAULT_KERNEL, LaneView, Simulator
+from repro.sim.engine import LaneView, Simulator
 from repro.sim.rng import SeedLike, make_rng
 
 
@@ -74,11 +74,9 @@ class SimContext:
         self.stats = stats if stats is not None else StatsSink()
 
     @classmethod
-    def create(
-        cls, seed: SeedLike = 0, kernel: str = DEFAULT_KERNEL
-    ) -> "SimContext":
+    def create(cls, seed: SeedLike = 0) -> "SimContext":
         """Build a fresh context with its own simulator and seeded RNG."""
-        return cls(sim=Simulator(kernel=kernel), rng=make_rng(seed))
+        return cls(sim=Simulator(), rng=make_rng(seed))
 
     def lane(self, lane: int) -> "SimContext":
         """A sibling context scheduling through a private seq lane.

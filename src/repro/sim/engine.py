@@ -1,28 +1,19 @@
-"""Discrete-event simulation engine with pluggable queue kernels.
+"""Discrete-event simulation engine over a binary heap of entry tuples.
 
 Events are totally ordered by ``(time, priority, seq)``: ties on time are
 broken first by an explicit integer priority, then by insertion order, so
 repeated runs with the same seed replay identically — a property the
 reproduction's regression tests rely on.
 
-Two kernels implement the pending-event set.  Both store plain
-``(time, priority, seq, payload)`` entry tuples, so ordering comparisons
-run at C speed, and each owns the pop loop :meth:`Simulator.run` delegates
-to:
-
-* ``"heap"`` (default) — a binary heap of entry tuples driven by C
-  ``heapq``.  Fire-and-forget events enter through a bound
-  ``partial(heappush, heap)`` and the run loop calls ``heappop`` inline,
-  so neither side costs a Python frame per event.
-* ``"calendar"`` — a calendar-queue/time-wheel scheduler [R. Brown, CACM
-  1988]: events hash into time buckets of an adaptive width, enqueue is
-  an O(1) bucket insertion and dequeue scans forward from the current
-  bucket.  It is a different algorithm over the same order key, kept as
-  the reference the equivalence tests replay the heap against.
-
-Both kernels delete cancelled events lazily (a tombstone flag) and
-compact the queue once tombstones outnumber live events, so a workload
-that arms-and-cancels timers cannot grow the queue without bound.
+The pending-event set is a binary heap of plain ``(time, priority, seq,
+payload)`` entry tuples driven by C ``heapq``, so ordering comparisons
+run at C speed.  Fire-and-forget events enter through a bound
+``partial(heappush, heap)`` and the run loop calls ``heappop`` inline, so
+neither side costs a Python frame per event.  Cancelled events are
+deleted lazily (a tombstone flag) and the heap is compacted once
+tombstones outnumber live events, so a workload that arms-and-cancels
+timers cannot grow the queue without bound.  The test suite replays the
+heap against an independent sorted-list kernel to check the order.
 
 Scheduling surface (see docs/DETERMINISM.md for the full contract):
 
@@ -35,12 +26,6 @@ Scheduling surface (see docs/DETERMINISM.md for the full contract):
   assigned in iteration order, bit-identical to a loop of ``schedule`` calls.
 * :meth:`Simulator.inject_arrivals` — a workload's arrivals with the keys
   ``schedule_batch`` would give them, but only the next one pending.
-* ``pop_if_before`` (calendar-internal) — the fused peek+pop its run
-  loop uses; its window checks reuse push's ``int(time * inv_width)``
-  bucket mapping via an absolute-bucket cursor (``_cur_abs``) because
-  comparing against ``k * width`` float products disagrees with the push
-  mapping at exact bucket boundaries and would strand the true minimum one
-  bucket early.
 
 The clock is monotone: scheduling before ``now`` and ``run(until=t)``
 with ``t < now`` both raise :class:`~repro.errors.SimulationError`.
@@ -63,22 +48,17 @@ link's lane keep their keys however the rest of the cluster is wired
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from functools import partial
-from heapq import heapify, heappop, heappush, nsmallest
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
 EventCallback = Callable[[], None]
 
-#: Kernel registry keys, in preference order.
-KERNELS = ("heap", "calendar")
-
-DEFAULT_KERNEL = "heap"
-
-#: Events may not be scheduled at or beyond this time (guards the
-#: calendar bucket arithmetic against inf/NaN times).
+#: Events may not be scheduled at or beyond this time: the guard rejects
+#: inf and NaN times, which would otherwise sit in the heap forever or
+#: break its ordering (NaN compares false against everything).
 MAX_EVENT_TIME = 1e300
 
 #: Queues smaller than this are never compacted (not worth the rebuild).
@@ -151,17 +131,16 @@ class EventHandle:
         return self._event.time
 
 
-#: Queue entries are plain tuples so heap sifts, bucket sorts and
-#: comparisons run at C speed; ``seq`` is unique, so the trailing payload
-#: never compares.  The payload is a bare callback for fire-and-forget
-#: events (the vast majority — link deliveries, pipeline stages) or an
-#: :class:`_Event` when the caller holds a cancellation handle.  ``pop``
-#: returns an entry whose payload is always a callback.
+#: Queue entries are plain tuples so heap sifts and comparisons run at C
+#: speed; ``seq`` is unique, so the trailing payload never compares.  The
+#: payload is a bare callback for fire-and-forget events (the vast
+#: majority — link deliveries, pipeline stages) or an :class:`_Event` when
+#: the caller holds a cancellation handle.
 _Entry = Tuple[float, int, int, Any]
 
 
 class _HeapKernel:
-    """Binary heap of plain entry tuples — the default kernel.
+    """Binary heap of plain entry tuples — the pending-event set.
 
     Entries are ``(time, priority, seq, payload)`` tuples, so sift
     comparisons run in C; ``seq`` is unique, so the payload never
@@ -172,8 +151,6 @@ class _HeapKernel:
     until tombstones outnumber live events and the heap is compacted in
     place (the bound ``push_raw`` keeps pointing at the same list).
     """
-
-    name = "heap"
 
     __slots__ = ("_heap", "_tombstones", "push_raw")
 
@@ -197,41 +174,9 @@ class _HeapKernel:
             heap.extend(entries)
             heapify(heap)
 
-    def _drop_cancelled_head(self) -> None:
-        """Pop tombstones off the top so ``heap[0]`` (if any) is live."""
-        heap = self._heap
-        while heap:
-            payload = heap[0][3]
-            if type(payload) is not _Event or not payload.cancelled:
-                return
-            heappop(heap)
-            payload.in_queue = False
-            self._tombstones -= 1
-
-    def peek_time(self) -> Optional[float]:
-        self._drop_cancelled_head()
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def pop(self) -> Optional[_Entry]:
-        self._drop_cancelled_head()
-        heap = self._heap
-        if not heap:
-            return None
-        entry = heappop(heap)
-        payload = entry[3]
-        if type(payload) is _Event:
-            payload.in_queue = False
-            return (entry[0], entry[1], entry[2], payload.callback)
-        return entry
-
-    def run(
-        self, sim: "Simulator", until: Optional[float], max_events: Optional[int]
-    ) -> None:
+    def run(self, sim: "Simulator", until: Optional[float]) -> None:
         """Execute events for :meth:`Simulator.run` (``until >= now``)."""
-        if max_events is not None:
-            _run_counted(self, sim, until, max_events)
-            return
+        global _EVENTS_EXECUTED
         heap = self._heap
         event_type = _Event
         limit = MAX_EVENT_TIME if until is None else until
@@ -251,7 +196,8 @@ class _HeapKernel:
             if until is not None:
                 sim._now = until
         finally:
-            _account(sim, processed)
+            sim._events_processed += processed
+            _EVENTS_EXECUTED += processed
 
     def on_cancel(self, event: _Event) -> None:
         self._tombstones += 1
@@ -279,425 +225,19 @@ class _HeapKernel:
     def tombstones(self) -> int:
         return self._tombstones
 
-    def clear(self) -> None:
-        for entry in self._heap:
-            if type(entry[3]) is _Event:
-                entry[3].in_queue = False
-        self._heap.clear()
-        self._tombstones = 0
-
-
-class _CalendarKernel:
-    """Calendar-queue pending set (Brown 1988), with lazy deletion.
-
-    Events hash into ``nbuckets`` (a power of two) buckets of ``width``
-    nanoseconds; each bucket is a sorted list of entry tuples.  Dequeue
-    scans forward from the bucket containing the last-popped time,
-    accepting a bucket's head only when it falls inside the bucket's
-    current-year window; a full fruitless lap falls back to a direct
-    minimum search (the standard sparse-queue escape).  The bucket count
-    tracks the live population and the width is re-estimated from the
-    inter-event gaps near the head on every resize, keeping amortized
-    O(1) enqueue/dequeue across arrival-rate regimes.
-    """
-
-    name = "calendar"
-
-    __slots__ = (
-        "_buckets", "_nbuckets", "_mask", "_width", "_inv_width",
-        "_cur", "_cur_abs", "_live", "_tombstones", "_floor", "_peeked",
-        "_resize_up", "_resize_down", "_fallbacks",
-    )
-
-    #: Forward-scan budget per dequeue before falling back to a direct
-    #: minimum search; repeated fallbacks trigger a re-widening rebuild.
-    SCAN_LIMIT = 128
-
-    #: Direct-search fallbacks tolerated before the width is re-estimated.
-    FALLBACK_LIMIT = 8
-
-    def __init__(self) -> None:
-        self._live = 0
-        self._tombstones = 0
-        self._floor = 0.0
-        self._peeked: Optional[Tuple[_Entry, int]] = None
-        self._fallbacks = 0
-        self._configure(4, 1.0)
-
-    def _configure(self, nbuckets: int, width: float) -> None:
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: List[List[_Entry]] = [[] for _ in range(nbuckets)]
-        self._resize_up = 2 * nbuckets
-        self._resize_down = nbuckets // 2 - 2 if nbuckets > 8 else 0
-        absolute = int(self._floor * self._inv_width)
-        self._cur = absolute & self._mask
-        self._cur_abs = absolute
-
-    def __len__(self) -> int:
-        return self._live
-
-    @property
-    def tombstones(self) -> int:
-        return self._tombstones
-
-    def push(self, event: _Event) -> None:
-        index = int(event.time * self._inv_width) & self._mask
-        insort(self._buckets[index], (event.time, event.priority, event.seq, event))
-        self._live += 1
-        self._peeked = None
-        if self._live > self._resize_up:
-            self._rebuild()
-
-    def push_raw(self, entry: _Entry) -> None:
-        index = int(entry[0] * self._inv_width) & self._mask
-        insort(self._buckets[index], entry)
-        self._live += 1
-        self._peeked = None
-        if self._live > self._resize_up:
-            self._rebuild()
-
-    def push_raw_batch(self, entries: List[_Entry]) -> None:
-        mask = self._mask
-        inv = self._inv_width
-        buckets = self._buckets
-        touched = set()
-        for entry in entries:
-            index = int(entry[0] * inv) & mask
-            buckets[index].append(entry)
-            touched.add(index)
-        for index in touched:
-            buckets[index].sort()
-        self._live += len(entries)
-        self._peeked = None
-        if self._live > self._resize_up:
-            self._rebuild()
-
-    def _scan(self) -> Optional[Tuple[_Entry, int]]:
-        """Locate (but do not remove) the next live entry.
-
-        The persistent cursor only advances in :meth:`pop` — committing it
-        here could skip past buckets that a later ``schedule`` call (legal
-        for any ``time >= now``) would still need the scan to visit.
-        """
-        if self._live == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv_width
-        index = self._cur
-        absolute = self._cur_abs
-        limit = self._nbuckets
-        if limit > self.SCAN_LIMIT:
-            limit = self.SCAN_LIMIT
-        for _ in range(limit):
-            bucket = buckets[index]
-            while bucket:
-                payload = bucket[0][3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                    del bucket[0]
-                    self._tombstones -= 1
-                    continue
-                break
-            # Window membership uses the same int(time * inv_width) mapping
-            # as push: comparing times against k*width boundaries disagrees
-            # with the push mapping at exact bucket boundaries (the
-            # reciprocal multiply can round a boundary time into the bucket
-            # below), which would strand the true minimum unscanned.
-            if bucket and int(bucket[0][0] * inv) <= absolute:
-                self._peeked = (bucket[0], index)
-                return self._peeked
-            index = (index + 1) & mask
-            absolute += 1
-        # Scan budget exhausted with nothing inside its window: the head
-        # of the queue is sparse relative to the bucket width.  Fall back
-        # to a direct minimum search; if that keeps happening, re-estimate
-        # the width from the (now sparse) head gaps and retry once.
-        self._fallbacks += 1
-        if self._fallbacks >= self.FALLBACK_LIMIT:
-            self._fallbacks = 0
-            self._rebuild()
-            return self._scan()
-        best: Optional[_Entry] = None
-        best_index = -1
-        for index, bucket in enumerate(buckets):
-            while bucket:
-                payload = bucket[0][3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                    del bucket[0]
-                    self._tombstones -= 1
-                    continue
-                break
-            if bucket and (best is None or bucket[0] < best):
-                best = bucket[0]
-                best_index = index
-        if best is None:
-            return None
-        self._peeked = (best, best_index)
-        return self._peeked
-
-    def peek_time(self) -> Optional[float]:
-        # Fast path mirroring pop(): the head is usually a live entry in
-        # the current bucket's window.
-        bucket = self._buckets[self._cur]
-        if bucket:
-            entry = bucket[0]
-            if int(entry[0] * self._inv_width) <= self._cur_abs:
-                payload = entry[3]
-                if type(payload) is not _Event or not payload.cancelled:
-                    return entry[0]
-        found = self._peeked or self._scan()
-        return found[0][0] if found is not None else None
-
-    def pop(self) -> Optional[_Entry]:
-        found = self._peeked
-        if found is None:
-            # Fast path: with the width tracking the local inter-event gap,
-            # the next event usually sits in the current bucket — no scan,
-            # no cursor arithmetic (the window is unchanged).
-            bucket = self._buckets[self._cur]
-            if bucket:
-                entry = bucket[0]
-                if (
-                    type(entry[3]) is not _Event
-                    and int(entry[0] * self._inv_width) <= self._cur_abs
-                ):
-                    del bucket[0]
-                    self._live -= 1
-                    self._floor = entry[0]
-                    if self._live < self._resize_down:
-                        self._rebuild()
-                    return entry
-            found = self._scan()
-        if found is None:
-            return None
-        entry, index = found
-        self._peeked = None
-        del self._buckets[index][0]
-        self._live -= 1
-        time = entry[0]
-        self._floor = time
-        absolute = int(time * self._inv_width)
-        self._cur = absolute & self._mask
-        self._cur_abs = absolute
-        if self._live < self._resize_down:
-            self._rebuild()
-        payload = entry[3]
-        if type(payload) is _Event:
-            payload.in_queue = False
-            return (time, entry[1], entry[2], payload.callback)
-        return entry
-
-    def pop_if_before(self, limit: float) -> Optional[_Entry]:
-        """Pop the next live event iff its time is <= ``limit``.
-
-        Fuses the deadline-driven run loop's peek + pop into one bucket
-        access for the common case.
-        """
-        found = self._peeked
-        if found is None:
-            bucket = self._buckets[self._cur]
-            if bucket:
-                entry = bucket[0]
-                if (
-                    type(entry[3]) is not _Event
-                    and int(entry[0] * self._inv_width) <= self._cur_abs
-                ):
-                    if entry[0] > limit:
-                        return None
-                    del bucket[0]
-                    self._live -= 1
-                    self._floor = entry[0]
-                    if self._live < self._resize_down:
-                        self._rebuild()
-                    return entry
-            found = self._scan()
-            if found is None:
-                return None
-        entry, index = found
-        time = entry[0]
-        if time > limit:
-            return None
-        self._peeked = None
-        del self._buckets[index][0]
-        self._live -= 1
-        self._floor = time
-        absolute = int(time * self._inv_width)
-        self._cur = absolute & self._mask
-        self._cur_abs = absolute
-        if self._live < self._resize_down:
-            self._rebuild()
-        payload = entry[3]
-        if type(payload) is _Event:
-            payload.in_queue = False
-            return (time, entry[1], entry[2], payload.callback)
-        return entry
-
-    def run(
-        self, sim: "Simulator", until: Optional[float], max_events: Optional[int]
-    ) -> None:
-        """Execute events for :meth:`Simulator.run` (``until >= now``)."""
-        if max_events is not None:
-            _run_counted(self, sim, until, max_events)
-            return
-        pop_if_before = self.pop_if_before
-        limit = MAX_EVENT_TIME if until is None else until
-        processed = 0
-        try:
-            while True:
-                entry = pop_if_before(limit)
-                if entry is None:
-                    break
-                sim._now = entry[0]
-                entry[3]()
-                processed += 1
-            if until is not None:
-                sim._now = until
-        finally:
-            _account(sim, processed)
-
-    def on_cancel(self, event: _Event) -> None:
-        self._live -= 1
-        self._tombstones += 1
-        self._peeked = None
-        if (
-            self._tombstones > self._live
-            and self._live + self._tombstones >= _COMPACT_MIN
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop tombstones bucket-by-bucket, preserving sorted order."""
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            live = []
-            for entry in bucket:
-                payload = entry[3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                else:
-                    live.append(entry)
-            if len(live) != len(bucket):
-                bucket[:] = live
-        self._tombstones = 0
-        self._peeked = None
-
-    def _rebuild(self) -> None:
-        """Re-bucket the live population; drops tombstones as a side effect."""
-        entries: List[_Entry] = []
-        for bucket in self._buckets:
-            for entry in bucket:
-                payload = entry[3]
-                if type(payload) is _Event and payload.cancelled:
-                    payload.in_queue = False
-                else:
-                    entries.append(entry)
-        self._tombstones = 0
-        self._live = len(entries)
-        nbuckets = max(4, 1 << self._live.bit_length())
-        self._configure(nbuckets, self._estimate_width(entries))
-        buckets = self._buckets
-        mask = self._mask
-        inv = self._inv_width
-        for entry in entries:
-            buckets[int(entry[0] * inv) & mask].append(entry)
-        for bucket in buckets:
-            if len(bucket) > 1:
-                bucket.sort()
-        self._peeked = None
-
-    def _estimate_width(self, entries: List[_Entry]) -> float:
-        """Bucket width from the mean gap among the events near the head.
-
-        Brown's rule of thumb: a width of ~3x the local inter-event gap
-        keeps bucket occupancy near one for the events that matter (those
-        about to be dequeued), regardless of far-future outliers.
-        """
-        if len(entries) < 2:
-            return self._width
-        head = nsmallest(min(len(entries), 64), entries)
-        gaps = [
-            later[0] - earlier[0]
-            for earlier, later in zip(head, head[1:])
-            if later[0] > earlier[0]
-        ]
-        if not gaps:
-            return self._width
-        return 3.0 * (sum(gaps) / len(gaps))
-
-    def clear(self) -> None:
-        for bucket in self._buckets:
-            for entry in bucket:
-                if type(entry[3]) is _Event:
-                    entry[3].in_queue = False
-        self._live = 0
-        self._tombstones = 0
-        self._floor = 0.0
-        self._peeked = None
-        self._configure(4, 1.0)
-
-
-def _account(sim: "Simulator", processed: int) -> None:
-    global _EVENTS_EXECUTED
-    sim._events_processed += processed
-    _EVENTS_EXECUTED += processed
-
-
-def _run_counted(
-    kernel: Any, sim: "Simulator", until: Optional[float], max_events: int
-) -> None:
-    """The ``max_events`` run loop, shared by both kernels (a cold path)."""
-    processed = 0
-    try:
-        while True:
-            head_time = kernel.peek_time()
-            if head_time is None:
-                if until is not None:
-                    sim._now = until
-                break
-            if processed >= max_events:
-                break
-            if until is not None and head_time > until:
-                sim._now = until
-                break
-            entry = kernel.pop()
-            sim._now = entry[0]
-            entry[3]()
-            processed += 1
-    finally:
-        _account(sim, processed)
-
-
-_KERNEL_TYPES = {"heap": _HeapKernel, "calendar": _CalendarKernel}
-
 
 class Simulator:
     """The event loop.
 
     Typical use::
 
-        sim = Simulator()                    # tuple-heap kernel
-        sim = Simulator(kernel="calendar")   # calendar-queue reference
+        sim = Simulator()
         sim.schedule(10.0, lambda: print("at t=10ns"))
         sim.run()
-
-    Both kernels replay the exact same event order (asserted by the
-    equivalence tests).
     """
 
-    def __init__(self, kernel: str = DEFAULT_KERNEL) -> None:
-        try:
-            self._queue = _KERNEL_TYPES[kernel]()
-        except KeyError:
-            raise SimulationError(
-                f"unknown kernel {kernel!r} (choose from {', '.join(KERNELS)})"
-            ) from None
-        self.kernel = kernel
+    def __init__(self) -> None:
+        self._queue = _HeapKernel()
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -762,8 +302,9 @@ class Simulator:
         """Fire-and-forget :meth:`schedule`: no handle, so no cancellation.
 
         The hot paths (link deliveries, switch pipelines) schedule millions
-        of events they never cancel; skipping the handle (and, on the
-        calendar kernel, the event object itself) is a measurable win.
+        of events they never cancel; skipping the handle and the event
+        object, and pushing the entry tuple through a bound ``heappush``,
+        is a measurable win.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
@@ -845,12 +386,8 @@ class Simulator:
         push((key(first), 0, next(seqs), partial(arrive, first)))
         return count
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``max_events``.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the queue drains or ``until`` is reached.
 
         Returns the simulation time when the run stopped.  The clock is
         monotone: ``until`` before the current time raises
@@ -864,7 +401,7 @@ class Simulator:
             )
         self._running = True
         try:
-            self._queue.run(self, until, max_events)
+            self._queue.run(self, until)
         finally:
             self._running = False
         return self._now
@@ -872,24 +409,6 @@ class Simulator:
     def lane(self, lane: int) -> "LaneView":
         """A :class:`LaneView` over this simulator's clock and queue."""
         return LaneView(self, lane)
-
-    def step(self) -> bool:
-        """Process a single event.  Returns False when the queue is empty."""
-        global _EVENTS_EXECUTED
-        entry = self._queue.pop()
-        if entry is None:
-            return False
-        self._now = entry[0]
-        entry[3]()
-        self._events_processed += 1
-        _EVENTS_EXECUTED += 1
-        return True
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._queue.clear()
-        self._now = 0.0
-        self._events_processed = 0
 
 
 class LaneView:
@@ -910,14 +429,13 @@ class LaneView:
     simulator it wraps.
     """
 
-    __slots__ = ("root", "lane", "kernel", "_seq", "_push")
+    __slots__ = ("root", "lane", "_seq", "_push")
 
     def __init__(self, sim: Simulator, lane: int) -> None:
         if lane <= 0:
             raise SimulationError(f"component lanes must be positive, got {lane}")
         self.root = sim
         self.lane = lane
-        self.kernel = sim.kernel
         self._seq = itertools.count(lane << LANE_SHIFT)
         self._push = sim._queue.push_raw
 

@@ -1,4 +1,4 @@
-"""Shared test configuration: deterministic hypothesis profiles.
+"""Shared test configuration: hypothesis profiles and the ``kernel`` fixture.
 
 CI runs with ``HYPOTHESIS_PROFILE=ci`` so property tests are derandomized
 (fixed example generation) and never flake on shrink deadlines; local
@@ -7,7 +7,11 @@ runs keep hypothesis's default randomized exploration.
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
+from reference_kernel import KERNEL_IDS, KERNELS
+
+from repro.sim import engine
 
 settings.register_profile(
     "ci",
@@ -26,3 +30,16 @@ settings.register_profile(
 )
 
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture(params=list(KERNEL_IDS), ids=list(KERNEL_IDS.values()))
+def kernel(request, monkeypatch):
+    """Run the test once on the heap and once on the sorted-list reference.
+
+    The reference replaces ``repro.sim.engine._HeapKernel`` for the
+    test's duration, in this process only, so runs stay at ``jobs=1``.
+    Tests with other parametrize marks use ``reference_kernel.each_kernel``
+    to place the kernel id among theirs.
+    """
+    monkeypatch.setattr(engine, "_HeapKernel", KERNELS[request.param])
+    return request.param

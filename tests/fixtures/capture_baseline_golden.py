@@ -11,7 +11,8 @@ substrate can prove it changed nothing observable.  The cases are chosen
 to drive each baseline's defining mechanism: DCTCP/pFabric buffer drops,
 PFC pauses and CXL credit stalls under incast, and the leaf-spine wiring.
 The matching test (``tests/test_baseline_golden.py``) replays each case
-under both event kernels and compares against this file.
+on the heap kernel and on the sorted-list reference and compares against
+this file.
 
 Regenerating the fixture is only legitimate when a baseline's *semantics*
 intentionally change; a perf PR must leave this file byte-stable.
@@ -87,10 +88,10 @@ def messages_for(case: dict):
     return workload_from_spec(spec).materialize()
 
 
-def run_case(case: dict, fabric: str, kernel: str = "calendar"):
+def run_case(case: dict, fabric: str):
     config = ClusterConfig(
         num_nodes=case["num_nodes"], link_gbps=100.0,
-        seed=case["seed"], kernel=kernel, topology=case["topology"],
+        seed=case["seed"], topology=case["topology"],
     )
     return fabric_by_name(fabric, config).run(messages_for(case))
 

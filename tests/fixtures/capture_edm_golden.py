@@ -7,8 +7,9 @@ Run from the repo root to (re)generate ``edm_golden.json``::
 The fixture pins the *bit-exact* behaviour of the EDM model — every
 completion time and every stats counter, seed for seed — so performance
 work on the hot path can prove it changed nothing observable.  The
-matching test (``tests/test_edm_golden.py``) replays each config under
-both event kernels and compares against this file.
+matching test (``tests/test_edm_golden.py``) replays each config on the
+heap kernel and on the sorted-list reference and compares against this
+file.
 
 Regenerating the fixture is only legitimate when the model's *semantics*
 intentionally change; a perf PR must leave this file byte-stable.
@@ -75,10 +76,9 @@ def messages_for(case: dict):
     return workload_from_spec(spec).materialize()
 
 
-def run_case(case: dict, kernel: str = "calendar"):
+def run_case(case: dict):
     config = ClusterConfig(
-        num_nodes=case["num_nodes"], link_gbps=100.0,
-        seed=case["seed"], kernel=kernel,
+        num_nodes=case["num_nodes"], link_gbps=100.0, seed=case["seed"]
     )
     fabric = EdmFabric(
         config,

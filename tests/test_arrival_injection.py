@@ -4,7 +4,8 @@ The injector replaces each fabric's up-front ``schedule_batch`` of every
 arrival.  These tests pin that it queues only the next arrival, that it
 rejects bad times before anything runs, and that every fabric run loop
 built on it replays the batch reference exactly — records, incomplete
-count and stats (``sim_events`` included) — on both kernels.
+count and stats (``sim_events`` included) — on the heap kernel and on
+the sorted-list reference.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ import math
 from functools import partial
 
 import pytest
+from reference_kernel import each_kernel
 
 from repro.errors import SimulationError
 from repro.fabrics import fabric_by_name
 from repro.fabrics.base import ClusterConfig
-from repro.sim.engine import KERNELS, Simulator
+from repro.sim.engine import Simulator
 from repro.workloads import SyntheticSpec, workload_from_spec
 from repro.workloads.distributions import fixed_size
 
@@ -30,9 +32,8 @@ def _batch_inject(self, items, launch, *, key):
     )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 def test_one_arrival_pending_at_a_time(kernel):
-    sim = Simulator(kernel=kernel)
+    sim = Simulator()
     pending = []
     sim.inject_arrivals(
         [float(t) for t in range(1_000)],
@@ -46,12 +47,11 @@ def test_one_arrival_pending_at_a_time(kernel):
     assert len(pending) == 1_000
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 def test_ties_and_later_seqs_match_schedule_batch(kernel):
     """Arrivals interleave with same-time posts exactly as a batch does."""
 
     def trace(inject):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         sim.post_at(2.0, lambda: seen.append("before"))
         times = [3.0, 1.0, 2.0, 2.0, 3.0, 0.0]  # unsorted, with ties
 
@@ -71,9 +71,9 @@ def test_ties_and_later_seqs_match_schedule_batch(kernel):
 
 
 @pytest.mark.parametrize("bad", [5.0, math.inf, math.nan])
-@pytest.mark.parametrize("kernel", KERNELS)
+@each_kernel
 def test_bad_arrival_time_rejected_before_any_event(kernel, bad):
-    sim = Simulator(kernel=kernel)
+    sim = Simulator()
     sim.run(until=10.0)
     launched = []
     with pytest.raises(SimulationError):
@@ -104,24 +104,24 @@ def _messages(seed):
     return workload_from_spec(spec).materialize()
 
 
-def _run(fabric, kernel, messages, deadline_ns):
-    config = ClusterConfig(num_nodes=16, link_gbps=100.0, seed=3, kernel=kernel)
+def _run(fabric, messages, deadline_ns):
+    config = ClusterConfig(num_nodes=16, link_gbps=100.0, seed=3)
     result = fabric_by_name(fabric, config).run(messages, deadline_ns=deadline_ns)
     records = [(r.message.uid, r.completed_at) for r in result.records]
     return records, result.incomplete, result.stats
 
 
 @pytest.mark.parametrize("cut", [False, True])
-@pytest.mark.parametrize("kernel", KERNELS)
+@each_kernel
 @pytest.mark.parametrize("fabric", ["EDM", "PFC", "IRD", "Fastpass"])
 def test_fabric_run_matches_batch_reference(fabric, kernel, cut, monkeypatch):
     messages = _messages(seed=5)
     arrivals = sorted(m.arrival_ns for m in messages)
     # A deadline inside the arrival span leaves later arrivals unlaunched.
     deadline = arrivals[len(arrivals) * 3 // 5] if cut else None
-    injected = _run(fabric, kernel, messages, deadline)
+    injected = _run(fabric, messages, deadline)
     monkeypatch.setattr(Simulator, "inject_arrivals", _batch_inject)
-    assert injected == _run(fabric, kernel, messages, deadline)
+    assert injected == _run(fabric, messages, deadline)
     records, incomplete, _ = injected
     assert len(records) + incomplete == len(messages)
     assert (incomplete > 0) == cut

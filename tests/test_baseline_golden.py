@@ -2,8 +2,8 @@
 
 ``tests/fixtures/baseline_golden.json`` pins PFC, DCTCP, pFabric, CXL,
 IRD and Fastpass on four loaded cases (64 B at load 0.9, two incasts and
-a leaf-spine run).  These tests replay every case under both event
-kernels and assert the same completion records, incomplete count and
+a leaf-spine run).  These tests replay every case on the heap kernel and
+on the sorted-list reference (``tests/reference_kernel.py``) and assert the same completion records, incomplete count and
 stats — so queueing-substrate work can prove it moved no simulated
 result.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference_kernel import each_kernel
 
 from tests.fixtures.capture_baseline_golden import (
     FIXTURE_PATH,
@@ -31,12 +32,12 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
+@each_kernel
 @pytest.mark.parametrize("name,fabric", RUNS)
 def test_baseline_replays_golden_fixture(name: str, fabric: str, kernel: str) -> None:
     golden = _GOLDEN["cases"][name]
     want = golden["fabrics"][fabric]
-    snap = snapshot(run_case(golden["config"], fabric, kernel=kernel))
+    snap = snapshot(run_case(golden["config"], fabric))
     assert snap["incomplete"] == want["incomplete"]
     got_times = dict(snap["records"])
     want_times = {uid: t for uid, t in want["records"]}

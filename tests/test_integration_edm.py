@@ -10,6 +10,7 @@ from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernel import replay_on
 
 from repro.core.opcodes import RmwOpcode
 from repro.fabrics.base import ClusterConfig, OfferedMessage
@@ -261,16 +262,19 @@ class TestDeadlineCut:
     )
     def test_deadline_cuts_identically(self, seed, deadline_ns):
         """A deadline strands exactly the messages the full run finishes
-        after it, and both kernels strand the same ones."""
+        after it, and the heap and the reference kernel strand the same
+        ones."""
         messages = workload_from_spec(SyntheticSpec(
             num_nodes=6, link_gbps=100.0, load=0.8, message_count=80,
             size_cdf=fixed_size(64), write_fraction=0.5, seed=seed,
             incast_fraction=0.25, incast_degree=5,
         )).materialize()
 
-        def run(kernel="calendar", **kwargs):
-            config = ClusterConfig(num_nodes=6, seed=seed, kernel=kernel)
-            return EdmFabric(config).run(list(messages), **kwargs)
+        def run(kernel="reference", **kwargs):
+            config = ClusterConfig(num_nodes=6, seed=seed)
+            return replay_on(
+                kernel, lambda: EdmFabric(config).run(list(messages), **kwargs)
+            )
 
         full = run()
         cut = run(deadline_ns=deadline_ns)

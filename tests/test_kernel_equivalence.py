@@ -1,7 +1,8 @@
-"""Kernel equivalence: heap and calendar must replay identical event orders.
+"""Kernel equivalence: the heap must replay the reference's event order.
 
 The engine's contract is a total order on (time, priority, seq) regardless
-of the queue implementation.  These tests drive both kernels through
+of the queue implementation.  These tests drive the tuple heap and the
+sorted-list reference (``tests/reference_kernel.py``) through
 hypothesis-generated schedules — same-time priority ties, nested
 scheduling from callbacks, cancellations, batches, deadline-chunked runs —
 and assert the observed firing orders are identical element for element.
@@ -10,9 +11,10 @@ and assert the observed firing orders are identical element for element.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernel import KERNELS, installed
 
 from repro.errors import SimulationError
-from repro.sim.engine import KERNELS, Simulator
+from repro.sim.engine import Simulator
 
 #: A small time grid so same-time ties are common, plus arbitrary floats.
 TIME_GRID = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.75, 10.0, 64.0, 1000.0]
@@ -30,8 +32,9 @@ def schedules(draw, max_events: int = 24):
     """A schedule: root events, nested children, and cancellations.
 
     Each spec is ``(delay, priority, children, cancel_index)``: children
-    are scheduled from inside the parent's callback; ``cancel_index``
-    names an earlier event whose handle is cancelled when this one fires.
+    are posted (fire-and-forget) from inside the parent's callback;
+    ``cancel_index`` names an earlier root event whose handle is cancelled
+    when this one fires.
     """
     count = draw(st.integers(min_value=1, max_value=max_events))
     specs = []
@@ -54,19 +57,25 @@ def schedules(draw, max_events: int = 24):
 
 
 def replay(kernel, specs, until_chunks=None):
-    """Run one schedule on ``kernel``; returns the firing order."""
-    sim = Simulator(kernel=kernel)
+    """Run one schedule on kernel ``kernel``; returns the firing order.
+
+    Each firing records which ``run`` call it fell in, so an event at a
+    chunk's exact ``until`` must fire in that chunk, not the next.
+    """
+    with installed(kernel):
+        sim = Simulator()
     fired = []
     handles = {}
+    runs = [0]
 
     def make_callback(label, children, cancel_index):
         def callback():
-            fired.append((sim.now, label))
+            fired.append((runs[0], sim.now, label))
             if cancel_index is not None and cancel_index in handles:
                 handles[cancel_index].cancel()
             for child_offset, child_priority in children:
                 child_label = (label, len(fired), child_offset)
-                handles[child_label] = sim.schedule(
+                sim.post(
                     child_offset,
                     make_callback(child_label, [], None),
                     priority=child_priority,
@@ -78,9 +87,9 @@ def replay(kernel, specs, until_chunks=None):
         handles[index] = sim.schedule(
             delay, make_callback(index, children, cancel_index), priority=priority
         )
-    if until_chunks:
-        for until in until_chunks:
-            sim.run(until=until)
+    for until in until_chunks or ():
+        sim.run(until=until)
+        runs[0] += 1
     sim.run()
     return fired
 
@@ -89,13 +98,13 @@ class TestKernelEquivalence:
     @settings(max_examples=120, deadline=None)
     @given(specs=schedules())
     def test_replay_identical(self, specs):
-        assert replay("heap", specs) == replay("calendar", specs)
+        assert replay("heap", specs) == replay("reference", specs)
 
     @settings(max_examples=60, deadline=None)
     @given(specs=schedules())
     def test_replay_identical_with_deadline_chunks(self, specs):
         chunks = [0.5, 1.0, 2.0, 64.0]
-        assert replay("heap", specs, chunks) == replay("calendar", specs, chunks)
+        assert replay("heap", specs, chunks) == replay("reference", specs, chunks)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -106,7 +115,8 @@ class TestKernelEquivalence:
         """schedule_batch must assign sequence numbers in iteration order."""
         orders = {}
         for kernel in KERNELS:
-            batched = Simulator(kernel=kernel)
+            with installed(kernel):
+                batched, looped = Simulator(), Simulator()
             fired_batch = []
             batched.schedule_batch(
                 (
@@ -116,7 +126,6 @@ class TestKernelEquivalence:
                 absolute=absolute,
             )
             batched.run()
-            looped = Simulator(kernel=kernel)
             fired_loop = []
             for i, (t, _) in enumerate(batch):
                 callback = lambda i=i, s=looped: fired_loop.append((s.now, i))  # noqa: E731
@@ -127,27 +136,30 @@ class TestKernelEquivalence:
             looped.run()
             assert fired_batch == fired_loop
             orders[kernel] = fired_batch
-        assert orders["heap"] == orders["calendar"]
+        assert orders["heap"] == orders["reference"]
 
     @settings(max_examples=40, deadline=None)
     @given(specs=schedules(max_events=12))
     def test_events_processed_match(self, specs):
         counts = {}
         for kernel in KERNELS:
-            sim = Simulator(kernel=kernel)
+            with installed(kernel):
+                sim = Simulator()
             for delay, priority, _, _ in specs:
                 sim.schedule(delay, lambda: None, priority=priority)
             sim.run()
             counts[kernel] = sim.events_processed
-        assert counts["heap"] == counts["calendar"]
+        assert counts["heap"] == counts["reference"]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestKernelBehaviour:
-    """The seed engine's semantics, asserted against both kernels."""
+    """The engine's semantics, asserted on the heap and on the reference."""
+
+    def test_simulators_build_the_named_kernel(self, kernel):
+        assert type(Simulator()._queue) is KERNELS[kernel]
 
     def test_priority_then_insertion_ties(self, kernel):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         sim.schedule(10, lambda: seen.append("late"), priority=5)
         sim.schedule(10, lambda: seen.append("first"), priority=0)
         sim.schedule(10, lambda: seen.append("second"), priority=0)
@@ -155,7 +167,7 @@ class TestKernelBehaviour:
         assert seen == ["first", "second", "late"]
 
     def test_until_then_resume(self, kernel):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         sim.schedule(10, lambda: seen.append(1))
         sim.schedule(100, lambda: seen.append(2))
         assert sim.run(until=50) == 50
@@ -165,7 +177,7 @@ class TestKernelBehaviour:
 
     def test_far_future_events_survive_dense_phases(self, kernel):
         """A sparse tail after a dense burst must still drain in order."""
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         for i in range(200):
             sim.schedule(i * 0.01, lambda i=i: None)
         sim.schedule(1e9, lambda: seen.append("far"))
@@ -175,7 +187,7 @@ class TestKernelBehaviour:
 
     def test_cancelled_mass_compaction(self, kernel):
         """Tombstones exceeding half the queue trigger compaction."""
-        sim = Simulator(kernel=kernel)
+        sim = Simulator()
         handles = [sim.schedule(10 + i, lambda: None) for i in range(256)]
         survivor_count = 16
         for handle in handles[survivor_count:]:
@@ -189,7 +201,7 @@ class TestKernelBehaviour:
         assert sim.events_processed == survivor_count
 
     def test_cancel_after_fire_is_noop(self, kernel):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         handle = sim.schedule(1, lambda: seen.append("x"))
         sim.run()
         handle.cancel()
@@ -198,14 +210,14 @@ class TestKernelBehaviour:
         assert sim.tombstones == 0
 
     def test_post_and_post_at(self, kernel):
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         sim.post(5, lambda: seen.append("a"))
         sim.post_at(2, lambda: seen.append("b"))
         sim.run()
         assert seen == ["b", "a"]
 
     def test_non_finite_times_rejected(self, kernel):
-        sim = Simulator(kernel=kernel)
+        sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(float("inf"), lambda: None)
         with pytest.raises(SimulationError):
@@ -216,14 +228,12 @@ class TestKernelBehaviour:
     def test_run_until_before_now_raises(self, kernel):
         """The clock is monotone: a past ``until`` must not rewind it
         behind events that already ran (it used to, with events pending)."""
-        sim, seen = Simulator(kernel=kernel), []
+        sim, seen = Simulator(), []
         sim.post_at(10.0, lambda: seen.append(10))
         sim.post_at(20.0, lambda: seen.append(20))
         assert sim.run(until=15.0) == 15.0
         with pytest.raises(SimulationError):
             sim.run(until=5.0)
-        with pytest.raises(SimulationError):
-            sim.run(until=5.0, max_events=1)
         assert sim.now == 15.0
         with pytest.raises(SimulationError):
             sim.post_at(0.0, lambda: seen.append(0))
@@ -231,13 +241,9 @@ class TestKernelBehaviour:
         assert seen == [10, 20]
 
     def test_schedule_batch_rejects_past(self, kernel):
-        sim = Simulator(kernel=kernel)
+        sim = Simulator()
         sim.schedule(10, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_batch([(5.0, lambda: None)], absolute=True)
 
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(SimulationError):
-        Simulator(kernel="wheel-of-fortune")

@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 
 import pytest
+from reference_kernel import replay_on
 
 from repro.cli import main
 from repro.errors import FabricError, ScenarioError
@@ -106,12 +107,11 @@ class TestSpecs:
 
     def test_scaled_overrides(self):
         spec = scenario_by_name("pfc_incast_failover").scaled(
-            num_nodes=4, message_count=50, seed=9, kernel="heap"
+            num_nodes=4, message_count=50, seed=9
         )
         assert spec.num_nodes == 4
         assert spec.workload.message_count == 50
         assert spec.seed == 9
-        assert spec.kernel == "heap"
 
     def test_to_dict_is_json_ready(self):
         payload = scenario_by_name("dctcp_incast_linkdown").to_dict()
@@ -160,9 +160,8 @@ class TestEngine:
         spec = scenario_by_name("dctcp_incast_linkdown").scaled(**SMALL)
         first = run_scenario(spec)
         second = run_scenario(spec)
-        heap = run_scenario(replace(spec, kernel="heap"))
-        for key in ("mean_latency_ns", "p99_latency_ns", "makespan_ns"):
-            assert first[key] == second[key] == heap[key]
+        reference = replay_on("reference", lambda: run_scenario(spec))
+        assert first == second == reference
 
     def test_fault_free_variant_is_faster(self):
         spec = scenario_by_name("cxl_shuffle_degraded").scaled(**SMALL)

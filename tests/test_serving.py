@@ -2,7 +2,8 @@
 
 The serving subsystem's replay contract is the strongest in the repo:
 one run must be bit-identical serial vs parallel (the runner fans
-profiles over worker processes) and calendar vs heap kernel.  These
+profiles over worker processes) and on the heap vs the sorted-list
+reference kernel.  These
 tests pin that, the percentile/SLO accounting, the closed-loop
 semantics (ops complete, budgets honored, RMW chains), and fault
 composition against the EDM cluster's links.
@@ -11,6 +12,7 @@ composition against the EDM cluster's links.
 import math
 
 import pytest
+from reference_kernel import KERNELS, replay_on
 
 from repro.apps.serving import (
     ServingSpec,
@@ -73,9 +75,8 @@ class TestSpecValidation:
 
     def test_scaled_overrides_only_what_is_given(self):
         spec = _spec()
-        scaled = spec.scaled(ops_per_client=99, kernel="heap")
+        scaled = spec.scaled(ops_per_client=99)
         assert scaled.ops_per_client == 99
-        assert scaled.kernel == "heap"
         assert scaled.seed == spec.seed
         assert scaled.tenants == spec.tenants
 
@@ -172,11 +173,11 @@ class TestClosedLoop:
 
 class TestDeterminism:
     def test_calendar_and_heap_kernels_agree(self):
-        calendar = run_serving(_spec(kernel="calendar"))
-        heap = run_serving(_spec(kernel="heap"))
-        assert calendar["makespan_ns"] == heap["makespan_ns"]
-        assert calendar["tenants"] == heap["tenants"]
-        assert calendar["totals"] == heap["totals"]
+        """The heap replays the sorted-list reference's serving run."""
+        heap, reference = (
+            replay_on(kernel, lambda: run_serving(_spec())) for kernel in KERNELS
+        )
+        assert reference == heap
 
     def test_repeat_runs_are_bit_identical(self):
         assert run_serving(_spec(seed=5)) == run_serving(_spec(seed=5))
@@ -193,18 +194,14 @@ class TestDeterminism:
         assert serial.reduced == parallel.reduced
 
     def test_runner_kernel_override_is_bit_identical(self):
-        heap = Runner(jobs=1).run(
-            "serving", profiles=("steady_ab",), ops_per_client=15
+        """A serving sweep through the runner replays on the reference."""
+        heap, reference = (
+            replay_on(kernel, lambda: Runner(jobs=1).run(
+                "serving", profiles=("steady_ab",), ops_per_client=15
+            ).reduced)
+            for kernel in KERNELS
         )
-        calendar = Runner(jobs=1).run(
-            "serving", profiles=("steady_ab",), ops_per_client=15,
-            kernel="calendar",
-        )
-        c_row = dict(calendar.reduced["steady_ab"])
-        h_row = dict(heap.reduced["steady_ab"])
-        assert c_row.pop("kernel") == "calendar"
-        assert h_row.pop("kernel") == "heap"
-        assert c_row == h_row
+        assert reference == heap
 
 
 class TestFaults:

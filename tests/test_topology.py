@@ -2,13 +2,15 @@
 
 Covers the spec parser, deterministic ECMP hashing, the leaf-spine
 substrate on both the queueing fabrics and EDM — including the headline
-determinism property, calendar == heap bit-identically with and without
-core-link faults — plus byte conservation across multi-hop paths.
+determinism property, the heap kernel replaying the sorted-list reference
+bit-identically with and without core-link faults — plus byte
+conservation across multi-hop paths.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_kernel import KERNELS, installed, replay_on
 
 from repro.errors import FabricError, ScenarioError, TopologyError
 from repro.fabrics import fabric_by_name, fabric_info
@@ -178,17 +180,18 @@ class TestQueueingLeafSpine:
     @pytest.mark.parametrize("name", QUEUEING_FABRICS)
     def test_kernels_bit_identical(self, name):
         messages = _workload(8)
-        runs = {}
-        for kernel in ("calendar", "heap"):
-            config = ClusterConfig(
-                num_nodes=8, link_gbps=100.0, kernel=kernel,
-                topology="leaf-spine:leaves=4,spines=2,oversub=2",
-            )
-            runs[kernel] = fabric_by_name(name, config).run(
+        config = ClusterConfig(
+            num_nodes=8, link_gbps=100.0,
+            topology="leaf-spine:leaves=4,spines=2,oversub=2",
+        )
+        heap, reference = (
+            replay_on(kernel, lambda: fabric_by_name(name, config).run(
                 messages, deadline_ns=10_000_000
-            )
-        assert _completions(runs["calendar"]) == _completions(runs["heap"])
-        assert runs["calendar"].stats == runs["heap"].stats
+            ))
+            for kernel in KERNELS
+        )
+        assert _completions(reference) == _completions(heap)
+        assert reference.stats == heap.stats
 
     @given(st.integers(2, 4), st.integers(1, 3),
            st.sampled_from([1.0, 2.0, 4.0]))
@@ -198,14 +201,14 @@ class TestQueueingLeafSpine:
             f"leaf-spine:leaves={leaves},spines={spines},oversub={oversub}"
         )
         messages = _workload(8, count=48)
-        runs = []
-        for kernel in ("calendar", "heap"):
-            config = ClusterConfig(num_nodes=8, link_gbps=100.0,
-                                   kernel=kernel, topology=topology)
-            runs.append(fabric_by_name("PFC", config).run(
+        config = ClusterConfig(num_nodes=8, link_gbps=100.0, topology=topology)
+        heap, reference = (
+            replay_on(kernel, lambda: fabric_by_name("PFC", config).run(
                 messages, deadline_ns=10_000_000
             ))
-        assert _completions(runs[0]) == _completions(runs[1])
+            for kernel in KERNELS
+        )
+        assert _completions(reference) == _completions(heap)
 
     def test_bytes_conserved_across_the_core(self):
         """Lossless fabric: every byte up a trunk comes down a trunk."""
@@ -253,15 +256,18 @@ class TestQueueingLeafSpine:
 
 
 class TestEdmLeafSpine:
+    """EDM over leaf-spine; ``calendar`` in a test name is the reference
+    kernel's run, as in the kernel ids (``tests/reference_kernel.py``)."""
+
     TOPOLOGY = "leaf-spine:leaves=4,spines=1,oversub=2"
     #: One shared workload: offered uids are minted per OfferedMessage, so
     #: all runs must replay the very same message objects to compare.
     MESSAGES = _workload(8, count=96)
 
-    def _run(self, *, kernel="calendar", faults=()):
+    def _run(self, *, kernel="reference", faults=()):
         messages = self.MESSAGES
         config = ClusterConfig(num_nodes=8, link_gbps=100.0, seed=3,
-                               kernel=kernel, topology=self.TOPOLOGY)
+                               topology=self.TOPOLOGY)
         fabric = EdmFabric(config)
         if faults:
             span = max(m.arrival_ns for m in messages)
@@ -269,16 +275,18 @@ class TestEdmLeafSpine:
                 tuple(f.resolved(span) for f in faults)
             )
             fabric.topology_hook = injector.install
-        return fabric.run(messages)
+        with installed(kernel):
+            return fabric.run(messages)
 
     def test_calendar_matches_heap(self):
+        """The heap replays the sorted-list reference's completions."""
         serial = self._run()
         assert serial.incomplete == 0
         assert _completions(serial) == _completions(self._run(kernel="heap"))
 
     def test_event_counts_match_calendar_vs_heap(self):
-        calendar, heap = self._run(), self._run(kernel="heap")
-        assert calendar.stats["sim_events"] == heap.stats["sim_events"]
+        reference, heap = self._run(), self._run(kernel="heap")
+        assert reference.stats["sim_events"] == heap.stats["sim_events"]
 
     def test_core_fault_calendar_matches_heap(self):
         faults = (FaultSpec(kind="link_down", at_ns=0.3, until_ns=0.6,
@@ -296,16 +304,16 @@ class TestEdmLeafSpine:
     def test_any_shape_calendar_matches_heap(self, leaves):
         messages = _workload(8, count=40)
 
-        def run(kernel):
-            config = ClusterConfig(
-                num_nodes=8, link_gbps=100.0, seed=5, kernel=kernel,
-                topology=f"leaf-spine:leaves={leaves},spines=1",
-            )
-            return EdmFabric(config).run(messages)
-
-        calendar = run("calendar")
-        assert calendar.incomplete == 0
-        assert _completions(calendar) == _completions(run("heap"))
+        config = ClusterConfig(
+            num_nodes=8, link_gbps=100.0, seed=5,
+            topology=f"leaf-spine:leaves={leaves},spines=1",
+        )
+        heap, reference = (
+            replay_on(kernel, lambda: EdmFabric(config).run(messages))
+            for kernel in KERNELS
+        )
+        assert reference.incomplete == 0
+        assert _completions(reference) == _completions(heap)
 
     def test_scenario_row_is_deterministic(self):
         base = scenario_by_name("edm_leafspine_corelink").scaled(
@@ -317,4 +325,4 @@ class TestEdmLeafSpine:
         assert summary["faults_fired"] == len(summary["log"]) >= 1
         assert "planned" not in summary
         assert serial == run_scenario(base)
-        assert serial == run_scenario(base.scaled(kernel="heap"))
+        assert serial == replay_on("reference", lambda: run_scenario(base))
