@@ -12,16 +12,15 @@ Run:  python examples/preemption_demo.py
 from repro.core.clock import PCS_CYCLE_NS
 from repro.mac.frame import EthernetFrame
 from repro.phy.encoder import encode_frame, encode_memory_message
-from repro.phy.preemption import PreemptiveTxMux, TxPolicy, memory_latency_blocks
+from repro.phy.preemption import PreemptiveTxMux, memory_latency_blocks
 
 
 def run_mux(preemption: bool) -> int:
-    mux = PreemptiveTxMux(policy=TxPolicy.FAIR, preemption_enabled=preemption)
+    mux = PreemptiveTxMux(preemption_enabled=preemption)
     frame = EthernetFrame(dst_mac=0x1, src_mac=0x2, payload=b"\xAB" * 1500)
     mux.offer_frame(encode_frame(frame.serialize()))
     mux.offer_memory(encode_memory_message(b"\x01" * 8))  # an 8 B RREQ
-    events = mux.drain()
-    done = memory_latency_blocks(events)
+    done = memory_latency_blocks(mux.drain())
     assert done is not None
     return done
 

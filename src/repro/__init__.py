@@ -5,8 +5,8 @@ Subpackages:
 
 * :mod:`repro.core` — message model, clock constants, and the centralized
   in-network scheduler (priority-PIM, notification queues, grant engine).
-* :mod:`repro.phy` — 66-bit PCS block codec, scrambler, and intra-frame
-  preemption.
+* :mod:`repro.phy` — 66-bit PCS blocks, the encoder's block counts, and
+  the intra-frame preemption mux.
 * :mod:`repro.mac` — the Ethernet MAC baseline EDM bypasses.
 * :mod:`repro.host` — the EDM host NIC stack.
 * :mod:`repro.switchfab` — the EDM switch stack and the baseline L2 switch.

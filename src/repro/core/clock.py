@@ -32,9 +32,6 @@ TESTBED_LINK_GBPS = 25.0
 #: Link bandwidth used in the large-scale simulations (§4.3), in Gbps.
 SIM_LINK_GBPS = 100.0
 
-#: Payload bits carried per 66-bit PHY block (64 payload bits).
-BLOCK_PAYLOAD_BITS = 64
-
 #: Size of a 66-bit PHY block on the wire, in bits.
 BLOCK_WIRE_BITS = 66
 
@@ -73,13 +70,6 @@ def cycles_to_ns(cycles: float, cycle_ns: float = PCS_CYCLE_NS) -> float:
     if cycles < 0:
         raise ConfigError(f"cycle count must be non-negative, got {cycles}")
     return cycles * cycle_ns
-
-
-def blocks_for_bytes(size_bytes: int) -> int:
-    """Number of 64-bit-payload PHY blocks needed to carry ``size_bytes``."""
-    if size_bytes < 0:
-        raise ConfigError(f"size must be non-negative, got {size_bytes}")
-    return max(1, math.ceil(size_bytes * 8 / BLOCK_PAYLOAD_BITS))
 
 
 def matching_latency_ns(

@@ -20,7 +20,7 @@ class SchedulerError(ReproError):
 
 
 class PhyError(ReproError):
-    """Raised by the PHY layer (block codec, encoder/decoder, scrambler)."""
+    """Raised by the PHY layer (block model, encoder, preemption mux)."""
 
 
 class MacError(ReproError):

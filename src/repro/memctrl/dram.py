@@ -44,23 +44,6 @@ class DramTiming:
         """Back-to-back burst spacing when streaming (bandwidth-bound)."""
         return DDR4_BURST_BYTES * 8.0 / self.bandwidth_gbps
 
-    def access_latencies_ns(
-        self, addresses: "np.ndarray", last_row: int = -1
-    ) -> "np.ndarray":
-        """Vectorized row-hit/row-miss timing for a burst-address stream.
-
-        Each address is charged ``row_hit_ns`` when it opens the same row
-        as its predecessor (the first access compares against
-        ``last_row``) and ``row_miss_ns`` otherwise — array timing math
-        for bank/row bookkeeping over a whole access trace at once.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        rows = addresses // self.row_bytes
-        prev = np.empty_like(rows)
-        prev[0] = last_row
-        prev[1:] = rows[:-1]
-        return np.where(rows == prev, self.row_hit_ns, self.row_miss_ns)
-
 
 class Dram:
     """Byte-addressable memory with open-row tracking.

@@ -1,4 +1,4 @@
-"""Ethernet PHY substrate: 66-bit PCS blocks, scrambler, codec, preemption."""
+"""Ethernet PHY substrate: 66-bit PCS blocks, the encoder, and preemption."""
 
 from repro.phy.blocks import (
     BlockType,
@@ -12,7 +12,6 @@ from repro.phy.blocks import (
     start_block,
     term_block,
 )
-from repro.phy.decoder import DemuxResult, EdmRxDemux, ExtractedMessage, decode_frame
 from repro.phy.encoder import (
     block_count_for_frame,
     block_count_for_message,
@@ -23,34 +22,15 @@ from repro.phy.encoder import (
     encode_notification,
     mac_bandwidth_efficiency,
 )
-from repro.phy.preemption import (
-    PreemptiveTxMux,
-    RxRelease,
-    RxReorderBuffer,
-    TxEvent,
-    TxPolicy,
-    memory_latency_blocks,
-)
-from repro.phy.scrambler import Descrambler, LinkMonitor, Scrambler
+from repro.phy.preemption import PreemptiveTxMux, memory_latency_blocks
 
 __all__ = [
     "BlockType",
-    "DemuxResult",
-    "Descrambler",
-    "EdmRxDemux",
-    "ExtractedMessage",
-    "LinkMonitor",
     "PhyBlock",
     "PreemptiveTxMux",
-    "RxRelease",
-    "RxReorderBuffer",
-    "Scrambler",
-    "TxEvent",
-    "TxPolicy",
     "block_count_for_frame",
     "block_count_for_message",
     "data_block",
-    "decode_frame",
     "edm_bandwidth_efficiency",
     "encode_frame",
     "encode_grant",

@@ -17,7 +17,7 @@ points so they never collide with standard traffic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import PhyError
@@ -75,8 +75,6 @@ TERM_TYPES = (
     BlockType.TERM_7,
 )
 
-_TERM_TRAILING = {t: i for i, t in enumerate(TERM_TYPES)}
-
 #: Block types introduced by EDM (carry memory traffic or scheduler control).
 EDM_TYPES = frozenset(
     {
@@ -131,64 +129,11 @@ class PhyBlock:
         return self.sync == SYNC_DATA
 
     @property
-    def is_control(self) -> bool:
-        return self.sync == SYNC_CONTROL
-
-    @property
-    def is_idle(self) -> bool:
-        return self.block_type == BlockType.IDLE
-
-    @property
     def is_edm(self) -> bool:
         """Whether this block belongs to EDM's parallel memory pipeline."""
         if self.is_data:
             return self.is_memory
         return self.block_type in EDM_TYPES
-
-    @property
-    def trailing_bytes(self) -> int:
-        """Data bytes carried by a /T*/ block."""
-        if self.block_type not in _TERM_TRAILING:
-            raise PhyError(f"not a terminate block: {self.block_type!r}")
-        return _TERM_TRAILING[self.block_type]
-
-    # -- wire form ------------------------------------------------------ #
-
-    def pack(self) -> int:
-        """Pack to a 66-bit integer: sync in the top 2 bits, then payload."""
-        if self.is_data:
-            body = int.from_bytes(self.payload, "big")
-        else:
-            padded = self.payload.ljust(CONTROL_BLOCK_PAYLOAD_BYTES, b"\x00")
-            body = (int(self.block_type) << 56) | int.from_bytes(padded, "big")
-        return (self.sync << 64) | body
-
-    @classmethod
-    def unpack(cls, word: int, *, is_memory: bool = False) -> "PhyBlock":
-        """Inverse of :meth:`pack`.
-
-        ``is_memory`` restores the out-of-band /MD/ tag for data blocks (the
-        wire encoding is identical to /D/; the demux supplies the context).
-        """
-        if word < 0 or word >= (1 << 66):
-            raise PhyError(f"word does not fit in 66 bits: {word:#x}")
-        sync = word >> 64
-        body = word & ((1 << 64) - 1)
-        if sync == SYNC_DATA:
-            return cls(
-                sync=SYNC_DATA,
-                payload=body.to_bytes(8, "big"),
-                is_memory=is_memory,
-            )
-        if sync == SYNC_CONTROL:
-            type_value = body >> 56
-            try:
-                block_type = BlockType(type_value)
-            except ValueError as exc:
-                raise PhyError(f"unknown block type {type_value:#04x}") from exc
-            payload = (body & ((1 << 56) - 1)).to_bytes(7, "big")
-            return cls(sync=SYNC_CONTROL, block_type=block_type, payload=payload)
-        raise PhyError(f"invalid sync header in word: {sync:#04b}")
 
 
 # -- constructors -------------------------------------------------------- #

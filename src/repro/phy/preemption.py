@@ -1,69 +1,33 @@
 """Intra-frame preemption (§3.2.3) — the first for Ethernet.
 
-**TX side**: a multiplexer at the encoder output selects, every 66-bit
-block cycle, between the memory-block queue (/N/, /G/, /M*/) and a small
-buffer of non-memory frame blocks.  Default policy is fair (round-robin)
-scheduling; strict priority for memory blocks is also supported.  A memory
-message, once started, is transmitted contiguously — preemption suspends
-*frames*, never an in-flight memory message.  Back-pressure to the MAC
-bounds the non-memory staging buffer at 4 blocks (the deterministic 4-cycle
-datapath latency).
-
-**RX side**: the decoder and MAC expect a frame's blocks in consecutive
-cycles, so a reorder buffer holds a preempted frame's blocks until its /T/
-arrives, then releases them back-to-back.  The buffer is bounded by the
-maximum frame size; the added latency equals the frame's transmission
-delay in the worst case.
+A multiplexer at the encoder output selects, every 66-bit block cycle,
+between the memory-block queue (/N/, /G/, /M*/) and the queued
+non-memory frame blocks, alternating between the two classes (fair
+interleave).  A memory message, once started, is transmitted
+contiguously — preemption suspends *frames*, never an in-flight memory
+message.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from repro.errors import PhyError
-from repro.phy.blocks import BlockType, PhyBlock, idle_block
-
-#: TX staging buffer bound for non-memory blocks under back-pressure (§3.2.3).
-TX_NONMEM_BUFFER_BLOCKS = 4
-
-#: Maximum Ethernet frame used to bound the RX reorder buffer (9 KB jumbo).
-MAX_FRAME_BYTES = 9216
-
-
-class TxPolicy(enum.Enum):
-    """Scheduling policy of the TX block multiplexer."""
-
-    FAIR = "fair"
-    STRICT_MEMORY_PRIORITY = "strict"
-
-
-@dataclass
-class TxEvent:
-    """One block cycle of TX output: the cycle index and the block sent."""
-
-    cycle: int
-    block: PhyBlock
+from repro.phy.blocks import PhyBlock
 
 
 class PreemptiveTxMux:
     """The TX-side 66-bit block multiplexer.
 
     Feed it memory blocks (:meth:`offer_memory`) and frame blocks
-    (:meth:`offer_frame`), then :meth:`drain` to obtain the per-cycle wire
-    schedule.  Without preemption (``preemption_enabled=False``) memory
-    blocks wait for the entire in-flight frame — the MAC-layer behaviour
-    the paper's limitation 3 describes.
+    (:meth:`offer_frame`), then :meth:`drain` to obtain the wire stream.
+    Without preemption (``preemption_enabled=False``) memory blocks wait
+    for the entire in-flight frame — the MAC-layer behaviour the paper's
+    limitation 3 describes.
     """
 
-    def __init__(
-        self,
-        policy: TxPolicy = TxPolicy.FAIR,
-        preemption_enabled: bool = True,
-    ) -> None:
-        self.policy = policy
+    def __init__(self, preemption_enabled: bool = True) -> None:
         self.preemption_enabled = preemption_enabled
         self._seq = 0
         self._mem_queue: Deque[Tuple[int, List[PhyBlock]]] = deque()
@@ -86,28 +50,6 @@ class PreemptiveTxMux:
         self._frame_queue.append((self._seq, list(blocks)))
         self._seq += 1
 
-    @property
-    def pending_memory_blocks(self) -> int:
-        return sum(len(r) for _, r in self._mem_queue) + len(self._current_mem)
-
-    @property
-    def pending_frame_blocks(self) -> int:
-        return sum(len(r) for _, r in self._frame_queue) + len(self._current_frame)
-
-    def _next_memory_block(self) -> Optional[PhyBlock]:
-        if not self._current_mem and self._mem_queue:
-            self._current_mem = deque(self._mem_queue.popleft()[1])
-        if self._current_mem:
-            return self._current_mem.popleft()
-        return None
-
-    def _next_frame_block(self) -> Optional[PhyBlock]:
-        if not self._current_frame and self._frame_queue:
-            self._current_frame = deque(self._frame_queue.popleft()[1])
-        if self._current_frame:
-            return self._current_frame.popleft()
-        return None
-
     def _choose_memory_first(self) -> bool:
         have_mem = bool(self._current_mem or self._mem_queue)
         have_frame = bool(self._current_frame or self._frame_queue)
@@ -124,115 +66,29 @@ class PreemptiveTxMux:
             # before a later memory message gets the wire.
             if self._current_frame:
                 return False
-            mem_seq = self._mem_queue[0][0]
-            frame_seq = self._frame_queue[0][0]
-            return mem_seq < frame_seq
-        if self.policy == TxPolicy.STRICT_MEMORY_PRIORITY:
-            return True
+            return self._mem_queue[0][0] < self._frame_queue[0][0]
         # Fair: alternate between the two classes.
         return not self._last_was_memory
 
-    def drain(self, max_cycles: Optional[int] = None) -> List[TxEvent]:
-        """Run the mux until both queues empty (or ``max_cycles``)."""
-        events: List[TxEvent] = []
-        cycle = 0
-        while self.pending_memory_blocks or self.pending_frame_blocks:
-            if max_cycles is not None and cycle >= max_cycles:
-                break
-            if self._choose_memory_first():
-                block = self._next_memory_block()
-                self._last_was_memory = True
+    def drain(self) -> List[PhyBlock]:
+        """Run the mux until both queues empty; block ``i`` leaves in cycle ``i``."""
+        wire: List[PhyBlock] = []
+        while self._current_mem or self._mem_queue or self._current_frame or self._frame_queue:
+            self._last_was_memory = self._choose_memory_first()
+            if self._last_was_memory:
+                current, queue = self._current_mem, self._mem_queue
             else:
-                block = self._next_frame_block()
-                self._last_was_memory = False
-            if block is None:  # pragma: no cover - defensive
-                block = idle_block()
-            events.append(TxEvent(cycle=cycle, block=block))
-            cycle += 1
-        return events
+                current, queue = self._current_frame, self._frame_queue
+            if not current:
+                current.extend(queue.popleft()[1])
+            wire.append(current.popleft())
+        return wire
 
 
-@dataclass
-class RxRelease:
-    """A frame released by the RX reorder buffer.
-
-    ``first_cycle`` is the cycle its first block is handed to the decoder;
-    blocks flow on consecutive cycles thereafter, as the decoder requires.
-    """
-
-    blocks: List[PhyBlock]
-    first_cycle: int
-
-
-class RxReorderBuffer:
-    """RX-side buffer restoring consecutive-cycle delivery for frames.
-
-    Memory blocks pass through immediately (returned per push); frame
-    blocks accumulate until the frame's /T/ arrives, then the whole frame
-    is released.  Raises if a frame would exceed the jumbo-frame bound.
-    """
-
-    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
-        self._buffer: List[PhyBlock] = []
-        self._max_blocks = max_frame_bytes // 8 + 2
-        self.releases: List[RxRelease] = []
-        self._in_memory_message = False
-
-    def push(self, block: PhyBlock, cycle: int) -> Optional[PhyBlock]:
-        """Push one received block at ``cycle``.
-
-        Returns the block immediately if it belongs to the memory pipeline;
-        otherwise buffers it (returning None) and records a release when a
-        frame completes.
-        """
-        if block.is_control and block.block_type in (
-            BlockType.MEM_SINGLE,
-            BlockType.NOTIFY,
-            BlockType.GRANT,
-        ):
-            return block
-        if block.is_control and block.block_type == BlockType.MEM_START:
-            self._in_memory_message = True
-            return block
-        if block.is_control and block.block_type == BlockType.MEM_TERM:
-            self._in_memory_message = False
-            return block
-        if block.is_data and self._in_memory_message:
-            return block
-        if block.is_idle and not self._buffer:
-            # Idles outside a frame need no reordering.
-            return block
-        self._buffer.append(block)
-        if len(self._buffer) > self._max_blocks:
-            raise PhyError(
-                f"RX reorder buffer overflow (> {self._max_blocks} blocks); "
-                f"frame exceeds the jumbo bound"
-            )
-        if block.is_control and block.block_type in (
-            BlockType.TERM_0,
-            BlockType.TERM_1,
-            BlockType.TERM_2,
-            BlockType.TERM_3,
-            BlockType.TERM_4,
-            BlockType.TERM_5,
-            BlockType.TERM_6,
-            BlockType.TERM_7,
-        ):
-            self.releases.append(
-                RxRelease(blocks=list(self._buffer), first_cycle=cycle + 1)
-            )
-            self._buffer.clear()
-        return None
-
-    @property
-    def buffered_blocks(self) -> int:
-        return len(self._buffer)
-
-
-def memory_latency_blocks(events: List[TxEvent]) -> Optional[int]:
+def memory_latency_blocks(wire: List[PhyBlock]) -> Optional[int]:
     """Cycle at which the last memory block left the mux (None if none did)."""
     last = None
-    for event in events:
-        if event.block.is_edm:
-            last = event.cycle
+    for cycle, block in enumerate(wire):
+        if block.is_edm:
+            last = cycle
     return last

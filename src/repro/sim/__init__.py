@@ -8,7 +8,7 @@ from repro.sim.engine import (
     process_events_executed,
 )
 from repro.sim.link import DuplexLink, Link
-from repro.sim.rng import make_rng, spawn
+from repro.sim.rng import make_rng
 
 __all__ = [
     "DuplexLink",
@@ -20,5 +20,4 @@ __all__ = [
     "StatsSink",
     "make_rng",
     "process_events_executed",
-    "spawn",
 ]

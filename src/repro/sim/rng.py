@@ -2,12 +2,11 @@
 
 Every stochastic component takes an explicit seed (or a parent
 ``numpy.random.Generator``) so experiments are reproducible run-to-run.
-``spawn`` derives independent child streams for per-node generators.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
@@ -19,25 +18,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``."""
-    seeds = rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def exponential_interarrival_ns(
-    rng: np.random.Generator, load: float, mean_service_ns: float
-) -> float:
-    """Sample a Poisson-process inter-arrival gap for a target ``load``.
-
-    ``load`` is the offered utilization in (0, 1]; ``mean_service_ns`` the
-    mean per-message service (serialization) time.  The mean inter-arrival
-    time is ``mean_service_ns / load``.
-    """
-    if not 0 < load <= 1:
-        raise ValueError(f"load must be in (0, 1], got {load}")
-    if mean_service_ns <= 0:
-        raise ValueError(f"mean service time must be positive, got {mean_service_ns}")
-    return float(rng.exponential(mean_service_ns / load))

@@ -51,10 +51,6 @@ class EdmSwitch(Process):
         self._round_handle = None
         self.transfers_forwarded = 0
         self.demands_accepted = 0
-        # Per-port egress accounting: O(1) integer bumps on the hot path,
-        # reduced with numpy in egress_summary().
-        self._egress_transfers: list = []
-        self._egress_bytes: list = []
         # Per-event pipeline delays, fixed at construction.
         self._d_classify = cycles.SWITCH_RX_CLASSIFY_CYCLES * cycle_ns
         self._d_classify_forward = (
@@ -69,10 +65,6 @@ class EdmSwitch(Process):
 
     def attach_port(self, node_id: int, egress_link: Link) -> None:
         self.egress[node_id] = egress_link
-        if node_id >= len(self._egress_transfers):
-            grow = node_id + 1 - len(self._egress_transfers)
-            self._egress_transfers.extend([0] * grow)
-            self._egress_bytes.extend([0] * grow)
 
     def _egress_for(self, node_id: int) -> Link:
         try:
@@ -141,36 +133,8 @@ class EdmSwitch(Process):
         self._arm_round()
 
     def _forward(self, transfer: WireTransfer) -> None:
-        dst = transfer.dst
-        link = self._egress_for(dst)
-        nbytes = transfer.blocks * 8
-        link.send(transfer, nbytes)
+        self._egress_for(transfer.dst).send(transfer, transfer.blocks * 8)
         self.transfers_forwarded += 1
-        self._egress_transfers[dst] += 1
-        self._egress_bytes[dst] += nbytes
-
-    def egress_summary(self) -> Dict[str, object]:
-        """Vectorized per-port egress accounting (numpy reduction).
-
-        Returns per-port forwarded-transfer and byte counts plus their
-        aggregate statistics; the per-event path only bumps integers, so
-        the array math runs once at collection time.
-        """
-        import numpy as np
-
-        transfers = np.asarray(self._egress_transfers, dtype=np.int64)
-        nbytes = np.asarray(self._egress_bytes, dtype=np.int64)
-        total = int(nbytes.sum())
-        return {
-            "per_port_transfers": transfers,
-            "per_port_bytes": nbytes,
-            "total_transfers": int(transfers.sum()),
-            "total_bytes": total,
-            "mean_bytes_per_port": float(nbytes.mean()) if len(nbytes) else 0.0,
-            "max_port_share": (
-                float(nbytes.max() / total) if total else 0.0
-            ),
-        }
 
     # ------------------------------------------------------------------ #
     # scheduling rounds                                                  #

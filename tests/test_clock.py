@@ -36,24 +36,6 @@ class TestConversions:
         assert clock.PCS_CYCLE_NS == pytest.approx(64 / 25.0)
 
 
-class TestBlocksForBytes:
-    def test_one_byte_needs_one_block(self):
-        assert clock.blocks_for_bytes(1) == 1
-
-    def test_eight_bytes_exactly_one_block(self):
-        assert clock.blocks_for_bytes(8) == 1
-
-    def test_nine_bytes_needs_two_blocks(self):
-        assert clock.blocks_for_bytes(9) == 2
-
-    def test_zero_bytes_still_one_block(self):
-        assert clock.blocks_for_bytes(0) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            clock.blocks_for_bytes(-1)
-
-
 class TestMatchingLatency:
     def test_512_ports_at_3ghz_is_9ns(self):
         # §3.1.3: "needing only 9ns on average to form a maximal matching

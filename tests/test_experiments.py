@@ -14,6 +14,7 @@ from repro.experiments import (
     run_figure7,
     run_figure8a_loads,
     run_figure8a_mix,
+    run_ablations,
     run_figure8b,
     run_table1,
     summarize_shape_checks,
@@ -87,6 +88,13 @@ class TestSimulationDrivers:
         results = run_figure8a_loads(loads=(0.3,), scale=SMALL_8A)
         text = format_grid(results, "Figure 8a")
         assert "Figure 8a" in text and "EDM" in text
+
+    def test_preemption_ablation(self):
+        # §3.2.3: an 8 B RREQ behind a 1500 B frame finishes at block 193
+        # without preemption and at block 1 with it.
+        assert run_ablations(families=["preemption"]) == {
+            "preemption": {"off": 193.0, "on": 1.0}
+        }
 
 
 def _spec(load=0.5, seed=1):

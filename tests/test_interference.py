@@ -11,7 +11,7 @@ import pytest
 from repro.core.clock import PCS_CYCLE_NS
 from repro.mac.frame import EthernetFrame
 from repro.phy.encoder import encode_frame, encode_memory_message
-from repro.phy.preemption import PreemptiveTxMux, TxPolicy, memory_latency_blocks
+from repro.phy.preemption import PreemptiveTxMux, memory_latency_blocks
 
 
 def ip_frame(size=1500):
@@ -26,7 +26,7 @@ class TestInterference:
         interleave, not by frame sizes."""
         latencies = []
         for n_frames in (0, 1, 4, 8):
-            mux = PreemptiveTxMux(policy=TxPolicy.FAIR)
+            mux = PreemptiveTxMux()
             for _ in range(n_frames):
                 mux.offer_frame(ip_frame())
             mux.offer_memory(encode_memory_message(b"\x01" * 64))
@@ -61,17 +61,16 @@ class TestInterference:
 
     def test_ip_traffic_still_delivered_intact(self):
         """Preemption must not corrupt the non-memory stream."""
-        from repro.phy.decoder import EdmRxDemux, decode_frame
+        from phy_reference import EdmRxDemux, decode_frame
 
-        mux = PreemptiveTxMux(policy=TxPolicy.FAIR)
+        mux = PreemptiveTxMux()
         payload = b"\x77" * 300
         mux.offer_frame(encode_frame(
             EthernetFrame(dst_mac=1, src_mac=2, payload=payload).serialize(),
             append_ifg=False,
         ))
         mux.offer_memory(encode_memory_message(b"\x01" * 64))
-        stream = [e.block for e in mux.drain()]
-        result = EdmRxDemux().demux(stream)
+        result = EdmRxDemux().demux(mux.drain())
         raw = decode_frame(result.ethernet_blocks)
         frame, fcs_ok = EthernetFrame.parse(raw)
         assert fcs_ok

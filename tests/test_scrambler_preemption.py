@@ -1,79 +1,11 @@
-"""Tests for the scrambler, link monitor, and intra-frame preemption."""
+"""Tests for the intra-frame preemption TX mux (§3.2.3)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import PhyError
 from repro.mac.frame import EthernetFrame
 from repro.phy.encoder import encode_frame, encode_memory_message
-from repro.phy.preemption import (
-    PreemptiveTxMux,
-    RxReorderBuffer,
-    TxPolicy,
-    memory_latency_blocks,
-)
-from repro.phy.scrambler import Descrambler, LinkMonitor, Scrambler
-
-
-class TestScrambler:
-    def test_roundtrip(self):
-        words = [0x0123456789ABCDEF, 0, (1 << 64) - 1, 0xDEADBEEF]
-        tx, rx = Scrambler(), Descrambler()
-        assert rx.descramble(tx.scramble(words)) == words
-
-    def test_output_differs_from_input(self):
-        tx = Scrambler()
-        assert tx.scramble_word(0) != 0  # transition density
-
-    def test_self_synchronization(self):
-        # A descrambler starting from the wrong state recovers within a
-        # 58-bit window — the defining property of the x^58 scrambler.
-        words = [0xAAAA5555AAAA5555] * 4
-        scrambled = Scrambler(seed=12345).scramble(words)
-        rx = Descrambler(seed=99999)  # wrong seed
-        out = rx.descramble(scrambled)
-        assert out[-1] == words[-1]  # synced by the last word
-
-    def test_word_range_checked(self):
-        with pytest.raises(PhyError):
-            Scrambler().scramble_word(1 << 64)
-        with pytest.raises(PhyError):
-            Descrambler().descramble_word(-1)
-
-    @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=20))
-    @settings(max_examples=40, deadline=None)
-    def test_property_roundtrip(self, words):
-        assert Descrambler().descramble(Scrambler().scramble(words)) == words
-
-
-class TestLinkMonitor:
-    def test_disables_after_threshold(self):
-        # §3.3: persistent corruption disables the link.
-        monitor = LinkMonitor(threshold=3, window=100)
-        for _ in range(3):
-            monitor.observe(corrupted=True)
-        assert monitor.disabled
-
-    def test_clean_link_stays_up(self):
-        monitor = LinkMonitor(threshold=3, window=10)
-        for _ in range(100):
-            monitor.observe(corrupted=False)
-        assert not monitor.disabled
-
-    def test_window_resets_counts(self):
-        monitor = LinkMonitor(threshold=3, window=5)
-        for _ in range(4):
-            monitor.observe(corrupted=False)
-        monitor.observe(corrupted=True)   # window rolls after this
-        for _ in range(4):
-            monitor.observe(corrupted=False)
-        monitor.observe(corrupted=True)
-        assert not monitor.disabled
-
-    def test_bad_params_rejected(self):
-        with pytest.raises(PhyError):
-            LinkMonitor(threshold=0)
+from repro.phy.preemption import PreemptiveTxMux, memory_latency_blocks
 
 
 def frame_blocks(payload_len=1500):
@@ -98,21 +30,13 @@ class TestTxMux:
         done = memory_latency_blocks(mux.drain())
         assert done is not None and done <= 4
 
-    def test_strict_priority_sends_memory_first(self):
-        mux = PreemptiveTxMux(policy=TxPolicy.STRICT_MEMORY_PRIORITY)
-        mux.offer_frame(frame_blocks(100))
-        mux.offer_memory(encode_memory_message(b"\x01" * 64))
-        events = mux.drain()
-        mem_cycles = [e.cycle for e in events if e.block.is_edm]
-        assert mem_cycles == list(range(len(mem_cycles)))
-
     def test_memory_message_contiguity(self):
         # Once /MS/ is on the wire, the message is never interleaved.
-        mux = PreemptiveTxMux(policy=TxPolicy.FAIR)
+        mux = PreemptiveTxMux()
         mux.offer_frame(frame_blocks(200))
         mux.offer_memory(encode_memory_message(b"\x01" * 64))
-        events = mux.drain()
-        mem_cycles = [e.cycle for e in events if e.block.is_edm]
+        wire = mux.drain()
+        mem_cycles = [cycle for cycle, block in enumerate(wire) if block.is_edm]
         spans = [b - a for a, b in zip(mem_cycles, mem_cycles[1:])]
         assert all(s == 1 for s in spans)
 
@@ -122,8 +46,7 @@ class TestTxMux:
         mem = encode_memory_message(b"\x01" * 32)
         mux.offer_frame(frames)
         mux.offer_memory(mem)
-        events = mux.drain()
-        assert len(events) == len(frames) + len(mem)
+        assert len(mux.drain()) == len(frames) + len(mem)
 
     def test_memory_only_without_frames(self):
         mux = PreemptiveTxMux()
@@ -137,43 +60,3 @@ class TestTxMux:
             mux.offer_memory([])
         with pytest.raises(PhyError):
             mux.offer_frame([])
-
-
-class TestRxReorderBuffer:
-    def test_memory_blocks_pass_through(self):
-        buf = RxReorderBuffer()
-        for block in encode_memory_message(b"\x01" * 16):
-            assert buf.push(block, cycle=0) is not None
-
-    def test_frame_held_until_terminate(self):
-        buf = RxReorderBuffer()
-        blocks = encode_frame(b"\x22" * 64, append_ifg=False)
-        for i, block in enumerate(blocks):
-            out = buf.push(block, cycle=i)
-            assert out is None  # buffered
-        assert len(buf.releases) == 1
-        assert buf.releases[0].blocks == blocks
-        assert buf.buffered_blocks == 0
-
-    def test_release_cycle_follows_terminate(self):
-        buf = RxReorderBuffer()
-        blocks = encode_frame(b"\x22" * 64, append_ifg=False)
-        for i, block in enumerate(blocks):
-            buf.push(block, cycle=100 + i)
-        assert buf.releases[0].first_cycle == 100 + len(blocks)
-
-    def test_interleaved_stream_reassembles_frame(self):
-        buf = RxReorderBuffer()
-        fr = encode_frame(b"\x33" * 64, append_ifg=False)
-        mem = encode_memory_message(b"\x44" * 8)
-        stream = fr[:4] + mem + fr[4:]
-        passed = [buf.push(b, i) for i, b in enumerate(stream)]
-        assert len([p for p in passed if p is not None]) == len(mem)
-        assert buf.releases[0].blocks == fr
-
-    def test_overflow_guard(self):
-        buf = RxReorderBuffer(max_frame_bytes=64)
-        blocks = encode_frame(b"\x55" * 200, append_ifg=False)
-        with pytest.raises(PhyError):
-            for i, block in enumerate(blocks):
-                buf.push(block, i)
