@@ -11,8 +11,6 @@ the primary dies, with zero scheduler-state rebuild.
 Run:  python examples/fault_tolerance.py
 """
 
-import dataclasses
-
 from repro.core.scheduler import CentralScheduler, Demand, SchedulerConfig
 from repro.switchfab.failover import (
     DuplicateSuppressor,
@@ -28,8 +26,8 @@ def main() -> None:
     controller = FailoverController()
 
     sender = MirroredSender(
-        primary=lambda d: primary.notify(dataclasses.replace(d)),
-        backup=lambda d: backup.notify(dataclasses.replace(d)),
+        primary=lambda d: primary.notify(d.clone()),
+        backup=lambda d: backup.notify(d.clone()),
     )
 
     print("Mirroring 12 demand notifications to both switches...")

@@ -25,7 +25,7 @@ from repro.core.scheduler.notification_queue import (
     Demand,
     NotificationQueueBank,
 )
-from repro.core.scheduler.ordered_list import CycleMeter, OrderedList
+from repro.core.scheduler.ordered_list import OrderedList
 from repro.core.scheduler.pim import CYCLES_PER_ITERATION, MatchResult, PimMatcher
 from repro.core.scheduler.policies import Policy, policy_for_workload, priority_of
 from repro.core.scheduler.priority_encoder import SourceRequestArray, priority_encode
@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "DEFAULT_MAX_ACTIVE_PER_PAIR",
     "CentralScheduler",
-    "CycleMeter",
     "Demand",
     "IssuedGrant",
     "MatchResult",

@@ -181,6 +181,14 @@ class CentralScheduler:
     def next_release_after(self, now: float) -> Optional[float]:
         """Earliest future time a busy port frees up (for re-scheduling)."""
         self._expire(now)
+        return self.next_release()
+
+    def next_release(self) -> Optional[float]:
+        """Earliest pending release, as of the last round or expiry.
+
+        Right after :meth:`schedule` this equals ``next_release_after`` at
+        the round's time: the round expired everything due by then.
+        """
         releases = self._releases
         return releases[0][0] if releases else None
 
@@ -189,11 +197,16 @@ class CentralScheduler:
     # ------------------------------------------------------------------ #
 
     def schedule(self, now: float) -> List[IssuedGrant]:
-        """Run one matching round at time ``now`` and issue chunk grants."""
+        """Run one matching round at time ``now`` and issue chunk grants.
+
+        One pass: expire due releases, match once, then issue each match's
+        chunk grant inline (remaining bytes, SRPT re-key, busy windows,
+        first-grant bookkeeping) in match order.
+        """
         self._expire(now)
         bank = self.bank
         dirty = self._dirty
-        if not bank:
+        if not bank._total:
             dirty.clear()
             return []
         if self.matcher.max_iterations is None:
@@ -204,54 +217,66 @@ class CentralScheduler:
         result = self.matcher.run(self._busy_src, self._busy_dst, candidates)
         self.rounds_run += 1
         self.total_iterations += result.iterations
-        issue = self._issue
-        return [issue(demand, now) for demand in result.matches]
 
-    def _issue(self, demand: Demand, now: float) -> IssuedGrant:
-        chunk = min(self.config.chunk_bytes, demand.remaining_bytes)
-        if chunk <= 0:  # pragma: no cover - defensive
-            raise SchedulerError(f"demand {demand} has no remaining bytes")
-        demand.remaining_bytes -= chunk
-        completes = demand.remaining_bytes == 0
-        if completes:
-            self.bank.remove(demand)
-        else:
-            self.bank.reprioritize(demand)
+        chunk_bytes = self.config.chunk_bytes
+        hold_cache = self._hold_ns_cache
+        src_busy_until = self._src_busy_until
+        dst_busy_until = self._dst_busy_until
+        releases = self._releases
+        first_granted = self._first_granted
+        queues = bank._queues
+        rekey = bank._priority_of
+        issued: List[IssuedGrant] = []
+        for demand in result.matches:
+            remaining = demand.remaining_bytes
+            chunk = chunk_bytes if chunk_bytes < remaining else remaining
+            if chunk <= 0:  # pragma: no cover - defensive
+                raise SchedulerError(f"demand {demand} has no remaining bytes")
+            remaining = demand.remaining_bytes = remaining - chunk
+            completes = remaining == 0
+            if completes:
+                bank.remove(demand)
+            else:
+                # Re-key (SRPT's remaining bytes changed): one remove +
+                # insert on the queue, behind the new priority's ties.
+                queues[demand.dst].reprioritize(demand, rekey(demand))
 
-        # Step (7): release the pair l/B after grant issue so the next grant
-        # arrives just in time.  B here is payload throughput: the chunk's
-        # wire footprint includes /M*/ block framing (64 data bits per
-        # 66-bit block), so reserve its true wire time.  With early release
-        # disabled (ablation), hold the pair for a full round trip instead.
-        hold_ns = self._hold_ns_cache.get(chunk)
-        if hold_ns is None:
-            wire_bytes = block_count_for_message(chunk) * 8
-            hold_ns = wire_bytes * 8.0 / self.config.link_gbps
-            if not self.config.early_release:
-                hold_ns *= 2.0
-            self._hold_ns_cache[chunk] = hold_ns
-        release_at = now + hold_ns
-        src = demand.src
-        dst = demand.dst
-        self._src_busy_until[src] = release_at
-        self._dst_busy_until[dst] = release_at
-        heappush(self._releases, (release_at, src, dst))
+            # Step (7): release the pair l/B after grant issue so the next
+            # grant arrives just in time.  B here is payload throughput:
+            # the chunk's wire footprint includes /M*/ block framing (64
+            # data bits per 66-bit block), so reserve its true wire time.
+            # With early release disabled (ablation), hold the pair for a
+            # full round trip instead.
+            hold_ns = hold_cache.get(chunk)
+            if hold_ns is None:
+                wire_bytes = block_count_for_message(chunk) * 8
+                hold_ns = wire_bytes * 8.0 / self.config.link_gbps
+                if not self.config.early_release:
+                    hold_ns *= 2.0
+                hold_cache[chunk] = hold_ns
+            release_at = now + hold_ns
+            src = demand.src
+            dst = demand.dst
+            src_busy_until[src] = release_at
+            dst_busy_until[dst] = release_at
+            heappush(releases, (release_at, src, dst))
 
-        first = False
-        uid = demand.message_uid
-        if demand.carried_request is not None and uid is not None:
-            if uid not in self._first_granted:
-                self._first_granted.add(uid)
-                first = True
-        if completes and uid is not None:
-            self._first_granted.discard(uid)
+            first = False
+            uid = demand.message_uid
+            for_response = demand.carried_request is not None
+            if for_response and uid is not None:
+                if uid not in first_granted:
+                    first_granted.add(uid)
+                    first = True
+            if completes and uid is not None:
+                first_granted.discard(uid)
 
-        grant = Grant(
-            src, dst, demand.message_id, chunk, now, uid,
-            demand.carried_request is not None,
-        )
-        self.grants_issued += 1
-        return IssuedGrant(grant, demand, first, completes)
+            grant = Grant(
+                src, dst, demand.message_id, chunk, now, uid, for_response,
+            )
+            issued.append(IssuedGrant(grant, demand, first, completes))
+        self.grants_issued += len(issued)
+        return issued
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.scheduler.ordered_list import CycleMeter, OrderedList
+from repro.core.scheduler.ordered_list import OrderedList
 from repro.core.scheduler.policies import Policy
 from repro.errors import SchedulerError
 
@@ -97,7 +97,6 @@ class NotificationQueueBank:
         num_ports: N, switch port count.
         policy: priority policy used to order demands.
         max_active_per_pair: X, bound enforced per src-dst pair.
-        meter: shared cycle meter.
     """
 
     def __init__(
@@ -105,7 +104,6 @@ class NotificationQueueBank:
         num_ports: int,
         policy: Policy = Policy.SRPT,
         max_active_per_pair: int = DEFAULT_MAX_ACTIVE_PER_PAIR,
-        meter: Optional[CycleMeter] = None,
     ) -> None:
         if num_ports < 2:
             raise SchedulerError(f"need at least 2 ports, got {num_ports}")
@@ -114,7 +112,6 @@ class NotificationQueueBank:
         self.num_ports = num_ports
         self.policy = policy
         self.max_active_per_pair = max_active_per_pair
-        self.meter = meter if meter is not None else CycleMeter()
         # Priority extraction bound once: SRPT keys on remaining bytes,
         # FCFS on notification time (identical to priority_of per call).
         if policy is Policy.SRPT:
@@ -125,7 +122,7 @@ class NotificationQueueBank:
         # of the two directions (initiated writes + read responses).
         capacity = 2 * max_active_per_pair * num_ports
         self._queues: List[OrderedList[Demand]] = [
-            OrderedList(capacity=capacity, meter=self.meter) for _ in range(num_ports)
+            OrderedList(capacity=capacity) for _ in range(num_ports)
         ]
         self._pair_counts: Dict[Tuple[int, int, bool], int] = {}
         # Per-source index ``dst -> pending demand count``: when a source

@@ -6,73 +6,22 @@ these costs: insert and delete take 2 clock cycles each and are fully
 pipelined (one new operation may issue every cycle); reading the highest
 priority element takes 1 clock cycle.
 
-This module models that structure faithfully at the functional level —
-a priority-ordered list with stable FIFO tie-breaking — while *accounting*
-for the hardware cycle costs through a :class:`CycleMeter`, so higher
-layers (the PIM engine, the latency models) can convert operation counts
-into nanoseconds without the Python implementation needing to be O(1).
+This module models that structure at the functional level — a
+priority-ordered list with stable FIFO tie-breaking.  The simulated time
+of a matching round comes from §3.1.3's latency model
+(:func:`repro.core.clock.matching_latency_ns`), not from counting list
+operations, so the Python implementation need not be O(1).
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import SchedulerError
 
 T = TypeVar("T")
-
-#: Hardware cost of an insert, in scheduler clock cycles (§3.1.2).
-INSERT_CYCLES = 2
-
-#: Hardware cost of a delete, in scheduler clock cycles (§3.1.2).
-DELETE_CYCLES = 2
-
-#: Hardware cost of reading the highest-priority element (§3.1.2).
-PEEK_CYCLES = 1
-
-
-@dataclass
-class CycleMeter:
-    """Accumulates hardware cycle costs for the scheduler pipeline.
-
-    Pipelined operations overlap: issuing k back-to-back inserts costs
-    ``INSERT_CYCLES + (k - 1)`` cycles, not ``2k``.  The meter exposes both
-    the raw operation counts and the pipelined latency estimate.
-    """
-
-    inserts: int = 0
-    deletes: int = 0
-    peeks: int = 0
-
-    def charge_insert(self, count: int = 1) -> None:
-        self.inserts += count
-
-    def charge_delete(self, count: int = 1) -> None:
-        self.deletes += count
-
-    def charge_peek(self, count: int = 1) -> None:
-        self.peeks += count
-
-    @property
-    def total_operations(self) -> int:
-        return self.inserts + self.deletes + self.peeks
-
-    def pipelined_cycles(self) -> int:
-        """Latency of all charged work, assuming full pipelining per §3.1.2."""
-        cycles = 0
-        if self.inserts:
-            cycles += INSERT_CYCLES + (self.inserts - 1)
-        if self.deletes:
-            cycles += DELETE_CYCLES + (self.deletes - 1)
-        if self.peeks:
-            cycles += PEEK_CYCLES * self.peeks
-        return cycles
-
-    def reset(self) -> None:
-        self.inserts = self.deletes = self.peeks = 0
 
 
 class OrderedList(Generic[T]):
@@ -85,18 +34,12 @@ class OrderedList(Generic[T]):
     Args:
         capacity: maximum number of entries, mirroring the bounded SRAM of
             the hardware structure (``X * N`` for notification queues).
-        meter: optional shared :class:`CycleMeter` for cost accounting.
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        meter: Optional[CycleMeter] = None,
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise SchedulerError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.meter = meter if meter is not None else CycleMeter()
         self._keys: List[Tuple[float, int]] = []
         self._values: List[T] = []
         self._seq = itertools.count()
@@ -125,20 +68,17 @@ class OrderedList(Generic[T]):
         idx = bisect.bisect_right(self._keys, key)
         self._keys.insert(idx, key)
         self._values.insert(idx, value)
-        self.meter.inserts += 1
 
     def peek(self) -> T:
         """Return (without removing) the highest-priority value; 1 cycle."""
         if not self._keys:
             raise SchedulerError("peek on an empty ordered list")
-        self.meter.peeks += 1
         return self._values[0]
 
     def peek_priority(self) -> float:
         """Priority of the head element; shares the peek port (1 cycle)."""
         if not self._keys:
             raise SchedulerError("peek on an empty ordered list")
-        self.meter.peeks += 1
         return self._keys[0][0]
 
     def pop(self) -> T:
@@ -146,39 +86,44 @@ class OrderedList(Generic[T]):
         if not self._keys:
             raise SchedulerError("pop on an empty ordered list")
         self._keys.pop(0)
-        self.meter.deletes += 1
         return self._values.pop(0)
 
+    def _index(self, value: T) -> int:
+        # The first entry that is (or equals) ``value``; the scheduler's
+        # entries (demands, port ids) compare by identity or are unique.
+        try:
+            return self._values.index(value)
+        except ValueError:
+            raise SchedulerError(
+                f"value not present in ordered list: {value!r}"
+            ) from None
+
     def remove(self, value: T) -> None:
-        """Remove a specific entry (identity match first, equality fallback)."""
-        values = self._values
-        for i, v in enumerate(values):
-            if v is value:
-                break
-        else:
-            try:
-                i = values.index(value)
-            except ValueError:
-                raise SchedulerError(
-                    f"value not present in ordered list: {value!r}"
-                ) from None
+        """Remove a specific entry."""
+        i = self._index(value)
         del self._keys[i]
-        del values[i]
-        self.meter.deletes += 1
+        del self._values[i]
 
     def reprioritize(self, value: T, new_priority: float) -> None:
-        """Update an entry's priority (delete + insert: used when SRPT's
+        """Update an entry's priority: one delete + insert, so the entry
+        moves behind the ties of its new priority (used when SRPT's
         remaining-bytes state changes, §3.1.2)."""
-        self.remove(value)
-        self.insert(new_priority, value)
+        i = self._index(value)
+        keys = self._keys
+        values = self._values
+        del keys[i]
+        del values[i]
+        key = (new_priority, next(self._seq))
+        idx = bisect.bisect_right(keys, key)
+        keys.insert(idx, key)
+        values.insert(idx, value)
 
     def find_best(self, predicate) -> Optional[T]:
         """Highest-priority value satisfying ``predicate``, or None.
 
         In hardware, eligibility (the busy bits) is checked combinationally
-        alongside the peek, so this still charges a single peek.
+        alongside the peek (one cycle).
         """
-        self.meter.peeks += 1
         for v in self._values:
             if predicate(v):
                 return v

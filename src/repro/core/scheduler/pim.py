@@ -25,23 +25,25 @@ over every non-empty queue.  The grant engine's docstring states the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.scheduler.notification_queue import Demand, NotificationQueueBank
-from repro.core.scheduler.ordered_list import CycleMeter
 from repro.errors import SchedulerError
 
 #: Clock cycles per PIM iteration in EDM's hardware pipeline (§3.1.2).
 CYCLES_PER_ITERATION = 3
 
 
-@dataclass
 class MatchResult:
     """Outcome of one full (multi-iteration) matching round."""
 
-    matches: List[Demand] = field(default_factory=list)
-    iterations: int = 0
+    __slots__ = ("matches", "iterations")
+
+    def __init__(
+        self, matches: Optional[List[Demand]] = None, iterations: int = 0
+    ) -> None:
+        self.matches: List[Demand] = [] if matches is None else matches
+        self.iterations = iterations
 
     @property
     def cycles(self) -> int:
@@ -56,7 +58,6 @@ class PimMatcher:
 
     Args:
         bank: the per-destination demand queues.
-        meter: shared cycle meter (defaults to the bank's).
         max_iterations: cap on iterations per round; ``None`` runs until
             convergence (a maximal matching), which is what the hardware's
             free-running loop achieves.
@@ -65,11 +66,9 @@ class PimMatcher:
     def __init__(
         self,
         bank: NotificationQueueBank,
-        meter: Optional[CycleMeter] = None,
         max_iterations: Optional[int] = None,
     ) -> None:
         self.bank = bank
-        self.meter = meter if meter is not None else bank.meter
         if max_iterations is not None and max_iterations <= 0:
             raise SchedulerError(f"max_iterations must be positive: {max_iterations}")
         self.max_iterations = max_iterations
@@ -89,79 +88,63 @@ class PimMatcher:
         narrow it only to destinations that can still hold an eligible
         demand (see :class:`~repro.core.scheduler.grants.CentralScheduler`):
         the others never propose, so the result is unchanged.
+
+        Each iteration is one pass over the destinations still in play.
+        Cycle 1: every free destination proposes its highest-priority
+        demand from a free source (an inline scan of its priority-ordered
+        queue).  Cycle 2: each source keeps its lowest-priority-value
+        proposal; destinations propose in ascending port order, so ties go
+        to the lower port.  This is what loading the source's sorted
+        request array and priority-encoding it
+        (:class:`~repro.core.scheduler.priority_encoder.SourceRequestArray`)
+        selects.  Cycle 3: winners' ports turn busy.
+
+        Only the destinations that proposed and lost are revisited.  Busy
+        sets only grow inside a round and queues do not change, so a
+        destination that found no eligible demand never finds one later,
+        and a winner is busy.  Matches, their order (by each source's first
+        proposal) and the iteration count are those of re-scanning every
+        candidate each iteration.
         """
         if candidates is None:
             candidates = self.bank.nonempty_destinations()
-        result = MatchResult()
-        while True:
-            if (
-                self.max_iterations is not None
-                and result.iterations >= self.max_iterations
-            ):
+        queues = self.bank._queues
+        priority = self.bank._priority_of
+        cap = self.max_iterations
+        matches: List[Demand] = []
+        iterations = 0
+        pending = candidates
+        while pending and (cap is None or iterations < cap):
+            winners: Dict[int, Demand] = {}
+            contested: Dict[int, float] = {}
+            proposers: List[int] = []
+            for dst in pending:
+                if dst in busy_dst:
+                    continue
+                for demand in queues[dst]._values:
+                    src = demand.src
+                    if src in busy_src:
+                        continue
+                    proposers.append(dst)
+                    held = winners.get(src)
+                    if held is None:
+                        winners[src] = demand
+                    else:
+                        best = contested.get(src)
+                        if best is None:
+                            best = priority(held)
+                        p = priority(demand)
+                        if p < best:
+                            winners[src] = demand
+                            best = p
+                        contested[src] = best
+                    break
+            if not winners:
                 break
-            proposals = self._destination_proposals(candidates, busy_src, busy_dst)
-            if not proposals:
-                break
-            result.iterations += 1
-            accepted = self._source_resolution(proposals)
-            for demand in accepted:
+            iterations += 1
+            for demand in winners.values():
                 busy_src.add(demand.src)
                 busy_dst.add(demand.dst)
-                result.matches.append(demand)
-        return result
-
-    def _destination_proposals(
-        self, candidates: List[int], busy_src: Set[int], busy_dst: Set[int]
-    ) -> Dict[int, List[Demand]]:
-        """Cycle 1: each free destination proposes to one source."""
-        proposals: Dict[int, List[Demand]] = {}
-        bank = self.bank
-        queues = bank._queues
-        meter = bank.meter
-        # Only destinations with pending demands can propose; iterating
-        # the candidates in ascending port order matches a scan over all N
-        # ports (empty queues and non-candidates never propose) without
-        # the O(N) sweep per iteration.  The eligible head is found by an
-        # inline scan of the priority-ordered queue — equivalent to
-        # bank.best_eligible, charged as the same single combinational peek.
-        for dst in candidates:
-            if dst in busy_dst:
-                continue
-            meter.peeks += 1
-            for demand in queues[dst]._values:
-                if demand.src not in busy_src:
-                    src = demand.src
-                    bucket = proposals.get(src)
-                    if bucket is None:
-                        proposals[src] = [demand]
-                    else:
-                        bucket.append(demand)
-                    break
-        return proposals
-
-    def _source_resolution(self, proposals: Dict[int, List[Demand]]) -> List[Demand]:
-        """Cycle 2: each source picks its highest-priority proposer.
-
-        Functionally identical to loading the proposals into the source's
-        sorted request array and priority-encoding the winner
-        (:class:`~repro.core.scheduler.priority_encoder.SourceRequestArray`):
-        the array orders entries by (priority, insertion order) and the
-        encoder picks the first, i.e. the minimum over proposals by
-        priority with earlier-proposed (lower-numbered) destinations
-        winning ties.
-        """
-        accepted: List[Demand] = []
-        priority = self.bank._priority_of
-        for demands in proposals.values():
-            if len(demands) == 1:
-                accepted.append(demands[0])
-                continue
-            winner = demands[0]
-            best = priority(winner)
-            for demand in demands[1:]:
-                p = priority(demand)
-                if p < best:
-                    best = p
-                    winner = demand
-            accepted.append(winner)
-        return accepted
+                matches.append(demand)
+            pending = [dst for dst in proposers if dst not in busy_dst]
+        return MatchResult(matches, iterations)

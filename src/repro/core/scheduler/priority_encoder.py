@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.scheduler.ordered_list import CycleMeter, OrderedList
+from repro.core.scheduler.ordered_list import OrderedList
 from repro.errors import SchedulerError
 
 #: Hardware cost of one priority-encoder resolution, in clock cycles.
@@ -40,18 +40,16 @@ class SourceRequestArray:
 
     Args:
         num_ports: N, the number of switch ports.
-        meter: shared cycle meter for hardware cost accounting.
     """
 
-    def __init__(self, num_ports: int, meter: Optional[CycleMeter] = None) -> None:
+    def __init__(self, num_ports: int) -> None:
         if num_ports < 2:
             raise SchedulerError(f"need at least 2 ports, got {num_ports}")
         self.num_ports = num_ports
-        self.meter = meter if meter is not None else CycleMeter()
         # Ordered list of destination port ids keyed by the best priority in
         # that destination's notification queue (§3.1.2: "implemented using
         # the same ordered list data structure as the notification queue").
-        self._order: OrderedList[int] = OrderedList(capacity=num_ports, meter=self.meter)
+        self._order: OrderedList[int] = OrderedList(capacity=num_ports)
         self._present = [False] * num_ports
         self._flags = [False] * num_ports
         self.encodes = 0

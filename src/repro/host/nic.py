@@ -16,9 +16,11 @@ simulation needs for the latter.
 
 This module is the single hottest model layer in the EDM fabric — every
 granted chunk crosses it three times (grant RX, chunk TX, chunk RX) — so
-the RX/TX pipeline stages precompute their cycle delays, post
-fire-and-forget events (no cancellation handles), and recycle the pooled
-wire transfers they consume.
+the RX/TX pipeline stages precompute their cycle delays, push
+fire-and-forget entries straight onto the host's lane (no cancellation
+handles, no scheduling frame; see :mod:`repro.sim.engine`), read the
+clock from the root simulator, and recycle the pooled wire transfers they
+consume.
 """
 
 from __future__ import annotations
@@ -232,7 +234,10 @@ class EdmHostNic(Process):
         uplink = self.uplink
         if uplink is None:
             raise HostError(f"node {self.node_id} has no uplink attached")
-        self.sim.post(after_ns, partial(uplink.send, transfer, transfer.blocks * 8))
+        self._push((
+            self._clock._now + after_ns, 0, next(self._seq),
+            partial(uplink.send, transfer, transfer.blocks * 8),
+        ))
 
     # ------------------------------------------------------------------ #
     # compute-side API (§2.3's four message types)                       #
@@ -249,7 +254,7 @@ class EdmHostNic(Process):
         message_id = self.ids.allocate(dst)
         message = make_rreq(
             self.node_id, dst, address, nbytes,
-            message_id=message_id, created_at=self.sim._now,
+            message_id=message_id, created_at=self._clock._now,
         )
         self._launch_request(message, on_complete)
         return message
@@ -271,7 +276,7 @@ class EdmHostNic(Process):
         message_id = self.ids.allocate(dst)
         message = make_rmwreq(
             self.node_id, dst, address, opcode, args,
-            message_id=message_id, created_at=self.sim._now,
+            message_id=message_id, created_at=self._clock._now,
         )
         self._launch_request(message, on_complete)
         return message
@@ -285,7 +290,7 @@ class EdmHostNic(Process):
     ) -> MemoryMessage:
         """Issue a remote write; sends an explicit /N/ and awaits grants."""
         message_id = self.ids.allocate(dst)
-        now = self.sim._now
+        now = self._clock._now
         message = make_wreq(
             self.node_id, dst, address, nbytes,
             message_id=message_id, created_at=now,
@@ -303,7 +308,7 @@ class EdmHostNic(Process):
     def _launch_request(
         self, message: MemoryMessage, on_complete: CompletionCallback
     ) -> None:
-        self.router.register(message.uid, on_complete, self.sim._now)
+        self.router.register(message.uid, on_complete, self._clock._now)
         self.state_table.add(
             message.dst, message.message_id,
             MessageState(message=message, completion_callback=on_complete),
@@ -328,7 +333,7 @@ class EdmHostNic(Process):
             dst=message.dst,
             message_id=message.message_id,
             size_bytes=message.size_bytes,
-            notified_at=self.sim._now,
+            notified_at=self._clock._now,
             message_uid=message.uid,
         )
         self._send(notify_transfer(notification), self._d_tx_request)
@@ -341,7 +346,7 @@ class EdmHostNic(Process):
         self.state_table.remove(message.dst, message.message_id)
         self.ids.release(message.dst, message.message_id)
         self._release_limiter_slot(message.dst)
-        self.router.fire(message.uid, message, self.sim._now, data=b"", timed_out=True)
+        self.router.fire(message.uid, message, self._clock._now, data=b"", timed_out=True)
 
     # ------------------------------------------------------------------ #
     # RX path                                                            #
@@ -356,7 +361,10 @@ class EdmHostNic(Process):
             # envelope is exhausted here; only the grant payload lives on.
             grant = transfer.grant
             release_transfer(transfer)
-            self.sim.post(self._d_rx_grant, partial(self._emit_chunk, grant))
+            self._push((
+                self._clock._now + self._d_rx_grant, 0, next(self._seq),
+                partial(self._emit_chunk, grant),
+            ))
         elif kind == KIND_REQUEST:
             # An RREQ/RMWREQ forwarded by the switch = implicit first grant.
             if self.controller is None:
@@ -365,11 +373,15 @@ class EdmHostNic(Process):
                     f"{transfer.message.mtype.value} but has no memory "
                     f"controller attached"
                 )
-            self.sim.post(
-                self._d_rx_rreq, partial(self._service_request, transfer.message)
-            )
+            self._push((
+                self._clock._now + self._d_rx_rreq, 0, next(self._seq),
+                partial(self._service_request, transfer.message),
+            ))
         elif kind == KIND_DATA_CHUNK:
-            self.sim.post(self._d_rx_data, partial(self._absorb_chunk, transfer))
+            self._push((
+                self._clock._now + self._d_rx_data, 0, next(self._seq),
+                partial(self._absorb_chunk, transfer),
+            ))
         else:
             raise HostError(f"host received unexpected transfer kind {transfer.kind}")
 
@@ -435,7 +447,7 @@ class EdmHostNic(Process):
     def _service_request(self, message: MemoryMessage) -> None:
         controller = self.controller
         assert controller is not None
-        now = self.sim._now
+        now = self._clock._now
         result, done_at = controller.execute_message(message, now)
         rres = make_rres(message, created_at=now)
         state = MessageState(message=rres, data_ready=False)
@@ -445,10 +457,14 @@ class EdmHostNic(Process):
             if early is not None:
                 state.pending_grants.extend(early)
         wait = max(0.0, done_at - now)
-        self.sim.post(wait, partial(self._rres_data_ready, rres, state))
+        self._push((
+            now + wait, 0, next(self._seq),
+            partial(self._rres_data_ready, rres, state),
+        ))
 
     def _rres_data_ready(self, rres: MemoryMessage, state: MessageState) -> None:
         state.data_ready = True
+        now = self._clock._now
         # The forwarded request acted as the grant for the first chunk
         # (§3.1.1 step 4): emit it now.  4 grant-queue cycles + 3 TX cycles.
         size = rres.size_bytes
@@ -458,13 +474,14 @@ class EdmHostNic(Process):
             dst=rres.dst,
             message_id=rres.message_id,
             chunk_bytes=chunk if chunk < size else size,
-            granted_at=self.sim._now,
+            granted_at=now,
             message_uid=rres.uid,
             for_response=True,
         )
-        self.sim.post(
-            self._d_grant_read, partial(self._emit_chunk_if_pending, state, grant)
-        )
+        self._push((
+            now + self._d_grant_read, 0, next(self._seq),
+            partial(self._emit_chunk_if_pending, state, grant),
+        ))
 
     def _emit_chunk_if_pending(self, state: MessageState, grant: Grant) -> None:
         pending = state.pending_grants
@@ -504,7 +521,7 @@ class EdmHostNic(Process):
             )
         if transfer.is_final_chunk:
             message = transfer.message
-            now = self.sim._now
+            now = self._clock._now
             self.controller.write(message.address, _zeros(message.size_bytes), now)
             self.messages_completed += 1
             self.router.fire(message.uid, message, now)
@@ -527,7 +544,7 @@ class EdmHostNic(Process):
             self._release_limiter_slot(peer)
             self.messages_completed += 1
             self.router.fire(
-                original.uid, original, self.sim._now,
+                original.uid, original, self._clock._now,
                 data=_zeros(transfer.chunk_bytes),
             )
 

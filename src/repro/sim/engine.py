@@ -18,7 +18,8 @@ heap against an independent sorted-list kernel to check the order.
 Scheduling surface (see docs/DETERMINISM.md for the full contract):
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — cancellable,
-  return an :class:`EventHandle`; the entry's payload is an :class:`_Event`.
+  return the pending :class:`_Event` itself (exported as
+  :data:`EventHandle`), which is also the entry's payload.
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget; the
   hot paths use these because they skip the handle and the event object:
   the entry's payload is the bare callback.
@@ -43,11 +44,20 @@ event and *how many* events it had scheduled before.  The EDM golden
 fixtures pin the order these lanes produce, and fault events keyed on a
 link's lane keep their keys however the rest of the cluster is wired
 (docs/DETERMINISM.md).
+
+A seq counter keeps its identity for the simulator's lifetime (it only
+ever advances in place), so a hot path may hold its lane's clock (the
+root :class:`Simulator`), seq counter and bound push, and push
+``(time, priority, next(seq), callback)`` entries itself:
+:class:`Process` binds them once as ``_clock``, ``_seq`` and ``_push``.
+Such a push skips the time checks, so it is only for times that are
+finite and not before ``now`` by construction.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
@@ -85,12 +95,17 @@ def process_events_executed() -> int:
 
 
 class _Event:
-    """One pending callback.  Slotted: the hot loop allocates millions."""
+    """One pending cancellable callback, and its own cancellation handle.
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "in_queue")
+    Slotted: arming a timer allocates this one object.  The entry tuple
+    pushed for it carries the event as its payload, so the kernel can
+    skip it once cancelled.
+    """
+
+    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "in_queue", "_kernel")
 
     def __init__(
-        self, time: float, priority: int, seq: int, callback: EventCallback
+        self, time: float, priority: int, seq: int, callback: EventCallback, kernel: Any
     ) -> None:
         self.time = time
         self.priority = priority
@@ -98,37 +113,23 @@ class _Event:
         self.callback = callback
         self.cancelled = False
         self.in_queue = True
+        self._kernel = kernel
+
+    def cancel(self) -> None:
+        """Cancel the event; a no-op if it already fired or was cancelled."""
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self.in_queue:
+            self._kernel.on_cancel(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<_Event t={self.time} prio={self.priority} seq={self.seq} {state}>"
 
 
-class EventHandle:
-    """Opaque handle allowing a scheduled event to be cancelled."""
-
-    __slots__ = ("_event", "_kernel")
-
-    def __init__(self, event: _Event, kernel: "_HeapKernel") -> None:
-        self._event = event
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Cancel the event; a no-op if it already fired."""
-        event = self._event
-        if event.cancelled:
-            return
-        event.cancelled = True
-        if event.in_queue:
-            self._kernel.on_cancel(event)
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+#: The public name of what :meth:`Simulator.schedule` returns.
+EventHandle = _Event
 
 
 #: Queue entries are plain tuples so heap sifts and comparisons run at C
@@ -146,10 +147,11 @@ class _HeapKernel:
     comparisons run in C; ``seq`` is unique, so the payload never
     compares.  Fire-and-forget events push through :attr:`push_raw`, a
     ``partial(heappush, heap)`` bound once, so posting an event costs no
-    Python frame.  Cancellable events carry an :class:`_Event` payload:
-    a cancelled one stays as a tombstone until it surfaces at the top, or
-    until tombstones outnumber live events and the heap is compacted in
-    place (the bound ``push_raw`` keeps pointing at the same list).
+    Python frame.  Cancellable events enter the same way with an
+    :class:`_Event` payload: a cancelled one stays as a tombstone until it
+    surfaces at the top, or until tombstones outnumber live events and the
+    heap is compacted in place (the bound ``push_raw`` keeps pointing at
+    the same list).
     """
 
     __slots__ = ("_heap", "_tombstones", "push_raw")
@@ -161,9 +163,6 @@ class _HeapKernel:
 
     def __len__(self) -> int:
         return len(self._heap) - self._tombstones
-
-    def push(self, event: _Event) -> None:
-        heappush(self._heap, (event.time, event.priority, event.seq, event))
 
     def push_raw_batch(self, entries: List[_Entry]) -> None:
         heap = self._heap
@@ -253,6 +252,11 @@ class Simulator:
         return self._now
 
     @property
+    def root(self) -> "Simulator":
+        """This simulator: the clock a :class:`LaneView` shares."""
+        return self
+
+    @property
     def events_processed(self) -> int:
         return self._events_processed
 
@@ -283,20 +287,17 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        time = self._now + delay
-        self._check_time(time)
-        event = _Event(time, priority, next(self._seq), callback)
-        self._queue.push(event)
-        return EventHandle(event, self._queue)
+        return self.schedule_at(self._now + delay, callback, priority=priority)
 
     def schedule_at(
         self, time: float, callback: EventCallback, *, priority: int = 0
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulation time ``time``."""
         self._check_time(time)
-        event = _Event(time, priority, next(self._seq), callback)
-        self._queue.push(event)
-        return EventHandle(event, self._queue)
+        seq = next(self._seq)
+        event = _Event(time, priority, seq, callback, self._queue)
+        self._push((time, priority, seq, event))
+        return event
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, so no cancellation.
@@ -359,8 +360,9 @@ class Simulator:
         stable-sorted by ``key``: every time is validated before anything is
         queued, and the n arrivals take one contiguous block ``[s, s + n)``
         of the root seq counter, so every later root-lane seq is unchanged
-        too.  Only the
-        next arrival is pending: each one pushes its successor before it
+        too.  The counter advances in place past the block, so a component
+        holding it keeps drawing fresh seqs.  Only the next arrival is
+        pending: each one pushes its successor before it
         calls ``launch``, so the queue holds one arrival however long the
         workload.  Returns the number of arrivals.
         """
@@ -370,8 +372,10 @@ class Simulator:
         count = len(ordered)
         if not count:
             return 0
+        # Reserve the block by advancing the counter in place: components
+        # hold this counter object, so it must never be rebound.
         first_seq = next(self._seq)
-        self._seq = itertools.count(first_seq + count)
+        deque(itertools.islice(self._seq, count - 1), maxlen=0)
         push = self._push
         arrivals = iter(ordered)
         seqs = itertools.count(first_seq)
@@ -444,10 +448,6 @@ class LaneView:
         return self.root._now
 
     @property
-    def _now(self) -> float:
-        return self.root._now
-
-    @property
     def events_processed(self) -> int:
         return self.root._events_processed
 
@@ -467,9 +467,10 @@ class LaneView:
     ) -> EventHandle:
         root = self.root
         root._check_time(time)
-        event = _Event(time, priority, next(self._seq), callback)
-        root._queue.push(event)
-        return EventHandle(event, root._queue)
+        seq = next(self._seq)
+        event = _Event(time, priority, seq, callback, root._queue)
+        self._push((time, priority, seq, event))
+        return event
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
         root = self.root
@@ -530,6 +531,11 @@ class Process:
             self.ctx = None
             self.sim = sim
         self.name = name or type(self).__name__
+        # Hot-path handles (see the module docstring): the shared clock and
+        # this component's lane counter and push.
+        self._clock: Simulator = self.sim.root
+        self._seq = self.sim._seq
+        self._push = self.sim._push
 
     def schedule(
         self, delay: float, callback: EventCallback, *, priority: int = 0

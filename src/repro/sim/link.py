@@ -106,8 +106,7 @@ class Link(Process):
             raise SimulationError(f"link {self.name!r} has no receiver connected")
         if size_bytes <= 0:
             raise SimulationError(f"payload size must be positive, got {size_bytes}")
-        sim = self.sim
-        now = sim._now
+        now = self._clock._now
         free = self._tx_free_at
         start = free if free > now else now
         finish = start + size_bytes * 8.0 / self._effective_rate
@@ -118,7 +117,7 @@ class Link(Process):
         # Inlined post_at: arrival >= now by construction (start >= now,
         # positive serialization, non-negative propagation) and finite for
         # finite payload sizes, so post_at's validation cannot fire here.
-        sim._push((arrival, 0, next(sim._seq), partial(receiver, payload)))
+        self._push((arrival, 0, next(self._seq), partial(receiver, payload)))
         return arrival
 
     def send_batch(self, items: Iterable[Tuple[Any, int]]) -> List[float]:
@@ -135,7 +134,7 @@ class Link(Process):
         receiver = self.receiver
         if receiver is None:
             raise SimulationError(f"link {self.name!r} has no receiver connected")
-        now = self.sim._now
+        now = self._clock._now
         free = self._tx_free_at
         rate = self._effective_rate
         propagation = self.propagation_ns

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 from repro.core.clock import PCS_CYCLE_NS
 from repro.core.messages import MessageType
-from repro.core.scheduler import CentralScheduler, Demand, IssuedGrant, SchedulerConfig
+from repro.core.scheduler import CentralScheduler, Demand, SchedulerConfig
 from repro.errors import FabricError
 from repro.host import cycles
 from repro.host.wire import (
@@ -30,7 +30,7 @@ from repro.host.wire import (
     WireTransfer,
     grant_transfer,
 )
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import EventHandle, Process, Simulator
 from repro.sim.link import Link
 
 
@@ -48,16 +48,19 @@ class EdmSwitch(Process):
         self.cycle_ns = cycle_ns
         self.egress: Dict[int, Link] = {}
         self._round_armed_at: Optional[float] = None
-        self._round_handle = None
+        self._round_handle: Optional[EventHandle] = None
+        self._kernel = self._clock._queue
         self.transfers_forwarded = 0
         self.demands_accepted = 0
-        # Per-event pipeline delays, fixed at construction.
+        # Per-event pipeline delays and the matching latency, fixed at
+        # construction.
         self._d_classify = cycles.SWITCH_RX_CLASSIFY_CYCLES * cycle_ns
         self._d_classify_forward = (
             cycles.SWITCH_RX_CLASSIFY_CYCLES + cycles.SWITCH_FORWARD_CYCLES
         ) * cycle_ns
         self._d_forward = cycles.SWITCH_FORWARD_CYCLES * cycle_ns
         self._d_tx_grant = cycles.SWITCH_TX_GRANT_CYCLES * cycle_ns
+        self._d_matching = scheduler_config.matching_latency_ns
 
     # ------------------------------------------------------------------ #
     # wiring                                                             #
@@ -82,19 +85,25 @@ class EdmSwitch(Process):
     def on_ingress(self, transfer: WireTransfer) -> None:
         """Entry point for a transfer arriving from any host uplink."""
         kind = transfer.kind
+        # Each stage is a fire-and-forget entry pushed straight onto the
+        # switch's lane (engine module docstring): the delays are positive
+        # constants, so the time checks cannot fire.
         if kind == KIND_DATA_CHUNK:
             # Virtual circuit: no parsing, 4 cycles RX->TX clock movement.
-            self.sim.post(
-                self._d_classify_forward, partial(self._forward, transfer)
-            )
+            self._push((
+                self._clock._now + self._d_classify_forward, 0, next(self._seq),
+                partial(self._forward, transfer),
+            ))
         elif kind == KIND_NOTIFY:
-            self.sim.post(
-                self._d_classify, partial(self._accept_notification, transfer)
-            )
+            self._push((
+                self._clock._now + self._d_classify, 0, next(self._seq),
+                partial(self._accept_notification, transfer),
+            ))
         elif kind == KIND_REQUEST:
-            self.sim.post(
-                self._d_classify, partial(self._accept_request, transfer)
-            )
+            self._push((
+                self._clock._now + self._d_classify, 0, next(self._seq),
+                partial(self._accept_request, transfer),
+            ))
         else:
             raise FabricError(f"switch cannot ingest transfer kind {transfer.kind}")
 
@@ -106,7 +115,7 @@ class EdmSwitch(Process):
             dst=notification.dst,
             message_id=notification.message_id,
             total_bytes=notification.size_bytes,
-            notified_at=self.sim._now,
+            notified_at=self._clock._now,
             message_uid=notification.message_uid,
         )
         self.scheduler.notify(demand)
@@ -124,7 +133,7 @@ class EdmSwitch(Process):
             dst=message.src,
             message_id=message.message_id,
             total_bytes=message.response_demand_bytes,
-            notified_at=self.sim._now,
+            notified_at=self._clock._now,
             message_uid=message.uid,
             carried_request=transfer,
         )
@@ -149,11 +158,7 @@ class EdmSwitch(Process):
         the current chunk's reception (§3.1.3 sizes the chunk so the link
         stays busy while the next maximal matching forms).
         """
-        fire_at = (
-            self.sim._now + self.scheduler.config.matching_latency_ns
-            if at is None
-            else at
-        )
+        fire_at = self._clock._now + self._d_matching if at is None else at
         if self._round_armed_at is not None and self._round_armed_at <= fire_at:
             return  # a round is already armed at least as early
         if self._round_handle is not None:
@@ -161,21 +166,46 @@ class EdmSwitch(Process):
             # duplicate: the kernel lazily deletes the tombstone.
             self._round_handle.cancel()
         self._round_armed_at = fire_at
-        self._round_handle = self.sim.schedule_at(
-            fire_at, self._run_round, priority=1
+        # The cancellable event is its own handle, pushed straight onto the
+        # lane: fire_at is now plus a positive latency, or a pending port
+        # release, which the round that read it left strictly in the future.
+        seq = next(self._seq)
+        event = self._round_handle = EventHandle(
+            fire_at, 1, seq, self._run_round, self._kernel
         )
+        self._push((fire_at, 1, seq, event))
 
     def _run_round(self) -> None:
         self._round_armed_at = None
         self._round_handle = None
-        now = self.sim._now
+        now = self._clock._now
         scheduler = self.scheduler
         issued = scheduler.schedule(now)
-        deliver = self._deliver_grant
+        push = self._push
+        seq = self._seq
         for item in issued:
-            deliver(item)
+            demand = item.demand
+            if item.is_first_for_rres and demand.carried_request is not None:
+                # The buffered RREQ/RMWREQ *is* the first grant (§3.1.1
+                # step 4): forward it to the memory node through the new
+                # circuit.
+                push((
+                    now + self._d_forward, 0, next(seq),
+                    partial(self._forward, demand.carried_request),
+                ))
+                continue
+            # Otherwise a /G/ block to the data sender (WREQ: the compute
+            # node; RRES chunks beyond the first: the memory node).
+            sender = demand.src
+            transfer = grant_transfer(item.grant, sender)
+            push((
+                now + self._d_tx_grant, 0, next(seq),
+                partial(self._egress_for(sender).send, transfer, transfer.blocks * 8),
+            ))
         if scheduler.pending_demands:
-            next_release = scheduler.next_release_after(now)
+            # schedule() already expired every release due by now, so the
+            # heap's head is the next one, without a second expiry pass.
+            next_release = scheduler.next_release()
             if next_release is not None:
                 self._arm_round(at=next_release)
             elif not issued:
@@ -185,21 +215,3 @@ class EdmSwitch(Process):
                 )
             else:
                 self._arm_round()
-
-    def _deliver_grant(self, item: IssuedGrant) -> None:
-        demand = item.demand
-        if item.is_first_for_rres and demand.carried_request is not None:
-            # The buffered RREQ/RMWREQ *is* the first grant (§3.1.1 step 4):
-            # forward it to the memory node through the new circuit.
-            self.sim.post(
-                self._d_forward, partial(self._forward, demand.carried_request)
-            )
-            return
-        # Otherwise a /G/ block to the data sender (WREQ: the compute node;
-        # RRES chunks beyond the first: the memory node).
-        sender = demand.src
-        transfer = grant_transfer(item.grant, sender)
-        self.sim.post(
-            self._d_tx_grant,
-            partial(self._egress_for(sender).send, transfer, transfer.blocks * 8),
-        )

@@ -33,9 +33,6 @@ class SortedListKernel:
     def __len__(self):
         return len(self._entries)
 
-    def push(self, event):
-        insort(self._entries, (event.time, event.priority, event.seq, event))
-
     def push_raw(self, entry):
         insort(self._entries, entry)
 

@@ -8,6 +8,7 @@ from reference_kernel import each_kernel
 
 from repro.errors import SimulationError
 from repro.sim.engine import LaneView, Simulator
+from repro.sim.link import Link
 
 
 class TestScheduling:
@@ -96,6 +97,39 @@ class TestCancellation:
         sim.schedule(20, lambda: None)
         handle.cancel()
         assert sim.pending_events == 1
+
+
+class TestSeqCounterIdentity:
+    """A component may hold its lane's seq counter: it is never rebound."""
+
+    def test_inject_arrivals_advances_a_held_counter_past_its_block(self):
+        sim = Simulator()
+        held = sim._seq
+        count = sim.inject_arrivals(
+            [0.0, 0.64, 0.64], lambda item: None, key=lambda item: item
+        )
+        assert count == 3
+        assert sim._seq is held
+        # The arrivals took seqs [0, 3); the next root-lane seq follows.
+        assert next(held) == 3
+
+    def test_root_lane_link_sends_after_injected_arrivals(self, kernel):
+        # A link on the root lane holds the root counter.  Its delivery
+        # ties the second and third arrivals on (time, priority), so a
+        # reused seq would compare the entries' callbacks.
+        sim, seen = Simulator(), []
+        link = Link(sim, bandwidth_gbps=100.0, propagation_ns=0.0,
+                    receiver=lambda payload: seen.append((sim.now, payload)))
+
+        def launch(item):
+            seen.append((sim.now, item))
+            if item == "a":
+                link.send("delivered", 8)
+
+        times = {"a": 0.0, "b": 0.64, "c": 0.64}
+        sim.inject_arrivals(list(times), launch, key=times.get)
+        sim.run()
+        assert seen == [(0.0, "a"), (0.64, "b"), (0.64, "c"), (0.64, "delivered")]
 
 
 class TestDeterminism:

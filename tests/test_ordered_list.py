@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scheduler.ordered_list import (
-    DELETE_CYCLES,
-    INSERT_CYCLES,
-    PEEK_CYCLES,
-    CycleMeter,
-    OrderedList,
-)
+from repro.core.scheduler.ordered_list import OrderedList
 from repro.errors import SchedulerError
 
 
@@ -94,34 +88,6 @@ class TestErrors:
     def test_zero_capacity_rejected(self):
         with pytest.raises(SchedulerError):
             OrderedList(capacity=0)
-
-
-class TestCycleMeter:
-    def test_costs_match_paper(self):
-        # §3.1.2: insert/delete 2 cycles, peek 1 cycle.
-        assert INSERT_CYCLES == 2 and DELETE_CYCLES == 2 and PEEK_CYCLES == 1
-
-    def test_operations_are_charged(self):
-        meter = CycleMeter()
-        ol = OrderedList(meter=meter)
-        ol.insert(1.0, "a")
-        ol.peek()
-        ol.pop()
-        assert (meter.inserts, meter.peeks, meter.deletes) == (1, 1, 1)
-
-    def test_pipelined_cycles_overlap(self):
-        # k back-to-back inserts cost 2 + (k-1) cycles, not 2k (§3.1.2:
-        # "fully pipelined, i.e., one may issue a new operation every
-        # clock cycle").
-        meter = CycleMeter()
-        meter.charge_insert(10)
-        assert meter.pipelined_cycles() == INSERT_CYCLES + 9
-
-    def test_reset(self):
-        meter = CycleMeter()
-        meter.charge_peek(5)
-        meter.reset()
-        assert meter.total_operations == 0
 
 
 class TestProperties:
