@@ -270,7 +270,7 @@ class EdmFabric(Fabric):
 
     def run(
         self,
-        messages,
+        messages: List[OfferedMessage],
         *,
         deadline_ns: Optional[float] = None,
     ) -> FabricResult:
@@ -303,21 +303,8 @@ class EdmFabric(Fabric):
             else:
                 nic.write(message.dst, address, message.size_bytes, on_complete)
 
-        if isinstance(messages, (list, tuple)):
-            ctx.sim.inject_arrivals(messages, launch, key=arrival_time)
-            ctx.sim.run(until=deadline_ns)
-            offered = len(messages)
-        else:
-            # A streaming Workload (or any time-ordered iterable): inject
-            # lazily through the kernel, one chunk of arrivals at a time,
-            # so resident memory stays O(1) in message count.  The
-            # feeder's deterministic seq ordering keeps the event order
-            # identical to the materialized batch path.
-            from repro.workloads.api import WorkloadFeeder
-
-            feeder = WorkloadFeeder(ctx.sim, messages, launch).start()
-            ctx.sim.run(until=deadline_ns)
-            offered = feeder.fed
+        offered = ctx.sim.inject_arrivals(messages, launch, key=arrival_time)
+        ctx.sim.run(until=deadline_ns)
         result.incomplete = offered - len(result.records)
         ctx.stats.incr("messages_offered", offered)
         ctx.stats.incr("sim_events", ctx.sim.events_processed)

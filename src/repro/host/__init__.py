@@ -7,12 +7,10 @@ from repro.host.nic import (
     HostConfig,
 )
 from repro.host.state import (
-    MegaMessage,
     MessageIdAllocator,
     MessageState,
     MessageStateTable,
     NotificationRateLimiter,
-    batch_for_destination,
 )
 from repro.host.wire import (
     TransferKind,
@@ -28,14 +26,12 @@ __all__ = [
     "CompletionRouter",
     "EdmHostNic",
     "HostConfig",
-    "MegaMessage",
     "MessageIdAllocator",
     "MessageState",
     "MessageStateTable",
     "NotificationRateLimiter",
     "TransferKind",
     "WireTransfer",
-    "batch_for_destination",
     "chunk_transfer",
     "grant_transfer",
     "notify_transfer",

@@ -387,7 +387,7 @@ class EdmHostNic(Process):
 
     # -- grants --------------------------------------------------------- #
 
-    def _emit_chunk(self, grant: Grant, batch: Optional[list] = None) -> None:
+    def _emit_chunk(self, grant: Grant) -> None:
         table = self.serving_table if grant.for_response else self.state_table
         state = table.find(grant.dst, grant.message_id)
         if state is None:
@@ -405,12 +405,7 @@ class EdmHostNic(Process):
         uplink = self.uplink
         if uplink is None:
             raise HostError(f"node {self.node_id} has no uplink attached")
-        if batch is None:
-            uplink.send(transfer, transfer.blocks * 8)
-        else:
-            # Coalesced drain: the caller flushes the batch through
-            # Link.send_batch, which replays these sends bit-identically.
-            batch.append((transfer, transfer.blocks * 8))
+        uplink.send(transfer, transfer.blocks * 8)
         if final:
             # Sender-side state is done; receiver-side completion fires when
             # the last chunk lands.
@@ -484,21 +479,12 @@ class EdmHostNic(Process):
         ))
 
     def _emit_chunk_if_pending(self, state: MessageState, grant: Grant) -> None:
+        self._emit_chunk(grant)
+        # Grants that piled up while the memory read was in flight (nonzero
+        # DRAM latency) follow the first chunk back to back.
         pending = state.pending_grants
-        if not pending:
-            self._emit_chunk(grant)
-            return
-        # Grants piled up while the memory read was in flight (nonzero DRAM
-        # latency): emit the whole granted circuit as one coalesced link
-        # batch — one kernel injection for N chunks instead of N.
-        batch: list = []
-        self._emit_chunk(grant, batch)
         while pending:
-            self._emit_chunk(pending.pop(0), batch)
-        if batch:
-            uplink = self.uplink
-            assert uplink is not None
-            uplink.send_batch(batch)
+            self._emit_chunk(pending.pop(0))
 
     # -- data chunks ----------------------------------------------------- #
 

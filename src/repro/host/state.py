@@ -1,4 +1,4 @@
-"""Host-side state: message state table, rate limiter, and batching (§3.2.1).
+"""Host-side state: message state table, rate limiter and id allocator (§3.2.1).
 
 * The **message state table**, indexed by (destination, message id), holds
   the local buffer address for pending reads and the (remote address, data
@@ -6,8 +6,6 @@
 * The **rate limiter** enforces at most X active notifications per
   destination, which is what bounds the switch's per-port notification
   queues to X*N entries (§3.1.2).
-* **Mega-message batching** folds several small pending messages to the
-  same destination into one notification, reducing /N/ overhead (§3.1.2).
 * The **message id allocator** hands out the 8-bit per-destination ids.
 
 All of this state grows with the traffic, not with cluster size times the
@@ -18,7 +16,6 @@ costs an id watermark until it first releases an id.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.messages import MemoryMessage
@@ -177,45 +174,3 @@ class NotificationRateLimiter:
             return backlog.popleft()  # slot transfers to the backlogged message
         self._active[dst] = active - 1
         return None
-
-
-@dataclass
-class MegaMessage:
-    """Several small messages to one destination batched under one
-    notification (§3.1.2's "mega" message optimization)."""
-
-    dst: int
-    members: List[MemoryMessage] = field(default_factory=list)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.size_bytes for m in self.members)
-
-
-def batch_for_destination(
-    pending: List[MemoryMessage],
-    dst: int,
-    max_batch_bytes: int = 4096,
-) -> Tuple[Optional[MegaMessage], List[MemoryMessage]]:
-    """Fold pending small messages toward ``dst`` into one mega message.
-
-    Returns (mega, leftovers).  Only write requests are batched — reads
-    need no notification at all.
-    """
-    if max_batch_bytes <= 0:
-        raise HostError(f"batch bound must be positive: {max_batch_bytes}")
-    members: List[MemoryMessage] = []
-    leftovers: List[MemoryMessage] = []
-    total = 0
-    for message in pending:
-        if message.dst != dst:
-            leftovers.append(message)
-            continue
-        if total + message.size_bytes <= max_batch_bytes:
-            members.append(message)
-            total += message.size_bytes
-        else:
-            leftovers.append(message)
-    if not members:
-        return None, leftovers
-    return MegaMessage(dst=dst, members=members), leftovers

@@ -10,6 +10,7 @@ fault window all fail at construction time, not mid-sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -236,8 +237,10 @@ class ScenarioSpec:
             raise ScenarioError(f"cluster needs >= 2 nodes: {self.num_nodes}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be non-negative: {self.seed}")
-        if self.deadline_ns is not None and self.deadline_ns <= 0:
-            raise ScenarioError(f"deadline must be positive: {self.deadline_ns}")
+        if self.deadline_ns is not None and not 0 < self.deadline_ns < math.inf:
+            raise ScenarioError(
+                f"deadline must be positive and finite: {self.deadline_ns}"
+            )
         self._check_degraded_overlap()
 
     def _check_degraded_overlap(self) -> None:

@@ -7,11 +7,10 @@ from repro.sim.engine import (
     Simulator,
     process_events_executed,
 )
-from repro.sim.link import DuplexLink, Link
+from repro.sim.link import Link
 from repro.sim.rng import make_rng
 
 __all__ = [
-    "DuplexLink",
     "EventHandle",
     "Link",
     "Process",

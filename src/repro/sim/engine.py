@@ -23,13 +23,13 @@ Scheduling surface (see docs/DETERMINISM.md for the full contract):
 * :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget; the
   hot paths use these because they skip the handle and the event object:
   the entry's payload is the bare callback.
-* :meth:`Simulator.schedule_batch` — bulk insertion with sequence numbers
-  assigned in iteration order, bit-identical to a loop of ``schedule`` calls.
 * :meth:`Simulator.inject_arrivals` — a workload's arrivals with the keys
-  ``schedule_batch`` would give them, but only the next one pending.
+  a loop of ``post_at`` over the stable-sorted items would give them, but
+  only the next one pending.
 
-The clock is monotone: scheduling before ``now`` and ``run(until=t)``
-with ``t < now`` both raise :class:`~repro.errors.SimulationError`.
+The clock is monotone and finite: scheduling before ``now``,
+``run(until=t)`` with ``t < now``, and an inf or NaN event time or run
+horizon all raise :class:`~repro.errors.SimulationError`.
 
 Sequence numbers and lanes
 --------------------------
@@ -163,15 +163,6 @@ class _HeapKernel:
 
     def __len__(self) -> int:
         return len(self._heap) - self._tombstones
-
-    def push_raw_batch(self, entries: List[_Entry]) -> None:
-        heap = self._heap
-        if heap:
-            for entry in entries:
-                heappush(heap, entry)
-        else:
-            heap.extend(entries)
-            heapify(heap)
 
     def run(self, sim: "Simulator", until: Optional[float]) -> None:
         """Execute events for :meth:`Simulator.run` (``until >= now``)."""
@@ -320,33 +311,6 @@ class Simulator:
             self._check_time(time)
         self._push((time, priority, next(self._seq), callback))
 
-    def schedule_batch(
-        self,
-        items: Iterable[Tuple[float, EventCallback]],
-        *,
-        absolute: bool = False,
-        priority: int = 0,
-    ) -> int:
-        """Bulk-schedule ``(time, callback)`` pairs in one kernel operation.
-
-        With ``absolute=True`` the first element of each pair is an
-        absolute simulation time, otherwise a delay from now.  Returns the
-        number of events scheduled.  Sequence numbers are assigned in
-        iteration order, so a batch replays identically to an equivalent
-        loop of :meth:`schedule` calls.
-        """
-        now = self._now
-        seq = self._seq
-        entries: List[Tuple[float, int, int, EventCallback]] = []
-        for time, callback in items:
-            if not absolute:
-                time = now + time
-            self._check_time(time)
-            entries.append((time, priority, next(seq), callback))
-        if entries:
-            self._queue.push_raw_batch(entries)
-        return len(entries)
-
     def inject_arrivals(
         self,
         items: Iterable[Any],
@@ -356,7 +320,7 @@ class Simulator:
     ) -> int:
         """Run ``launch(item)`` at absolute time ``key(item)`` for every item.
 
-        Same keys as :meth:`schedule_batch` (priority 0) over the items
+        Same keys as a loop of :meth:`post_at` (priority 0) over the items
         stable-sorted by ``key``: every time is validated before anything is
         queued, and the n arrivals take one contiguous block ``[s, s + n)``
         of the root seq counter, so every later root-lane seq is unchanged
@@ -394,15 +358,19 @@ class Simulator:
         """Run until the queue drains or ``until`` is reached.
 
         Returns the simulation time when the run stopped.  The clock is
-        monotone: ``until`` before the current time raises
+        monotone and finite: ``until`` before the current time, or not
+        below :data:`MAX_EVENT_TIME` (inf, NaN), raises
         :class:`SimulationError`.  The kernel owns the pop loop.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
-        if until is not None and until < self._now:
-            raise SimulationError(
-                f"cannot run backwards: until={until} < now={self._now}"
-            )
+        if until is not None:
+            if not until < MAX_EVENT_TIME:  # also rejects NaN
+                raise SimulationError(f"run horizon must be finite, got {until}")
+            if until < self._now:
+                raise SimulationError(
+                    f"cannot run backwards: until={until} < now={self._now}"
+                )
         self._running = True
         try:
             self._queue.run(self, until)
@@ -428,7 +396,7 @@ class LaneView:
 
     Lane 0 is the root :class:`Simulator`'s own counter; component lanes
     must be positive.  The view exposes the scheduling surface
-    (``post``/``post_at``/``schedule``/``schedule_at``/``schedule_batch``)
+    (``post``/``post_at``/``schedule``/``schedule_at``)
     plus the read-only clock, so model code cannot tell it apart from the
     simulator it wraps.
     """
@@ -486,26 +454,6 @@ class LaneView:
         if not root._now <= time < MAX_EVENT_TIME:
             root._check_time(time)
         self._push((time, priority, next(self._seq), callback))
-
-    def schedule_batch(
-        self,
-        items: Iterable[Tuple[float, EventCallback]],
-        *,
-        absolute: bool = False,
-        priority: int = 0,
-    ) -> int:
-        root = self.root
-        now = root._now
-        seq = self._seq
-        entries: List[Tuple[float, int, int, EventCallback]] = []
-        for time, callback in items:
-            if not absolute:
-                time = now + time
-            root._check_time(time)
-            entries.append((time, priority, next(seq), callback))
-        if entries:
-            root._queue.push_raw_batch(entries)
-        return len(entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LaneView lane={self.lane} of {self.root!r}>"

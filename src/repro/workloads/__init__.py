@@ -13,18 +13,13 @@ consume ``.arrivals()`` lazily::
 genuinely needed.
 """
 
-# The streaming protocol and spec registry (the supported API).
+# The streaming protocol and its spec lookup (the supported API).
 from repro.workloads.api import (
-    ArrivalProcess,
     RATE_SHAPES,
     RateShape,
     Workload,
-    WorkloadFeeder,
-    materialize,
-    register_workload,
     substream,
     workload_from_spec,
-    workload_kinds,
 )
 from repro.workloads.distributions import (
     APP_CDFS,
@@ -67,17 +62,12 @@ from repro.workloads.ycsb import (
 )
 
 __all__ = [
-    # Streaming protocol + registry
-    "ArrivalProcess",
+    # Streaming protocol + spec lookup
     "RATE_SHAPES",
     "RateShape",
     "Workload",
-    "WorkloadFeeder",
-    "materialize",
-    "register_workload",
     "substream",
     "workload_from_spec",
-    "workload_kinds",
     # Specs
     "IncastSpec",
     "ShuffleSpec",

@@ -33,7 +33,7 @@ from repro.errors import WorkloadError
 from repro.fabrics.base import OfferedMessage
 from repro.mac.frame import message_wire_bytes
 from repro.sim.rng import make_rng
-from repro.workloads.api import Workload, register_workload, substream
+from repro.workloads.api import Workload, substream
 from repro.workloads.distributions import app_cdf
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
 from repro.workloads.synthetic import SyntheticSpec, mean_wire_bytes
@@ -61,7 +61,6 @@ class SyntheticWorkload(Workload):
     stable sort's source-major order.
     """
 
-    kind = "synthetic"
 
     def __init__(self, spec: SyntheticSpec) -> None:
         super().__init__(spec)
@@ -158,7 +157,6 @@ class IncastWorkload(Workload):
     simply emits as it generates and stops at ``message_count``.
     """
 
-    kind = "incast"
 
     def __init__(self, spec: IncastSpec) -> None:
         super().__init__(spec)
@@ -213,7 +211,6 @@ class ShuffleWorkload(Workload):
     rounds) entries — O(1) in the total round count.
     """
 
-    kind = "shuffle"
 
     def __init__(self, spec: ShuffleSpec) -> None:
         super().__init__(spec)
@@ -250,7 +247,7 @@ class ShuffleWorkload(Workload):
 
 @dataclass(frozen=True)
 class YcsbSpec:
-    """Parameters of a YCSB operation stream (spec-registry form).
+    """Parameters of a YCSB operation stream (the spec form of a YCSB mix).
 
     ``workload`` is the mix name ("A", "B", or "F"); keyspace/theta are
     YCSB's Zipfian-popularity knobs.  ``message_count`` is the op count,
@@ -276,7 +273,6 @@ class YcsbOpsWorkload(Workload):
     so the stream replays the exact same draws one op at a time.
     """
 
-    kind = "ycsb"
 
     def __init__(self, spec: YcsbSpec) -> None:
         super().__init__(spec)
@@ -302,7 +298,6 @@ class YcsbOpsWorkload(Workload):
 class TraceWorkload(Workload):
     """Streaming application trace: synthetic traffic under an app CDF."""
 
-    kind = "trace"
 
     def __init__(self, spec: TraceSpec) -> None:
         super().__init__(spec)
@@ -322,11 +317,14 @@ class TraceWorkload(Workload):
         return self._synthetic.arrivals()
 
 
-register_workload("synthetic", SyntheticSpec, SyntheticWorkload)
-register_workload("incast", IncastSpec, IncastWorkload)
-register_workload("shuffle", ShuffleSpec, ShuffleWorkload)
-register_workload("trace", TraceSpec, TraceWorkload)
-register_workload("ycsb", YcsbSpec, YcsbOpsWorkload)
+#: The workload class behind each spec type (``workload_from_spec``).
+WORKLOAD_FOR_SPEC = {
+    SyntheticSpec: SyntheticWorkload,
+    IncastSpec: IncastWorkload,
+    ShuffleSpec: ShuffleWorkload,
+    TraceSpec: TraceWorkload,
+    YcsbSpec: YcsbOpsWorkload,
+}
 
 
 __all__ = [

@@ -36,10 +36,6 @@ class SortedListKernel:
     def push_raw(self, entry):
         insort(self._entries, entry)
 
-    def push_raw_batch(self, entries):
-        for entry in entries:
-            insort(self._entries, entry)
-
     def on_cancel(self, event):
         # A 3-tuple key sorts just before the 4-tuple entry it prefixes.
         index = bisect_left(self._entries, (event.time, event.priority, event.seq))

@@ -1,11 +1,12 @@
-"""``Simulator.inject_arrivals``: one pending arrival, ``schedule_batch`` keys.
+"""``Simulator.inject_arrivals``: one pending arrival, ``post_at`` keys.
 
-The injector replaces each fabric's up-front ``schedule_batch`` of every
-arrival.  These tests pin that it queues only the next arrival, that it
-rejects bad times before anything runs, and that every fabric run loop
-built on it replays the batch reference exactly — records, incomplete
-count and stats (``sim_events`` included) — on the heap kernel and on
-the sorted-list reference.
+The injector gives each arrival the key a loop of ``post_at`` over the
+stable-sorted items would give it, with every arrival queued up front.
+These tests pin that it queues only the next arrival, that it rejects bad
+times before anything runs, and that every fabric run loop built on it
+replays that up-front reference exactly — records, incomplete count and
+stats (``sim_events`` included) — on the heap kernel and on the
+sorted-list reference.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from repro.workloads.distributions import fixed_size
 
 
 def _batch_inject(self, items, launch, *, key):
-    """The reference: every arrival queued up front by ``schedule_batch``."""
-    return self.schedule_batch(
-        ((key(item), partial(launch, item)) for item in sorted(items, key=key)),
-        absolute=True,
-    )
+    """The reference: every arrival queued up front by a loop of ``post_at``."""
+    ordered = sorted(items, key=key)
+    for item in ordered:
+        self.post_at(key(item), partial(launch, item))
+    return len(ordered)
 
 
 def test_one_arrival_pending_at_a_time(kernel):
@@ -47,8 +48,8 @@ def test_one_arrival_pending_at_a_time(kernel):
     assert len(pending) == 1_000
 
 
-def test_ties_and_later_seqs_match_schedule_batch(kernel):
-    """Arrivals interleave with same-time posts exactly as a batch does."""
+def test_ties_and_later_seqs_match_a_post_at_loop(kernel):
+    """Arrivals interleave with same-time posts exactly as up-front posts do."""
 
     def trace(inject):
         sim, seen = Simulator(), []

@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine: ordering, cancellation, determinism, lanes."""
 
+import math
 import random
 from functools import partial
 
@@ -74,6 +75,21 @@ class TestRunControl:
         sim.run(until=50)
         sim.run()
         assert seen == [1, 2]
+
+    @pytest.mark.parametrize("until", [math.inf, math.nan, 1e300])
+    def test_non_finite_until_rejected_and_clock_kept(self, kernel, until):
+        sim, seen = Simulator(), []
+        sim.post(5.0, partial(seen.append, 5.0))
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert sim.now == 0.0 and seen == []
+        # The clock is untouched, so the past stays in the past.
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError):
+            sim.post_at(1.0, partial(seen.append, 1.0))
+        sim.post(1.0, partial(seen.append, 3.0))
+        assert sim.run() == 5.0
+        assert seen == [3.0, 5.0]
 
 
 class TestCancellation:
@@ -169,9 +185,7 @@ class TestLaneView:
             elif n == 1:
                 view.schedule_at(10.0, partial(seen.append, tag))
             else:
-                view.schedule_batch(
-                    [(10.0, partial(seen.append, tag))], absolute=True
-                )
+                view.post_at(10.0, partial(seen.append, tag))
         # The root simulator is lane 0, so its events lead every tie.
         sim.post_at(10.0, partial(seen.append, (0, 0)))
         sim.run()

@@ -1,4 +1,4 @@
-"""Tests for host-side state: tables, id allocation, rate limiting, batching."""
+"""Tests for host-side state: tables, id allocation, rate limiting."""
 
 from collections import deque
 
@@ -13,7 +13,6 @@ from repro.host.state import (
     MessageState,
     MessageStateTable,
     NotificationRateLimiter,
-    batch_for_destination,
 )
 
 
@@ -201,27 +200,3 @@ class TestRateLimiter:
     def test_x_must_be_positive(self):
         with pytest.raises(HostError):
             NotificationRateLimiter(max_active=0)
-
-
-class TestBatching:
-    def test_batches_small_messages_to_same_destination(self):
-        pending = [wreq(dst=1, size=64) for _ in range(4)] + [wreq(dst=2, size=64)]
-        mega, leftovers = batch_for_destination(pending, dst=1)
-        assert mega is not None
-        assert len(mega.members) == 4
-        assert mega.total_bytes == 256
-        assert len(leftovers) == 1
-
-    def test_respects_batch_bound(self):
-        pending = [wreq(dst=1, size=100) for _ in range(10)]
-        mega, leftovers = batch_for_destination(pending, dst=1, max_batch_bytes=250)
-        assert len(mega.members) == 2
-        assert len(leftovers) == 8
-
-    def test_no_members_returns_none(self):
-        mega, leftovers = batch_for_destination([wreq(dst=2)], dst=1)
-        assert mega is None and len(leftovers) == 1
-
-    def test_bad_bound_rejected(self):
-        with pytest.raises(HostError):
-            batch_for_destination([], dst=1, max_batch_bytes=0)

@@ -4,7 +4,7 @@ The engine's contract is a total order on (time, priority, seq) regardless
 of the queue implementation.  These tests drive the tuple heap and the
 sorted-list reference (``tests/reference_kernel.py``) through
 hypothesis-generated schedules — same-time priority ties, nested
-scheduling from callbacks, cancellations, batches, deadline-chunked runs —
+scheduling from callbacks, cancellations, deadline-chunked runs —
 and assert the observed firing orders are identical element for element.
 """
 
@@ -106,37 +106,6 @@ class TestKernelEquivalence:
         chunks = [0.5, 1.0, 2.0, 64.0]
         assert replay("heap", specs, chunks) == replay("reference", specs, chunks)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        batch=st.lists(st.tuples(times, priorities), min_size=1, max_size=40),
-        absolute=st.booleans(),
-    )
-    def test_batch_matches_loop_of_schedules(self, batch, absolute):
-        """schedule_batch must assign sequence numbers in iteration order."""
-        orders = {}
-        for kernel in KERNELS:
-            with installed(kernel):
-                batched, looped = Simulator(), Simulator()
-            fired_batch = []
-            batched.schedule_batch(
-                (
-                    (t, lambda i=i, s=batched: fired_batch.append((s.now, i)))
-                    for i, (t, _) in enumerate(batch)
-                ),
-                absolute=absolute,
-            )
-            batched.run()
-            fired_loop = []
-            for i, (t, _) in enumerate(batch):
-                callback = lambda i=i, s=looped: fired_loop.append((s.now, i))  # noqa: E731
-                if absolute:
-                    looped.schedule_at(t, callback)
-                else:
-                    looped.schedule(t, callback)
-            looped.run()
-            assert fired_batch == fired_loop
-            orders[kernel] = fired_batch
-        assert orders["heap"] == orders["reference"]
 
     @settings(max_examples=40, deadline=None)
     @given(specs=schedules(max_events=12))
@@ -239,11 +208,3 @@ class TestKernelBehaviour:
             sim.post_at(0.0, lambda: seen.append(0))
         assert sim.run() == 20.0
         assert seen == [10, 20]
-
-    def test_schedule_batch_rejects_past(self, kernel):
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_batch([(5.0, lambda: None)], absolute=True)
-

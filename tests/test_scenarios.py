@@ -1,6 +1,7 @@
 """Tests for the scenario engine: specs, catalog, runner, CLI, artifacts."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -34,6 +35,13 @@ class TestSpecs:
             ScenarioSpec(
                 name="x", description="", fabric="EDM",
                 faults=(FaultSpec(kind="failover", at_ns=10.0),),
+            )
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, math.nan, math.inf])
+    def test_deadline_must_be_positive_and_finite(self, deadline):
+        with pytest.raises(ScenarioError, match="deadline"):
+            ScenarioSpec(
+                name="x", description="", fabric="EDM", deadline_ns=deadline
             )
 
     def test_unknown_fault_kind(self):

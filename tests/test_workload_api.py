@@ -1,9 +1,9 @@
 """The unified streaming workload API (repro.workloads.api/streaming).
 
-Covers the protocol surface (RateShape, ArrivalProcess, spec registry),
+Covers the protocol surface (RateShape, substreams, the spec lookup),
 bit-identity of the streams against the legacy generator algorithms
-(copied here verbatim as reference implementations), O(1) streaming
-memory, and WorkloadFeeder == monolithic-batch replay equivalence.
+(copied here verbatim as reference implementations), and O(1) streaming
+memory.
 """
 
 import itertools
@@ -14,23 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.fabrics.base import ClusterConfig, OfferedMessage
-from repro.fabrics.edm import EdmFabric
+from repro.fabrics.base import OfferedMessage
 from repro.mac.frame import message_wire_bytes
 from repro.sim.rng import make_rng
-from repro.workloads.api import (
-    ArrivalProcess,
-    RateShape,
-    WorkloadFeeder,
-    materialize,
-    register_workload,
-    substream,
-    workload_from_spec,
-    workload_kinds,
-)
+from repro.workloads.api import RateShape, substream, workload_from_spec
 from repro.workloads.distributions import fixed_size
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
-from repro.workloads.streaming import SyntheticWorkload, YcsbSpec
+from repro.workloads.streaming import YcsbSpec
 from repro.workloads.synthetic import SyntheticSpec
 from repro.workloads.traces import TraceSpec
 from repro.workloads.ycsb import OpType, YcsbOp, ZipfianKeyChooser, workload_by_name
@@ -122,7 +112,7 @@ def _ref_ycsb(spec):
 
 
 # --------------------------------------------------------------------------- #
-# RateShape / ArrivalProcess                                                  #
+# RateShape / substreams                                                      #
 # --------------------------------------------------------------------------- #
 
 
@@ -130,7 +120,6 @@ class TestRateShape:
     def test_steady_is_flat(self):
         shape = RateShape()
         assert all(shape.factor(t) == 1.0 for t in (0.0, 1e3, 1e9))
-        assert shape.peak_factor == 1.0
 
     def test_diurnal_swings_within_amplitude(self):
         shape = RateShape(kind="diurnal", period_ns=1000.0, amplitude=0.8)
@@ -138,7 +127,6 @@ class TestRateShape:
         assert min(factors) >= 0.2 - 1e-9
         assert max(factors) <= 1.8 + 1e-9
         assert max(factors) > 1.5  # actually reaches near the peak
-        assert shape.peak_factor == pytest.approx(1.8)
 
     def test_bursty_square_wave(self):
         shape = RateShape(
@@ -147,7 +135,6 @@ class TestRateShape:
         assert shape.factor(10.0) == 4.0  # inside the burst window
         assert shape.factor(50.0) == 1.0  # outside
         assert shape.factor(110.0) == 4.0  # periodic
-        assert shape.peak_factor == 4.0
 
     @pytest.mark.parametrize(
         "bad",
@@ -162,37 +149,6 @@ class TestRateShape:
     def test_validation(self, bad):
         with pytest.raises(WorkloadError):
             RateShape(**bad)
-
-
-class TestArrivalProcess:
-    def test_strictly_increasing(self):
-        times = list(itertools.islice(ArrivalProcess(10.0, rng=0), 500))
-        assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_steady_mean_gap(self):
-        times = list(itertools.islice(ArrivalProcess(10.0, rng=0), 5000))
-        assert times[-1] / len(times) == pytest.approx(10.0, rel=0.1)
-
-    def test_deterministic_under_seed(self):
-        a = list(itertools.islice(ArrivalProcess(5.0, rng=7), 100))
-        b = list(itertools.islice(ArrivalProcess(5.0, rng=7), 100))
-        assert a == b
-
-    def test_bursty_concentrates_arrivals(self):
-        shape = RateShape(
-            kind="bursty", period_ns=1000.0, burst_factor=8.0, duty=0.2
-        )
-        times = list(
-            itertools.islice(ArrivalProcess(10.0, shape=shape, rng=1), 4000)
-        )
-        in_burst = sum(1 for t in times if (t / 1000.0) % 1.0 < 0.2)
-        # Burst windows are 20% of time but 8x rate: expected share
-        # 1.6/(1.6+0.8) = 2/3 of arrivals.
-        assert in_burst / len(times) > 0.5
-
-    def test_rejects_nonpositive_gap(self):
-        with pytest.raises(WorkloadError):
-            ArrivalProcess(0.0)
 
 
 class TestSubstream:
@@ -216,54 +172,9 @@ class TestSubstream:
 
 
 class TestRegistry:
-    def test_builtin_kinds(self):
-        assert workload_kinds() == [
-            "incast", "shuffle", "synthetic", "trace", "ycsb"
-        ]
-
-    def test_mapping_spec_equals_dataclass_spec(self):
-        params = dict(
-            num_nodes=8, link_gbps=100.0, load=0.6, message_count=60, degree=4,
-        )
-        from_map = workload_from_spec({"kind": "incast", **params})
-        from_spec = workload_from_spec(IncastSpec(**params))
-        assert from_map.materialize() == from_spec.materialize()
-
-    def test_mapping_overrides(self):
-        w = workload_from_spec(
-            {"kind": "ycsb", "workload": "A", "message_count": 10},
-            message_count=25,
-        )
-        assert len(w.materialize()) == 25
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(WorkloadError, match="unknown workload kind"):
-            workload_from_spec({"kind": "nope"})
-
-    def test_missing_kind_rejected(self):
-        with pytest.raises(WorkloadError, match="'kind'"):
-            workload_from_spec({"num_nodes": 4})
-
     def test_unregistered_spec_type_rejected(self):
-        with pytest.raises(WorkloadError, match="no workload registered"):
+        with pytest.raises(WorkloadError, match="no workload for spec type"):
             workload_from_spec(object())
-
-    def test_conflicting_reregistration_rejected(self):
-        with pytest.raises(WorkloadError, match="already registered"):
-            register_workload("synthetic", IncastSpec, SyntheticWorkload)
-
-    def test_idempotent_reregistration_allowed(self):
-        register_workload("synthetic", SyntheticSpec, SyntheticWorkload)
-
-    def test_materialize_helper_accepts_spec_and_limit(self):
-        spec = YcsbSpec(workload="B", message_count=50)
-        assert len(materialize(spec)) == 50
-        assert materialize(spec, limit=5) == materialize(spec)[:5]
-
-    def test_describe_and_message_count(self):
-        w = workload_from_spec(YcsbSpec(workload="A", message_count=9))
-        assert w.message_count == 9
-        assert w.describe() == "ycsb[9]"
 
 
 # --------------------------------------------------------------------------- #
@@ -391,59 +302,3 @@ class TestStreamingMemory:
             lambda: workload_from_spec(_spec_with_count(count)).materialize()
         )
         assert streamed < materialized / 4
-
-
-# --------------------------------------------------------------------------- #
-# WorkloadFeeder                                                              #
-# --------------------------------------------------------------------------- #
-
-
-class TestWorkloadFeeder:
-    def test_fed_run_replays_identically_to_batch_run(self):
-        spec = _spec_with_count(400)
-        config = ClusterConfig(num_nodes=8, link_gbps=100.0, seed=0)
-
-        batch = EdmFabric(config).run(
-            workload_from_spec(spec).materialize(), deadline_ns=1e9
-        )
-        fed = EdmFabric(config).run(workload_from_spec(spec), deadline_ns=1e9)
-
-        assert fed.stats["messages_offered"] == 400
-        assert fed.latencies() == batch.latencies()
-        assert fed.incomplete == batch.incomplete
-        # The fed run executes the same schedule plus the feeder's re-arm
-        # pump callbacks: one per chunk after the first.
-        rearms = -(-400 // 256) - 1
-        assert fed.stats["sim_events"] == batch.stats["sim_events"] + rearms
-        for key in batch.stats:
-            if key != "sim_events":
-                assert fed.stats[key] == batch.stats[key], key
-
-    @pytest.mark.parametrize("chunk", [1, 7, 256, 10_000])
-    def test_chunk_size_does_not_change_fed_count_or_order(self, chunk):
-        from repro.sim.engine import Simulator
-
-        spec = IncastSpec(
-            num_nodes=6, link_gbps=100.0, load=0.6, message_count=90, degree=3,
-        )
-        seen = []
-        sim = Simulator()
-        feeder = WorkloadFeeder(
-            sim, workload_from_spec(spec), seen.append, chunk=chunk
-        ).start()
-        sim.run()
-        assert feeder.fed == 90
-        assert seen == workload_from_spec(spec).materialize()
-
-    def test_rejects_untimestamped_items(self):
-        from repro.sim.engine import Simulator
-
-        ops = workload_from_spec(YcsbSpec(workload="A", message_count=5))
-        with pytest.raises(WorkloadError, match="timestamped"):
-            WorkloadFeeder(Simulator(), ops, lambda op: None).start()
-
-    def test_rejects_bad_chunk(self):
-        from repro.sim.engine import Simulator
-
-        with pytest.raises(WorkloadError):
-            WorkloadFeeder(Simulator(), [], lambda m: None, chunk=0)
