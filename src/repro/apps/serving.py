@@ -39,6 +39,7 @@ kernel, so a run replays bit-identically serial vs parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -166,12 +167,15 @@ class ServingSpec:
                     "relative fault times need fault_horizon_ns: a closed "
                     "loop has no precomputed arrival span to scale against"
                 )
-        if self.fault_horizon_ns is not None and self.fault_horizon_ns <= 0:
+        # ``not 0 < x < inf`` also rejects NaN, which compares false.
+        if self.fault_horizon_ns is not None and not 0 < self.fault_horizon_ns < math.inf:
             raise ConfigError(
-                f"fault horizon must be positive: {self.fault_horizon_ns}"
+                f"fault horizon must be positive and finite: {self.fault_horizon_ns}"
             )
-        if self.deadline_ns is not None and self.deadline_ns <= 0:
-            raise ConfigError(f"deadline must be positive: {self.deadline_ns}")
+        if self.deadline_ns is not None and not 0 < self.deadline_ns < math.inf:
+            raise ConfigError(
+                f"deadline must be positive and finite: {self.deadline_ns}"
+            )
 
     @property
     def compute_nodes(self) -> int:

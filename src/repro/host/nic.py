@@ -186,7 +186,6 @@ class EdmHostNic(Process):
         self.ids = MessageIdAllocator()
         self.limiter = NotificationRateLimiter(config.max_active_per_pair)
         self.controller: Optional[MemoryController] = None
-        self._timeout_handles: Dict[int, object] = {}
         self.messages_sent = 0
         self.messages_completed = 0
         self._recompute_delays()
@@ -317,11 +316,10 @@ class EdmHostNic(Process):
             self._send_request(message)
         self.messages_sent += 1
         if self.config.read_timeout_ns is not None:
-            handle = self.schedule(
+            self.post(
                 self.config.read_timeout_ns,
                 partial(self._on_read_timeout, message),
             )
-            self._timeout_handles[message.uid] = handle
 
     def _send_request(self, message: MemoryMessage) -> None:
         # 2 cycles: read message queue + create block / write state table.
@@ -339,9 +337,15 @@ class EdmHostNic(Process):
         self._send(notify_transfer(notification), self._d_tx_request)
 
     def _on_read_timeout(self, message: MemoryMessage) -> None:
-        """Deadlock guard (§3.3): reply NULL if the memory node never does."""
-        self._timeout_handles.pop(message.uid, None)
-        if not self.state_table.contains(message.dst, message.message_id):
+        """Deadlock guard (§3.3): reply NULL if the memory node never does.
+
+        The timer outlives a read that completes first, and the read's
+        ``(dst, message_id)`` may by then belong to a later message (ids
+        are recycled), so only a state holding this very read is live.
+        """
+        state = self.state_table.find(message.dst, message.message_id)
+        if state is None or state.message.uid != message.uid:
+            self._clock.discard()  # a stale timer: the read completed
             return
         self.state_table.remove(message.dst, message.message_id)
         self.ids.release(message.dst, message.message_id)
@@ -524,9 +528,6 @@ class EdmHostNic(Process):
             original = state.message
             self.state_table.remove(peer, message.message_id)
             self.ids.release(peer, message.message_id)
-            handle = self._timeout_handles.pop(original.uid, None)
-            if handle is not None:
-                handle.cancel()
             self._release_limiter_slot(peer)
             self.messages_completed += 1
             self.router.fire(

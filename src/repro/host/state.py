@@ -70,9 +70,6 @@ class MessageStateTable:
         except KeyError as exc:
             raise HostError(f"no state table entry for {key}") from exc
 
-    def contains(self, peer: int, message_id: int) -> bool:
-        return (peer, message_id) in self._entries
-
     def find(self, peer: int, message_id: int) -> Optional[MessageState]:
         """Like :meth:`get` but returns None on a miss (hot-path lookup)."""
         return self._entries.get((peer, message_id))

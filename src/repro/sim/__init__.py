@@ -2,7 +2,6 @@
 
 from repro.sim.context import SimContext, StatsSink
 from repro.sim.engine import (
-    EventHandle,
     Process,
     Simulator,
     process_events_executed,
@@ -11,7 +10,6 @@ from repro.sim.link import Link
 from repro.sim.rng import make_rng
 
 __all__ = [
-    "EventHandle",
     "Link",
     "Process",
     "SimContext",

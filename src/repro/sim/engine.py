@@ -6,23 +6,26 @@ repeated runs with the same seed replay identically — a property the
 reproduction's regression tests rely on.
 
 The pending-event set is a binary heap of plain ``(time, priority, seq,
-payload)`` entry tuples driven by C ``heapq``, so ordering comparisons
-run at C speed.  Fire-and-forget events enter through a bound
-``partial(heappush, heap)`` and the run loop calls ``heappop`` inline, so
-neither side costs a Python frame per event.  Cancelled events are
-deleted lazily (a tombstone flag) and the heap is compacted once
-tombstones outnumber live events, so a workload that arms-and-cancels
-timers cannot grow the queue without bound.  The test suite replays the
-heap against an independent sorted-list kernel to check the order.
+callback)`` entry tuples driven by C ``heapq``, so ordering comparisons
+run at C speed.  Every entry enters through a bound
+``partial(heappush, heap)`` and the run loop pops, sets the clock and
+calls, so neither side costs a Python frame per event.  The test suite
+replays the heap against an independent sorted-list kernel to check the
+order.
+
+Nothing is cancelled.  A component that no longer wants an entry it
+pushed (EDM's switch superseding a later matching round, a host's read
+timer outliving its read) leaves it queued, and the callback checks when
+it pops whether it still has work to do.  A stale one calls
+:meth:`Simulator.discard` and returns: it pops as an uncounted no-op.
+An *event* is an entry that did work; ``events_processed``,
+:func:`process_events_executed` and the artifacts' ``sim_events`` count
+only those.
 
 Scheduling surface (see docs/DETERMINISM.md for the full contract):
 
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` — cancellable,
-  return the pending :class:`_Event` itself (exported as
-  :data:`EventHandle`), which is also the entry's payload.
-* :meth:`Simulator.post` / :meth:`Simulator.post_at` — fire-and-forget; the
-  hot paths use these because they skip the handle and the event object:
-  the entry's payload is the bare callback.
+* :meth:`Simulator.post` / :meth:`Simulator.post_at` — run a callback
+  ``delay`` ns from now, or at an absolute time.
 * :meth:`Simulator.inject_arrivals` — a workload's arrivals with the keys
   a loop of ``post_at`` over the stable-sorted items would give them, but
   only the next one pending.
@@ -59,7 +62,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -70,9 +73,6 @@ EventCallback = Callable[[], None]
 #: inf and NaN times, which would otherwise sit in the heap forever or
 #: break its ordering (NaN compares false against everything).
 MAX_EVENT_TIME = 1e300
-
-#: Queues smaller than this are never compacted (not worth the rebuild).
-_COMPACT_MIN = 64
 
 #: Lane-composite sequence numbers are ``(lane << LANE_SHIFT) | n``.  The
 #: low field bounds events-per-lane at 2**44 (a multi-day run at current
@@ -94,126 +94,46 @@ def process_events_executed() -> int:
     return _EVENTS_EXECUTED
 
 
-class _Event:
-    """One pending cancellable callback, and its own cancellation handle.
-
-    Slotted: arming a timer allocates this one object.  The entry tuple
-    pushed for it carries the event as its payload, so the kernel can
-    skip it once cancelled.
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "in_queue", "_kernel")
-
-    def __init__(
-        self, time: float, priority: int, seq: int, callback: EventCallback, kernel: Any
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self.in_queue = True
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Cancel the event; a no-op if it already fired or was cancelled."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.in_queue:
-            self._kernel.on_cancel(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<_Event t={self.time} prio={self.priority} seq={self.seq} {state}>"
-
-
-#: The public name of what :meth:`Simulator.schedule` returns.
-EventHandle = _Event
-
-
 #: Queue entries are plain tuples so heap sifts and comparisons run at C
-#: speed; ``seq`` is unique, so the trailing payload never compares.  The
-#: payload is a bare callback for fire-and-forget events (the vast
-#: majority — link deliveries, pipeline stages) or an :class:`_Event` when
-#: the caller holds a cancellation handle.
-_Entry = Tuple[float, int, int, Any]
+#: speed; ``seq`` is unique, so the trailing callback never compares.
+_Entry = Tuple[float, int, int, EventCallback]
 
 
 class _HeapKernel:
-    """Binary heap of plain entry tuples — the pending-event set.
+    """Binary heap of plain ``(time, priority, seq, callback)`` tuples.
 
-    Entries are ``(time, priority, seq, payload)`` tuples, so sift
-    comparisons run in C; ``seq`` is unique, so the payload never
-    compares.  Fire-and-forget events push through :attr:`push_raw`, a
+    Sift comparisons run in C, and ``seq`` is unique, so the callback
+    never compares.  Entries push through :attr:`push_raw`, a
     ``partial(heappush, heap)`` bound once, so posting an event costs no
-    Python frame.  Cancellable events enter the same way with an
-    :class:`_Event` payload: a cancelled one stays as a tombstone until it
-    surfaces at the top, or until tombstones outnumber live events and the
-    heap is compacted in place (the bound ``push_raw`` keeps pointing at
-    the same list).
+    Python frame.
     """
 
-    __slots__ = ("_heap", "_tombstones", "push_raw")
+    __slots__ = ("_heap", "push_raw")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
-        self._tombstones = 0
         self.push_raw: Callable[[_Entry], None] = partial(heappush, self._heap)
 
     def __len__(self) -> int:
-        return len(self._heap) - self._tombstones
+        return len(self._heap)
 
     def run(self, sim: "Simulator", until: Optional[float]) -> None:
         """Execute events for :meth:`Simulator.run` (``until >= now``)."""
         global _EVENTS_EXECUTED
         heap = self._heap
-        event_type = _Event
         limit = MAX_EVENT_TIME if until is None else until
         processed = 0
         try:
             while heap and heap[0][0] <= limit:
-                time, _, _, payload = heappop(heap)
-                if type(payload) is event_type:
-                    payload.in_queue = False
-                    if payload.cancelled:
-                        self._tombstones -= 1
-                        continue
-                    payload = payload.callback
+                time, _, _, callback = heappop(heap)
                 sim._now = time
-                payload()
+                callback()
                 processed += 1
             if until is not None:
                 sim._now = until
         finally:
             sim._events_processed += processed
             _EVENTS_EXECUTED += processed
-
-    def on_cancel(self, event: _Event) -> None:
-        self._tombstones += 1
-        if (
-            self._tombstones > len(self._heap) - self._tombstones
-            and len(self._heap) >= _COMPACT_MIN
-        ):
-            self.compact()
-
-    def compact(self) -> None:
-        """Drop tombstones and re-heapify the survivors, in place."""
-        heap = self._heap
-        live: List[_Entry] = []
-        for entry in heap:
-            payload = entry[3]
-            if type(payload) is _Event and payload.cancelled:
-                payload.in_queue = False
-            else:
-                live.append(entry)
-        heap[:] = live
-        heapify(heap)
-        self._tombstones = 0
-
-    @property
-    def tombstones(self) -> int:
-        return self._tombstones
 
 
 class Simulator:
@@ -222,7 +142,7 @@ class Simulator:
     Typical use::
 
         sim = Simulator()
-        sim.schedule(10.0, lambda: print("at t=10ns"))
+        sim.post(10.0, lambda: print("at t=10ns"))
         sim.run()
     """
 
@@ -249,17 +169,13 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
+        """Entries popped that did work: discarded ones are not counted."""
         return self._events_processed
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) events still queued."""
+        """Entries still queued, stale ones included."""
         return len(self._queue)
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled events awaiting lazy deletion."""
-        return self._queue.tombstones
 
     def _check_time(self, time: float) -> None:
         if not time < MAX_EVENT_TIME:  # also rejects NaN
@@ -269,34 +185,25 @@ class Simulator:
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
 
-    def schedule(
-        self, delay: float, callback: EventCallback, *, priority: int = 0
-    ) -> EventHandle:
-        """Schedule ``callback`` to run ``delay`` ns from now.
+    def discard(self) -> None:
+        """Uncount the entry whose callback is running: it found itself stale.
 
-        Lower ``priority`` values run earlier among same-time events.
+        The callback calls this and returns, so the entry pops as a no-op
+        that neither :attr:`events_processed` nor
+        :func:`process_events_executed` counts (module docstring).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback, priority=priority)
-
-    def schedule_at(
-        self, time: float, callback: EventCallback, *, priority: int = 0
-    ) -> EventHandle:
-        """Schedule ``callback`` at absolute simulation time ``time``."""
-        self._check_time(time)
-        seq = next(self._seq)
-        event = _Event(time, priority, seq, callback, self._queue)
-        self._push((time, priority, seq, event))
-        return event
+        global _EVENTS_EXECUTED
+        if not self._running:
+            raise SimulationError("only a running event's callback can discard it")
+        self._events_processed -= 1
+        _EVENTS_EXECUTED -= 1
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, so no cancellation.
+        """Run ``callback`` ``delay`` ns from now.
 
-        The hot paths (link deliveries, switch pipelines) schedule millions
-        of events they never cancel; skipping the handle and the event
-        object, and pushing the entry tuple through a bound ``heappush``,
-        is a measurable win.
+        Lower ``priority`` values run earlier among same-time events.  The
+        entry tuple goes through a bound ``heappush``, so the hot paths
+        (link deliveries, switch pipelines) pay no event object.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
@@ -306,7 +213,7 @@ class Simulator:
         self._push((time, priority, next(self._seq), callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
-        """Fire-and-forget :meth:`schedule_at`."""
+        """Run ``callback`` at absolute simulation time ``time``."""
         if not self._now <= time < MAX_EVENT_TIME:
             self._check_time(time)
         self._push((time, priority, next(self._seq), callback))
@@ -396,8 +303,7 @@ class LaneView:
 
     Lane 0 is the root :class:`Simulator`'s own counter; component lanes
     must be positive.  The view exposes the scheduling surface
-    (``post``/``post_at``/``schedule``/``schedule_at``)
-    plus the read-only clock, so model code cannot tell it apart from the
+    (``post``/``post_at``) plus the read-only clock, so model code cannot tell it apart from the
     simulator it wraps.
     """
 
@@ -422,23 +328,6 @@ class LaneView:
     @property
     def pending_events(self) -> int:
         return len(self.root._queue)
-
-    def schedule(
-        self, delay: float, callback: EventCallback, *, priority: int = 0
-    ) -> EventHandle:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self.root._now + delay, callback, priority=priority)
-
-    def schedule_at(
-        self, time: float, callback: EventCallback, *, priority: int = 0
-    ) -> EventHandle:
-        root = self.root
-        root._check_time(time)
-        seq = next(self._seq)
-        event = _Event(time, priority, seq, callback, root._queue)
-        self._push((time, priority, seq, event))
-        return event
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
         root = self.root
@@ -484,11 +373,6 @@ class Process:
         self._clock: Simulator = self.sim.root
         self._seq = self.sim._seq
         self._push = self.sim._push
-
-    def schedule(
-        self, delay: float, callback: EventCallback, *, priority: int = 0
-    ) -> EventHandle:
-        return self.sim.schedule(delay, callback, priority=priority)
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
         self.sim.post(delay, callback, priority=priority)

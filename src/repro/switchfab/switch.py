@@ -30,7 +30,7 @@ from repro.host.wire import (
     WireTransfer,
     grant_transfer,
 )
-from repro.sim.engine import EventHandle, Process, Simulator
+from repro.sim.engine import Process, Simulator
 from repro.sim.link import Link
 
 
@@ -48,8 +48,9 @@ class EdmSwitch(Process):
         self.cycle_ns = cycle_ns
         self.egress: Dict[int, Link] = {}
         self._round_armed_at: Optional[float] = None
-        self._round_handle: Optional[EventHandle] = None
-        self._kernel = self._clock._queue
+        # Generation of the armed round: a superseded one still pops, finds
+        # its generation stale and does nothing (_run_round).
+        self._round_gen = 0
         self.transfers_forwarded = 0
         self.demands_accepted = 0
         # Per-event pipeline delays and the matching latency, fixed at
@@ -161,23 +162,22 @@ class EdmSwitch(Process):
         fire_at = self._clock._now + self._d_matching if at is None else at
         if self._round_armed_at is not None and self._round_armed_at <= fire_at:
             return  # a round is already armed at least as early
-        if self._round_handle is not None:
-            # Supersede the later round instead of leaving it to fire as a
-            # duplicate: the kernel lazily deletes the tombstone.
-            self._round_handle.cancel()
+        # A later round already queued is superseded, not removed: the new
+        # generation makes it a no-op when it pops.
         self._round_armed_at = fire_at
-        # The cancellable event is its own handle, pushed straight onto the
-        # lane: fire_at is now plus a positive latency, or a pending port
-        # release, which the round that read it left strictly in the future.
-        seq = next(self._seq)
-        event = self._round_handle = EventHandle(
-            fire_at, 1, seq, self._run_round, self._kernel
-        )
-        self._push((fire_at, 1, seq, event))
+        self._round_gen += 1
+        # Pushed straight onto the lane: fire_at is now plus a positive
+        # latency, or a pending port release, which the round that read it
+        # left strictly in the future.
+        self._push((
+            fire_at, 1, next(self._seq), partial(self._run_round, self._round_gen),
+        ))
 
-    def _run_round(self) -> None:
+    def _run_round(self, gen: int) -> None:
+        if gen != self._round_gen:
+            self._clock.discard()  # superseded by an earlier round
+            return
         self._round_armed_at = None
-        self._round_handle = None
         now = self._clock._now
         scheduler = self.scheduler
         issued = scheduler.schedule(now)

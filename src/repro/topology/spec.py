@@ -135,7 +135,7 @@ class TopologySpec:
             )
 
     def describe(self) -> str:
-        """The compact string form ``parse_topology`` accepts."""
+        """The short string form ``parse_topology`` accepts."""
         if self.is_single:
             return "single"
         out = f"leaf-spine:leaves={self.leaves},spines={self.spines}"

@@ -1,10 +1,10 @@
 """A sorted-list event kernel: the oracle the tuple heap is replayed against.
 
 :class:`SortedListKernel` keeps every pending entry in one ascending list
-(``bisect.insort`` on push, eager removal on cancel), so it shares no
-algorithm with ``repro.sim.engine._HeapKernel``: no sifting, no
-tombstones, no compaction.  Only the order key ``(time, priority, seq)``
-is common, and that key is what the equivalence tests pin.
+(``bisect.insort`` on push, pop from the front), so it shares no
+algorithm with ``repro.sim.engine._HeapKernel``: no sifting.  Only the
+order key ``(time, priority, seq)`` is common, and that key is what the
+equivalence tests pin.
 
 :func:`installed` swaps the engine's kernel class for the duration of a
 ``with`` block; the ``kernel`` fixture in ``conftest.py`` does the same
@@ -12,7 +12,7 @@ for a whole test.  Either way the swap lives in this process only, so a
 run through the reference keeps ``jobs=1``.
 """
 
-from bisect import bisect_left, insort
+from bisect import insort
 from contextlib import contextmanager
 from unittest import mock
 
@@ -24,9 +24,6 @@ from repro.sim import engine
 class SortedListKernel:
     """Pending events in one list sorted by ``(time, priority, seq)``."""
 
-    #: Cancelled entries leave the list at once, so none linger.
-    tombstones = 0
-
     def __init__(self):
         self._entries = []
 
@@ -36,24 +33,15 @@ class SortedListKernel:
     def push_raw(self, entry):
         insort(self._entries, entry)
 
-    def on_cancel(self, event):
-        # A 3-tuple key sorts just before the 4-tuple entry it prefixes.
-        index = bisect_left(self._entries, (event.time, event.priority, event.seq))
-        del self._entries[index]
-        event.in_queue = False
-
     def run(self, sim, until):
         entries = self._entries
         limit = engine.MAX_EVENT_TIME if until is None else until
         processed = 0
         try:
             while entries and entries[0][0] <= limit:
-                time, _, _, payload = entries.pop(0)
-                if type(payload) is engine._Event:
-                    payload.in_queue = False
-                    payload = payload.callback
+                time, _, _, callback = entries.pop(0)
                 sim._now = time
-                payload()
+                callback()
                 processed += 1
             if until is not None:
                 sim._now = until

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine: ordering, cancellation, determinism, lanes."""
+"""Tests for the discrete-event engine: ordering, discard, determinism, lanes."""
 
 import math
 import random
@@ -8,31 +8,31 @@ import pytest
 from reference_kernel import each_kernel
 
 from repro.errors import SimulationError
-from repro.sim.engine import LaneView, Simulator
+from repro.sim.engine import LaneView, Simulator, process_events_executed
 from repro.sim.link import Link
 
 
 class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim, seen = Simulator(), []
-        sim.schedule(30, lambda: seen.append("c"))
-        sim.schedule(10, lambda: seen.append("a"))
-        sim.schedule(20, lambda: seen.append("b"))
+        sim.post(30, lambda: seen.append("c"))
+        sim.post(10, lambda: seen.append("a"))
+        sim.post(20, lambda: seen.append("b"))
         sim.run()
         assert seen == ["a", "b", "c"]
 
     def test_same_time_ties_break_by_priority_then_insertion(self):
         sim, seen = Simulator(), []
-        sim.schedule(10, lambda: seen.append("late"), priority=5)
-        sim.schedule(10, lambda: seen.append("first"), priority=0)
-        sim.schedule(10, lambda: seen.append("second"), priority=0)
+        sim.post(10, lambda: seen.append("late"), priority=5)
+        sim.post(10, lambda: seen.append("first"), priority=0)
+        sim.post(10, lambda: seen.append("second"), priority=0)
         sim.run()
         assert seen == ["first", "second", "late"]
 
     def test_now_advances_to_event_time(self):
         sim = Simulator()
         times = []
-        sim.schedule(42.5, lambda: times.append(sim.now))
+        sim.post(42.5, lambda: times.append(sim.now))
         sim.run()
         assert times == [42.5]
 
@@ -40,8 +40,8 @@ class TestScheduling:
         sim, seen = Simulator(), []
         def outer():
             seen.append("outer")
-            sim.schedule(5, lambda: seen.append("inner"))
-        sim.schedule(10, outer)
+            sim.post(5, lambda: seen.append("inner"))
+        sim.post(10, outer)
         sim.run()
         assert seen == ["outer", "inner"]
         assert sim.now == 15
@@ -49,29 +49,29 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(-1, lambda: None)
+            sim.post(-1, lambda: None)
 
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(10, lambda: None)
+        sim.post(10, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_at(5, lambda: None)
+            sim.post_at(5, lambda: None)
 
 
 class TestRunControl:
     def test_run_until_stops_the_clock(self):
         sim, seen = Simulator(), []
-        sim.schedule(10, lambda: seen.append(1))
-        sim.schedule(100, lambda: seen.append(2))
+        sim.post(10, lambda: seen.append(1))
+        sim.post(100, lambda: seen.append(2))
         sim.run(until=50)
         assert seen == [1]
         assert sim.now == 50
 
     def test_remaining_events_run_on_next_call(self):
         sim, seen = Simulator(), []
-        sim.schedule(10, lambda: seen.append(1))
-        sim.schedule(100, lambda: seen.append(2))
+        sim.post(10, lambda: seen.append(1))
+        sim.post(100, lambda: seen.append(2))
         sim.run(until=50)
         sim.run()
         assert seen == [1, 2]
@@ -92,27 +92,25 @@ class TestRunControl:
         assert seen == [3.0, 5.0]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim, seen = Simulator(), []
-        handle = sim.schedule(10, lambda: seen.append("x"))
-        handle.cancel()
-        sim.run()
-        assert seen == []
+class TestDiscard:
+    """A stale entry pops as a no-op that no event count sees."""
 
-    def test_cancel_after_fire_is_noop(self):
+    def test_discarded_entries_are_not_events(self, kernel):
         sim, seen = Simulator(), []
-        handle = sim.schedule(10, lambda: seen.append("x"))
-        sim.run()
-        handle.cancel()
-        assert seen == ["x"]
+        before = process_events_executed()
+        sim.post(10, lambda: seen.append("live"))
+        sim.post(20, sim.discard)
+        sim.post(30, lambda: seen.append("live again"))
+        assert sim.run() == 30
+        assert seen == ["live", "live again"]
+        assert sim.events_processed == 2
+        assert process_events_executed() - before == 2
 
-    def test_pending_events_excludes_cancelled(self):
+    def test_discard_outside_a_callback_rejected(self):
         sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
-        handle.cancel()
-        assert sim.pending_events == 1
+        with pytest.raises(SimulationError):
+            sim.discard()
+        assert sim.events_processed == 0
 
 
 class TestSeqCounterIdentity:
@@ -153,7 +151,7 @@ class TestDeterminism:
         def run_once():
             sim, seen = Simulator(), []
             for i in range(100):
-                sim.schedule((i * 37) % 13, lambda i=i: seen.append(i))
+                sim.post((i * 37) % 13, lambda i=i: seen.append(i))
             sim.run()
             return seen
 
@@ -171,7 +169,8 @@ class TestLaneView:
         sim, seen = Simulator(), []
         lanes = {lane: sim.lane(lane) for lane in (1, 2, 5)}
         # Each lane schedules three same-(time, priority) events through
-        # every entry point; the calls interleave in a seeded random order.
+        # every entry point (the last is the hot-path push of the engine
+        # module docstring); the calls interleave in a seeded random order.
         calls = [(lane, n) for lane in lanes for n in range(3)]
         random.Random(seed).shuffle(calls)
         issued = {lane: 0 for lane in lanes}
@@ -183,9 +182,9 @@ class TestLaneView:
             if n == 0:
                 view.post(10.0, partial(seen.append, tag))
             elif n == 1:
-                view.schedule_at(10.0, partial(seen.append, tag))
-            else:
                 view.post_at(10.0, partial(seen.append, tag))
+            else:
+                view._push((10.0, 0, next(view._seq), partial(seen.append, tag)))
         # The root simulator is lane 0, so its events lead every tie.
         sim.post_at(10.0, partial(seen.append, (0, 0)))
         sim.run()
@@ -203,7 +202,7 @@ class TestLaneView:
         sim = Simulator()
         view = sim.lane(3)
         times = []
-        view.schedule(7.0, lambda: times.append(view.now))
+        view.post(7.0, lambda: times.append(view.now))
         sim.run()
         assert times == [7.0] and sim.now == 7.0
 

@@ -26,9 +26,9 @@ class TestStateTable:
         state = MessageState(message=wreq())
         table.add(1, 5, state)
         assert table.get(1, 5) is state
-        assert table.contains(1, 5)
+        assert table.find(1, 5) is state
         assert table.remove(1, 5) is state
-        assert not table.contains(1, 5)
+        assert table.find(1, 5) is None
 
     def test_duplicate_key_rejected(self):
         table = MessageStateTable()

@@ -16,6 +16,7 @@ from repro.core.opcodes import RmwOpcode
 from repro.fabrics.base import ClusterConfig, OfferedMessage
 from repro.fabrics.edm import EdmCluster, EdmFabric
 from repro.host.nic import HostConfig
+from repro.host.state import MessageIdAllocator
 from repro.host.wire import TransferKind
 from repro.memctrl.dram import DramTiming
 from repro.workloads.api import workload_from_spec
@@ -226,6 +227,34 @@ class TestDeadlockTimer:
         cluster.sim.run()
         assert len(done) == 1
         assert not done[0].timed_out
+
+
+    def test_stale_timer_spares_a_later_read_on_the_same_id(self):
+        # One message id toward node 1: the second read reuses the first's
+        # (dst, message_id) while the first read's timer is still pending.
+        config = ClusterConfig(num_nodes=2, link_gbps=100.0)
+        cluster = EdmCluster(config, dram_timing=ZERO_DRAM)
+        nic = cluster.nic(0)
+        nic.config = HostConfig(read_timeout_ns=1_000.0)
+        nic.ids = MessageIdAllocator(id_space=1)
+        done = []
+
+        def first_done(completion):
+            done.append(completion)
+            # Node 1 falls silent, so the second read can only time out.
+            cluster.nics[1].uplink.receiver = lambda payload: None
+            nic.read(1, 0, 64, done.append)
+
+        first = nic.read(1, 0, 64, first_done)
+        cluster.sim.run()
+        assert len(done) == 2
+        first_completion, second_completion = done
+        second = second_completion.message
+        assert first_completion.message is first and not first_completion.timed_out
+        assert second.message_id == first.message_id
+        # The second read times out on its own timer, not the first's.
+        assert second_completion.timed_out
+        assert second_completion.completed_at == second.created_at + 1_000.0
 
 
 class TestFabricWrapper:

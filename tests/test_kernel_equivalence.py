@@ -4,8 +4,9 @@ The engine's contract is a total order on (time, priority, seq) regardless
 of the queue implementation.  These tests drive the tuple heap and the
 sorted-list reference (``tests/reference_kernel.py``) through
 hypothesis-generated schedules — same-time priority ties, nested
-scheduling from callbacks, cancellations, deadline-chunked runs —
-and assert the observed firing orders are identical element for element.
+scheduling from callbacks, entries made stale and discarded when they
+pop, deadline-chunked runs — and assert the observed firing orders and
+event counts are identical element for element.
 """
 
 import pytest
@@ -29,12 +30,12 @@ priorities = st.integers(min_value=-2, max_value=3)
 
 @st.composite
 def schedules(draw, max_events: int = 24):
-    """A schedule: root events, nested children, and cancellations.
+    """A schedule: root events, nested children, and stale entries.
 
-    Each spec is ``(delay, priority, children, cancel_index)``: children
-    are posted (fire-and-forget) from inside the parent's callback;
-    ``cancel_index`` names an earlier root event whose handle is cancelled
-    when this one fires.
+    Each spec is ``(delay, priority, children, stale_index)``: children
+    are posted from inside the parent's callback; ``stale_index`` names an
+    earlier root event that this one marks stale when it fires.  A stale
+    event still pops, but discards itself instead of firing.
     """
     count = draw(st.integers(min_value=1, max_value=max_events))
     specs = []
@@ -57,7 +58,7 @@ def schedules(draw, max_events: int = 24):
 
 
 def replay(kernel, specs, until_chunks=None):
-    """Run one schedule on kernel ``kernel``; returns the firing order.
+    """Run one schedule on kernel ``kernel``: the firing order and event count.
 
     Each firing records which ``run`` call it fell in, so an event at a
     chunk's exact ``until`` must fire in that chunk, not the next.
@@ -65,14 +66,17 @@ def replay(kernel, specs, until_chunks=None):
     with installed(kernel):
         sim = Simulator()
     fired = []
-    handles = {}
+    stale = set()
     runs = [0]
 
-    def make_callback(label, children, cancel_index):
+    def make_callback(label, children, stale_index):
         def callback():
+            if label in stale:
+                sim.discard()
+                return
             fired.append((runs[0], sim.now, label))
-            if cancel_index is not None and cancel_index in handles:
-                handles[cancel_index].cancel()
+            if stale_index is not None:
+                stale.add(stale_index)
             for child_offset, child_priority in children:
                 child_label = (label, len(fired), child_offset)
                 sim.post(
@@ -83,15 +87,15 @@ def replay(kernel, specs, until_chunks=None):
 
         return callback
 
-    for index, (delay, priority, children, cancel_index) in enumerate(specs):
-        handles[index] = sim.schedule(
-            delay, make_callback(index, children, cancel_index), priority=priority
-        )
+    for index, (delay, priority, children, stale_index) in enumerate(specs):
+        sim.post(delay, make_callback(index, children, stale_index), priority=priority)
     for until in until_chunks or ():
         sim.run(until=until)
         runs[0] += 1
     sim.run()
-    return fired
+    # Every entry that did not discard itself fired, and only those count.
+    assert sim.events_processed == len(fired)
+    return fired, sim.events_processed
 
 
 class TestKernelEquivalence:
@@ -115,7 +119,7 @@ class TestKernelEquivalence:
             with installed(kernel):
                 sim = Simulator()
             for delay, priority, _, _ in specs:
-                sim.schedule(delay, lambda: None, priority=priority)
+                sim.post(delay, lambda: None, priority=priority)
             sim.run()
             counts[kernel] = sim.events_processed
         assert counts["heap"] == counts["reference"]
@@ -129,16 +133,16 @@ class TestKernelBehaviour:
 
     def test_priority_then_insertion_ties(self, kernel):
         sim, seen = Simulator(), []
-        sim.schedule(10, lambda: seen.append("late"), priority=5)
-        sim.schedule(10, lambda: seen.append("first"), priority=0)
-        sim.schedule(10, lambda: seen.append("second"), priority=0)
+        sim.post(10, lambda: seen.append("late"), priority=5)
+        sim.post(10, lambda: seen.append("first"), priority=0)
+        sim.post(10, lambda: seen.append("second"), priority=0)
         sim.run()
         assert seen == ["first", "second", "late"]
 
     def test_until_then_resume(self, kernel):
         sim, seen = Simulator(), []
-        sim.schedule(10, lambda: seen.append(1))
-        sim.schedule(100, lambda: seen.append(2))
+        sim.post(10, lambda: seen.append(1))
+        sim.post(100, lambda: seen.append(2))
         assert sim.run(until=50) == 50
         assert seen == [1]
         sim.run()
@@ -148,35 +152,11 @@ class TestKernelBehaviour:
         """A sparse tail after a dense burst must still drain in order."""
         sim, seen = Simulator(), []
         for i in range(200):
-            sim.schedule(i * 0.01, lambda i=i: None)
-        sim.schedule(1e9, lambda: seen.append("far"))
-        sim.schedule(5e8, lambda: seen.append("mid"))
+            sim.post(i * 0.01, lambda i=i: None)
+        sim.post(1e9, lambda: seen.append("far"))
+        sim.post(5e8, lambda: seen.append("mid"))
         sim.run()
         assert seen == ["mid", "far"]
-
-    def test_cancelled_mass_compaction(self, kernel):
-        """Tombstones exceeding half the queue trigger compaction."""
-        sim = Simulator()
-        handles = [sim.schedule(10 + i, lambda: None) for i in range(256)]
-        survivor_count = 16
-        for handle in handles[survivor_count:]:
-            handle.cancel()
-        assert sim.pending_events == survivor_count
-        # Lazy deletion must not retain ~240 tombstones: compaction fires
-        # once they exceed half the queue (queues under 64 entries are
-        # never compacted, so small queues may keep a few).
-        assert sim.tombstones <= max(sim.pending_events, 63)
-        assert sim.run() == 10 + survivor_count - 1
-        assert sim.events_processed == survivor_count
-
-    def test_cancel_after_fire_is_noop(self, kernel):
-        sim, seen = Simulator(), []
-        handle = sim.schedule(1, lambda: seen.append("x"))
-        sim.run()
-        handle.cancel()
-        handle.cancel()
-        assert seen == ["x"]
-        assert sim.tombstones == 0
 
     def test_post_and_post_at(self, kernel):
         sim, seen = Simulator(), []
@@ -188,9 +168,9 @@ class TestKernelBehaviour:
     def test_non_finite_times_rejected(self, kernel):
         sim = Simulator()
         with pytest.raises(SimulationError):
-            sim.schedule(float("inf"), lambda: None)
+            sim.post(float("inf"), lambda: None)
         with pytest.raises(SimulationError):
-            sim.schedule_at(float("nan"), lambda: None)
+            sim.post_at(float("nan"), lambda: None)
         with pytest.raises(SimulationError):
             sim.post(float("nan"), lambda: None)
 

@@ -50,7 +50,7 @@ class TestDelays:
         link, received = make_link(sim)
         link.send("a", 64)
         sim.run()
-        sim.schedule(100, lambda: link.send("b", 64))
+        sim.post(100, lambda: link.send("b", 64))
         sim.run()
         # second send starts fresh at t=115.12... -> arrival 115.12+5.12+10
         assert received[1][0] == pytest.approx(15.12 + 100 + 5.12 + 10)

@@ -63,6 +63,12 @@ class TestSpecValidation:
             _spec(faults=(fault,))
         _spec(faults=(fault,), fault_horizon_ns=50_000.0)  # ok with horizon
 
+    @pytest.mark.parametrize("field", ["deadline_ns", "fault_horizon_ns"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_deadline_and_horizon_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ConfigError, match="must be positive"):
+            _spec(**{field: value})
+
     def test_tenant_validation(self):
         with pytest.raises(ConfigError):
             TenantSpec(name="")

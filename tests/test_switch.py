@@ -17,8 +17,8 @@ from repro.switchfab.l2switch import PIPELINE_NS
 from repro.switchfab.switch import EdmSwitch
 
 
-def make_switch(num_nodes=4, chunk=256):
-    sim = Simulator()
+def make_switch(num_nodes=4, chunk=256, sim=None):
+    sim = sim or Simulator()
     switch = EdmSwitch(
         sim,
         SchedulerConfig(num_ports=num_nodes, link_gbps=100.0, chunk_bytes=chunk),
@@ -93,6 +93,63 @@ class TestEdmSwitch:
         switch.on_ingress(request_transfer(make_rreq(0, 1, address=0, read_bytes=8)))
         sim.run()
         assert switch.demands_accepted == 1
+
+
+    def test_superseded_round_pops_as_an_uncounted_no_op(self):
+        """§3.1.3: a fresh demand arms a round before the one armed at a
+        port release; the later round stays queued but must do nothing."""
+        sim = Simulator()
+        pushed = []
+        push = sim._push
+
+        def counting_push(entry):
+            pushed.append(entry)
+            push(entry)
+
+        # Every component binds the simulator's push when it is built.
+        sim._push = counting_push
+        sim, switch, _ = make_switch(chunk=256, sim=sim)
+        scheduler = switch.scheduler
+        round_times = []
+        schedule = scheduler.schedule
+
+        def recording_schedule(now):
+            round_times.append(now)
+            return schedule(now)
+
+        scheduler.schedule = recording_schedule
+        pops = []
+        run_round = switch._run_round
+
+        def observed_round(gen):
+            def state():
+                return (switch._round_gen, switch._round_armed_at,
+                        len(round_times), len(sim._queue._heap))
+
+            before = state()
+            run_round(gen)
+            pops.append((sim.now, gen, before == state()))
+
+        switch._run_round = observed_round
+        # A's first round runs at 4.56 ns and re-arms at its port release,
+        # 25.68 ns.  B lands at 12.56 ns, so its round at 14.56 ns
+        # supersedes the one at the release.
+        switch.on_ingress(notify_transfer(Notification(
+            src=0, dst=1, message_id=0, size_bytes=1024, message_uid=1,
+        )))
+        sim.post_at(10.0, lambda: switch.on_ingress(notify_transfer(Notification(
+            src=2, dst=3, message_id=0, size_bytes=1024, message_uid=2,
+        ))))
+        sim.run()
+        stale = [(now, gen) for now, gen, unchanged in pops if unchanged]
+        assert stale == [(pytest.approx(25.68), 2)]
+        # Only live rounds run the scheduler: one call per round, in order.
+        live = [now for now, gen, unchanged in pops if not unchanged]
+        assert round_times == live == sorted(set(live))
+        assert round_times[:3] == pytest.approx([4.56, 14.56, 25.68])
+        # Every entry pushed has popped, and all but the stale one count.
+        assert not sim._queue._heap
+        assert sim.events_processed == len(pushed) - 1
 
 
 class TestL2Switch:
