@@ -161,6 +161,17 @@ def _cmd_figure7(args: argparse.Namespace) -> None:
         )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1 (else exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_loads(text: str) -> tuple:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -209,15 +220,15 @@ def _cmd_figure8b(args: argparse.Namespace) -> None:
 #: `run` flag -> (attribute, unset value); used to spot flags a chosen
 #: experiment does not consume.
 _RUN_FLAG_DEFAULTS = {
-    "nodes": 0,
-    "messages": 0,
+    "nodes": None,
+    "messages": None,
     "seed": None,
     "loads": "0.2,0.5,0.8",
     "apps": "",
     "fabrics": "",
     "families": "",
     "profiles": "",
-    "ops_per_client": 0,
+    "ops_per_client": None,
     "topology": "single",
 }
 
@@ -286,16 +297,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
     name = args.experiment
     options: Dict[str, Any]
     if name in ("figure8a", "figure8a_mix"):
-        args.nodes = args.nodes or 24
-        args.messages = args.messages or 8000
+        args.nodes = 24 if args.nodes is None else args.nodes
+        args.messages = 8000 if args.messages is None else args.messages
         args.seed = 1 if args.seed is None else args.seed
         _warn_ignored_flags(name, args, ("families", "profiles", "ops_per_client"))
         options = _figure8a_options(args)
         if name == "figure8a_mix":
             options = {"scale": options["scale"]}
     elif name == "figure8b":
-        args.nodes = args.nodes or 12
-        args.messages = args.messages or 1200
+        args.nodes = 12 if args.nodes is None else args.nodes
+        args.messages = 1200 if args.messages is None else args.messages
         args.seed = 1 if args.seed is None else args.seed
         _warn_ignored_flags(
             name, args, ("loads", "families", "profiles", "ops_per_client")
@@ -320,10 +331,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
              "topology"),
         )
         options = {
-            "num_nodes": args.nodes or 16,
+            "num_nodes": 16 if args.nodes is None else args.nodes,
             # Canonical ablation seed is 3 (what the benchmarks use).
             "seed": 3 if args.seed is None else args.seed,
-            "message_count": args.messages or None,
+            "message_count": args.messages,
         }
         if args.families:
             options["families"] = tuple(args.families.split(","))
@@ -359,29 +370,29 @@ def _cmd_run(args: argparse.Namespace) -> None:
 
 
 def _serving_options(args: argparse.Namespace) -> Dict[str, Any]:
-    """Scale overrides for the serving experiment (0/None = spec value)."""
+    """Scale overrides for the serving experiment (None = spec value)."""
     options: Dict[str, Any] = {}
     if args.profiles:
         options["profiles"] = args.profiles.split(",")
     if args.seed is not None:
         options["seed"] = args.seed
-    if args.ops_per_client:
+    if args.ops_per_client is not None:
         options["ops_per_client"] = args.ops_per_client
-    if args.nodes:
+    if args.nodes is not None:
         options["num_nodes"] = args.nodes
     return options
 
 
 def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
-    """Scale overrides for the scenarios experiment (0/None = spec value)."""
+    """Scale overrides for the scenarios experiment (None = spec value)."""
     options: Dict[str, Any] = {}
     if getattr(args, "names", None):
         options["names"] = args.names
     if args.seed is not None:
         options["seed"] = args.seed
-    if args.nodes:
+    if args.nodes is not None:
         options["num_nodes"] = args.nodes
-    if args.messages:
+    if args.messages is not None:
         options["message_count"] = args.messages
     if getattr(args, "topology", "single") != "single":
         options["topology"] = args.topology
@@ -443,12 +454,12 @@ def _add_runner_args(
 def _add_scale_args(
     parser: argparse.ArgumentParser,
     *,
-    nodes: int,
-    messages: int,
+    nodes: Optional[int],
+    messages: Optional[int],
     seed: Optional[int] = 1,
 ) -> None:
-    parser.add_argument("--nodes", type=int, default=nodes)
-    parser.add_argument("--messages", type=int, default=messages)
+    parser.add_argument("--nodes", type=_positive_int, default=nodes)
+    parser.add_argument("--messages", type=_positive_int, default=messages)
     parser.add_argument("--seed", type=int, default=seed)
     parser.add_argument(
         "--fabrics", type=str, default="",
@@ -472,9 +483,9 @@ _SCALING_EPILOG = (
     "switch for a routed Clos substrate (docs/TOPOLOGY.md). "
     "--jobs N is bit-identical to its serial equivalent — see docs/ARCHITECTURE.md and docs/DETERMINISM.md. "
     "Interrupted sweeps resume from their checkpoint journal with "
-    "--resume <path>.ckpt.jsonl (docs/RESILIENCE.md); faulty cells are "
-    "retried with the same seed, so a recovered run's artifact equals a "
-    "fault-free run's."
+    "--resume <path>.ckpt.jsonl (docs/RESILIENCE.md); replayed cells "
+    "carry the same seed's results, so a resumed run's artifact equals "
+    "an uninterrupted run's."
 )
 
 
@@ -518,10 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("experiment", nargs="?", default=None)
     run.add_argument("--list", action="store_true", help="list experiments")
-    # 0 / unset = the CLI default scale for that experiment (the same
+    # Unset = the CLI default scale for that experiment (the same
     # defaults as the dedicated figure8a/figure8b subcommands — reduced
     # from the papers' 144-node configuration) and its canonical seed.
-    _add_scale_args(run, nodes=0, messages=0, seed=None)
+    _add_scale_args(run, nodes=None, messages=None, seed=None)
     run.add_argument("--loads", type=str, default="0.2,0.5,0.8")
     run.add_argument("--apps", type=str, default="")
     run.add_argument(
@@ -533,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving: comma-separated profile names (default: the catalog)",
     )
     run.add_argument(
-        "--ops-per-client", type=int, default=0,
+        "--ops-per-client", type=_positive_int, default=None,
         help="serving: override every profile's per-client op budget",
     )
     _add_runner_args(run)
@@ -554,12 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="scenario names (default: the whole catalog)",
     )
     scenario_run.add_argument(
-        "--nodes", type=int, default=0,
-        help="override every scenario's cluster size (0 = spec value)",
+        "--nodes", type=_positive_int, default=None,
+        help="override every scenario's cluster size (default: spec value)",
     )
     scenario_run.add_argument(
-        "--messages", type=int, default=0,
-        help="override every scenario's message count (0 = spec value)",
+        "--messages", type=_positive_int, default=None,
+        help="override every scenario's message count (default: spec value)",
     )
     scenario_run.add_argument(
         "--seed", type=int, default=None,

@@ -60,20 +60,9 @@ class TopologyError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """Raised by the supervised execution layer on unrecoverable failures.
+    """Raised by the execution layer on unrecoverable failures.
 
-    Covers worker-process death, a cell that exhausted its retry budget,
-    and checkpoint journals that do not match the grid being resumed.
-    The message always names the failing cell and what was being waited
-    on.
-    """
-
-
-class CellTimeoutError(ExecutionError):
-    """A supervised wait exceeded its wall-clock budget.
-
-    Raised when a grid cell overruns its per-cell timeout (the supervisor
-    terminates the worker and, attempts permitting, retries the cell).
-    Subclasses :class:`ExecutionError`, so
-    callers handling execution failures catch timeouts for free.
+    Covers a worker process that died under ``--jobs`` (the message
+    names the experiment) and checkpoint journals that do not match the
+    grid being resumed.
     """

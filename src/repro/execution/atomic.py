@@ -8,10 +8,6 @@ payload is serialized fully in memory first (serialization errors never
 touch disk), written to a ``<path>.tmp`` sibling, fsync'd, and moved
 into place with ``os.replace`` — readers see either the old file or the
 complete new one, never a prefix.
-
-The ``partial_artifact`` chaos fault (see :mod:`repro.execution.chaos`)
-hooks the temp-file write so tests can prove the guarantee instead of
-assuming it.
 """
 
 from __future__ import annotations
@@ -19,9 +15,6 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Callable, Optional
-
-from repro.errors import ExecutionError
-from repro.execution.chaos import take_partial_artifact_fault
 
 
 def fsync_directory(path: str) -> None:
@@ -43,17 +36,6 @@ def atomic_write_text(path: str, text: str) -> str:
     """Write ``text`` to ``path`` via a fsync'd temp sibling + rename."""
     tmp_path = f"{path}.tmp"
     with open(tmp_path, "w", encoding="utf-8") as fh:
-        if take_partial_artifact_fault():
-            # Chaos: simulate dying midway through the write.  The
-            # partial bytes land in (and stay in) the temp file; the
-            # final path is never touched.
-            fh.write(text[: max(1, len(text) // 2)])
-            fh.flush()
-            os.fsync(fh.fileno())
-            raise ExecutionError(
-                f"chaos: artifact write to {path} interrupted midway "
-                f"(partial_artifact); partial bytes left at {tmp_path}"
-            )
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())

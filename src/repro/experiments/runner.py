@@ -5,12 +5,9 @@ decomposes into *cells* — independent ``(fabric, load, seed, scale)``
 points of a parameter grid.  Each registered :class:`ExperimentSpec`
 names its grid builder, a pure per-cell function, and a reducer that
 reassembles per-cell results into the figure's shape.  The
-:class:`Runner` fans cells out over supervised ``multiprocessing``
-workers (per-cell timeouts, worker-death detection, deterministic
-retries — see :mod:`repro.execution.supervisor`) and stores results
-keyed by cell index, so parallel output is bit-identical to a serial
-run regardless of worker completion order or how many retries a flaky
-worker cost.
+:class:`Runner` fans cells out over a stdlib process pool and keeps
+results in grid order, so parallel output is bit-identical to a serial
+run regardless of worker completion order.
 
 Artifacts: :func:`write_artifact` atomically persists the reduced
 results plus the full per-cell record, the run configuration, and git
@@ -41,11 +38,9 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExecutionError
 from repro.execution.atomic import atomic_write_json
-from repro.execution.chaos import active_faults
 from repro.execution.checkpoint import CheckpointWriter, load_checkpoint
-from repro.execution.supervisor import SupervisionPolicy, supervised_map
 from repro.sim.engine import process_events_executed
 
 #: Frozen, hashable form of a parameter mapping (sorted key/value pairs).
@@ -218,17 +213,19 @@ def _timed_cell(spec: ExperimentSpec, cell: Cell) -> Tuple[Any, Dict[str, float]
     return value, perf
 
 
+def _named_cell(name: str, cell: Cell) -> Tuple[Any, Dict[str, float]]:
+    """Pool task: look the spec up by name in the worker and run one cell."""
+    return _timed_cell(get_experiment(name), cell)
+
+
 @dataclass
 class RunnerResult:
     """Outcome of one experiment run: per-cell results plus the reduction.
 
-    ``cell_perf`` holds one ``{wall_s, events, events_per_s, attempts}``
-    record per cell (simulator events executed while the cell ran), so
+    ``cell_perf`` holds one ``{wall_s, events, events_per_s}`` record
+    per cell (simulator events executed while the cell ran), so
     artifacts track the evaluation's throughput trajectory commit over
-    commit.  ``incidents`` is the supervisor's anomaly log — worker
-    deaths, per-cell timeouts, in-cell exceptions — empty on a healthy
-    run; retried cells carry ``attempts > 1`` and resumed cells carry
-    ``resumed: true`` in their perf record.
+    commit.  Cells replayed from a checkpoint carry ``resumed: true``.
     """
 
     experiment: str
@@ -238,7 +235,6 @@ class RunnerResult:
     reduced: Any
     elapsed_s: float
     cell_perf: List[Dict[str, float]] = field(default_factory=list)
-    incidents: List[Dict[str, Any]] = field(default_factory=list)
 
     def by_key(self) -> Dict[str, Any]:
         return {c.key: r for c, r in zip(self.cells, self.cell_results)}
@@ -246,50 +242,42 @@ class RunnerResult:
     def perf_summary(self) -> Dict[str, float]:
         """Aggregate events/wall over the cells (wall sums worker time).
 
-        The throughput ratio is computed over *clean* cells only: a
-        retried cell's wall time includes scheduler noise from the fault
-        (and a resumed cell's was measured by an earlier process), so
-        both are excluded from ``events_per_s``.  Event *counts* still
-        sum over every cell: they are deterministic, faults or not.  The
-        repo benchmark (``bench/run.py``) reads both fields from the
-        artifact's ``perf`` block.
+        The throughput ratio is computed over cells this process ran: a
+        resumed cell's wall time was measured by an earlier process, so
+        it is excluded from ``events_per_s``.  Event *counts* still sum
+        over every cell: they are deterministic.  The repo benchmark
+        (``bench/run.py``) reads both fields from the artifact's
+        ``perf`` block.
         """
         events = sum(p["events"] for p in self.cell_perf)
         wall = sum(p["wall_s"] for p in self.cell_perf)
-        clean = [
-            p
-            for p in self.cell_perf
-            if p.get("attempts", 1) == 1 and not p.get("resumed")
-        ]
-        clean_events = sum(p["events"] for p in clean)
-        clean_wall = sum(p["wall_s"] for p in clean)
+        fresh = [p for p in self.cell_perf if not p.get("resumed")]
+        fresh_events = sum(p["events"] for p in fresh)
+        fresh_wall = sum(p["wall_s"] for p in fresh)
         summary: Dict[str, float] = {
             "events": events,
             "cell_wall_s": round(wall, 6),
             "events_per_s": (
-                round(clean_events / clean_wall) if clean_wall > 0 else 0
+                round(fresh_events / fresh_wall) if fresh_wall > 0 else 0
             ),
             "elapsed_s": round(self.elapsed_s, 6),
         }
-        retried = sum(1 for p in self.cell_perf if p.get("attempts", 1) > 1)
         resumed = sum(1 for p in self.cell_perf if p.get("resumed"))
-        if retried:
-            summary["retried_cells"] = retried
         if resumed:
             summary["resumed_cells"] = resumed
         return summary
 
 
 class Runner:
-    """Fans experiment cells out over supervised ``multiprocessing`` workers.
+    """Fans experiment cells out over a ``ProcessPoolExecutor``.
 
     ``jobs=1`` runs in-process through the same per-cell code path, so
     the two modes are numerically identical by construction.  With
-    ``jobs > 1`` every cell runs under the execution supervisor: a hung
-    or crashed worker costs a bounded retry, never the grid (policy:
-    :class:`~repro.execution.supervisor.SupervisionPolicy`, env knobs
-    ``REPRO_CELL_TIMEOUT_S`` / ``REPRO_CELL_MAX_ATTEMPTS`` /
-    ``REPRO_RETRY_BACKOFF_S``).
+    ``jobs > 1`` an exception inside a cell propagates unchanged, as it
+    does serially; a worker process that dies raises
+    :class:`~repro.errors.ExecutionError`.  There is no per-cell
+    timeout or retry: a cell is a pure function of its seed, so a retry
+    would raise again.
 
     ``run(checkpoint_path=...)`` streams completed cells to a crash-safe
     journal; ``run(resume_from=...)`` replays a journal and executes only
@@ -297,11 +285,10 @@ class Runner:
     lists), which every registered reducer already consumes.
     """
 
-    def __init__(self, jobs: int = 1, mp_context: Optional[str] = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self._mp_context = mp_context
 
     def run(
         self,
@@ -319,9 +306,6 @@ class Runner:
         cells = list(spec.build_cells(**options))
         if not cells:
             raise ConfigError(f"experiment {spec.name!r} built an empty grid")
-        # A malformed REPRO_CHAOS fails here, before any worker forks,
-        # not as a crash in every worker that parses it.
-        active_faults()
         prefilled: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
         if resume_from is not None:
             prefilled = load_checkpoint(resume_from, spec.name, cells)
@@ -332,7 +316,7 @@ class Runner:
             )
         start = time.perf_counter()
         try:
-            results, perf, incidents = self._map(
+            results, perf = self._map(
                 spec, cells, journal=journal, prefilled=prefilled
             )
         finally:
@@ -348,7 +332,6 @@ class Runner:
             reduced=reduced,
             elapsed_s=elapsed,
             cell_perf=perf,
-            incidents=incidents,
         )
 
     def _map(
@@ -357,7 +340,7 @@ class Runner:
         cells: List[Cell],
         journal: Optional[CheckpointWriter] = None,
         prefilled: Optional[Dict[int, Tuple[Any, Dict[str, Any]]]] = None,
-    ) -> Tuple[List[Any], List[Dict[str, float]], List[Dict[str, Any]]]:
+    ) -> Tuple[List[Any], List[Dict[str, float]]]:
         prefilled = prefilled or {}
         if self.jobs == 1 or len(cells) == 1:
             results: List[Any] = []
@@ -367,12 +350,11 @@ class Runner:
                     value, cell_perf = prefilled[index]
                 else:
                     value, cell_perf = _timed_cell(spec, cell)
-                    cell_perf["attempts"] = 1
                     if journal is not None:
                         journal.record(index, cell, value, cell_perf)
                 results.append(value)
                 perf.append(cell_perf)
-            return results, perf, []
+            return results, perf
         # Workers resolve the spec by name, so an unregistered (or
         # name-shadowed) spec would run the wrong run_cell over there.
         if _REGISTRY.get(spec.name) is not spec:
@@ -380,15 +362,32 @@ class Runner:
                 f"experiment {spec.name!r} must be register()ed (and not "
                 f"shadowed) before running with jobs > 1"
             )
-        return supervised_map(
-            spec.name,
-            cells,
-            self.jobs,
-            SupervisionPolicy.from_env(),
-            mp_context=self._mp_context,
-            prefilled=prefilled,
-            on_complete=journal.record if journal is not None else None,
-        )
+        results = [None] * len(cells)
+        perf = [{} for _ in cells]
+        for index, (value, cell_perf) in prefilled.items():
+            results[index], perf[index] = value, cell_perf
+        todo = [index for index in range(len(cells)) if index not in prefilled]
+        if not todo:
+            return results, perf
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(todo))) as pool:
+                done = pool.map(
+                    _named_cell,
+                    [spec.name] * len(todo),
+                    [cells[index] for index in todo],
+                )
+                for index, (value, cell_perf) in zip(todo, done):
+                    results[index], perf[index] = value, cell_perf
+                    if journal is not None:
+                        journal.record(index, cells[index], value, cell_perf)
+        except BrokenProcessPool as exc:
+            raise ExecutionError(
+                f"a worker process died while running {spec.name!r}: {exc}"
+            ) from exc
+        return results, perf
 
 
 def run_experiment(name: str, *, jobs: int = 1, **options: Any) -> Any:
@@ -457,10 +456,6 @@ def artifact_payload(
         "jobs": result.jobs,
         "elapsed_s": round(result.elapsed_s, 3),
         "perf": result.perf_summary(),
-        # Supervisor anomaly log (worker deaths, timeouts, retries);
-        # omitted on healthy runs so fault-free artifacts keep their
-        # historical shape.
-        **({"incidents": result.incidents} if result.incidents else {}),
         "git": git_metadata(),
         "config": dict(config or {}),
         "cells": [

@@ -10,7 +10,7 @@ per-tenant p50/p99/p999 latency and SLO attainment.
 Profiles are deliberately CI-sized (hundreds of ops); scale up with
 ``--ops-per-client`` / the ``ops_per_client`` option.  Like every
 registered experiment, each profile cell is a pure function of spec +
-seed, so the supervised runner can retry or resume it without changing
+seed, so the runner can resume it from a checkpoint without changing
 the artifact (docs/RESILIENCE.md).
 """
 

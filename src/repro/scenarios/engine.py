@@ -13,9 +13,8 @@ persist artifacts exactly like the figure experiments::
     repro.cli scenario run pfc_incast_failover cxl_shuffle_degraded
 
 Scenario cells are pure functions of their spec + seed, which is what
-lets the supervised runner retry a crashed or hung cell and resume
-half-finished catalog sweeps from a checkpoint journal with
-bit-identical results (docs/RESILIENCE.md).
+lets the runner resume half-finished catalog sweeps from a checkpoint
+journal with bit-identical results (docs/RESILIENCE.md).
 """
 
 from __future__ import annotations

@@ -131,21 +131,19 @@ class TestRunnerPerf:
             p["events"] for p in reference.cell_perf
         ]
 
-    def test_perf_summary_rate_skips_retried_and_resumed_cells(self):
+    def test_perf_summary_rate_skips_resumed_cells(self):
         perf = [
-            {"events": 100, "wall_s": 1.0, "attempts": 1},
+            {"events": 100, "wall_s": 1.0},
             {"events": 300, "wall_s": 1.0},
-            {"events": 50, "wall_s": 5.0, "attempts": 2},
-            {"events": 70, "wall_s": 7.0, "attempts": 1, "resumed": True},
+            {"events": 70, "wall_s": 7.0, "resumed": True},
         ]
         result = RunnerResult(
             experiment="figure8a", jobs=1, cells=[], cell_results=[],
             reduced=None, elapsed_s=2.5, cell_perf=perf,
         )
         summary = result.perf_summary()
-        assert summary["events"] == 520
+        assert summary["events"] == 470
         assert summary["events_per_s"] == 200
-        assert summary["cell_wall_s"] == 14.0
+        assert summary["cell_wall_s"] == 9.0
         assert summary["elapsed_s"] == 2.5
-        assert summary["retried_cells"] == 1
         assert summary["resumed_cells"] == 1

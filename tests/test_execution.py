@@ -1,50 +1,27 @@
-"""Fault-tolerance tests: supervision, chaos injection, checkpoints, atomics.
+"""Execution-layer tests: the --jobs process pool, checkpoints, atomics.
 
-Every recovery behaviour asserted here is driven by the deterministic
-``REPRO_CHAOS`` injector (docs/RESILIENCE.md), so the tests *prove* the
-execution layer's contract instead of hoping a real crash shows up:
-
-* chaos-killed and chaos-hung workers cost a bounded retry, never the
-  grid, and the recovered artifact is bit-identical to a fault-free run;
+* a parallel run reduces exactly as a serial one; an exception inside a
+  cell propagates unchanged at any ``--jobs``; a worker that dies
+  raises ``ExecutionError`` naming the experiment and leaves no child
+  process behind;
 * a run resumed from a crash-truncated checkpoint journal reduces to the
   same artifact as a clean run;
-* a chaos spec naming a key its fault kind does not take is a typed
-  error, not a fault that silently never fires;
-* an interrupted artifact write never leaves truncated JSON at the
-  final path.
+* a write that fails midway never touches the final path.
 """
 
 import json
+import multiprocessing
 import os
-import time
-from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import (
-    CellTimeoutError,
-    ConfigError,
-    ExecutionError,
-    ReproError,
-)
+from repro.errors import ConfigError, ExecutionError, ReproError
 from repro.execution import (
     CheckpointWriter,
-    SupervisionPolicy,
     atomic_write_json,
     grid_fingerprint,
     load_checkpoint,
     new_checkpoint_path,
-    parse_chaos,
-    reset_chaos_state,
-    supervised_map,
-)
-from repro.execution.chaos import CHAOS_EXIT_CODE, ChaosFault, find_fault
-from repro.execution.supervisor import (
-    BACKOFF_ENV,
-    MAX_ATTEMPTS_ENV,
-    TIMEOUT_ENV,
 )
 from repro.experiments import (
     ExperimentSpec,
@@ -56,8 +33,8 @@ from repro.experiments import (
 )
 
 # --------------------------------------------------------------------------- #
-# A trivial registered experiment for supervision tests.  Module-level so
-# fork-started workers resolve it from their inherited registry.
+# Trivial registered experiments for runner tests.  Module-level so
+# fork-started workers resolve them from their inherited registry.
 # --------------------------------------------------------------------------- #
 
 
@@ -85,34 +62,35 @@ TOY = register(
 )
 
 
-@contextmanager
-def _env(**pairs):
-    """Set/unset env vars for the block; always restores and resets chaos."""
-    saved = {key: os.environ.get(key) for key in pairs}
-    for key, value in pairs.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        reset_chaos_state()
+def _bad_run(cell):
+    if cell.param("i") == 2:
+        raise ConfigError("cell 2 is misconfigured")
+    return _toy_run(cell)
 
 
-#: Chaos runs should not sleep through real backoff delays.
-_FAST = {BACKOFF_ENV: "0"}
+def _dying_run(cell):
+    # Only ever in a pool worker: at --jobs 1 this would end the test run.
+    if cell.param("i") == 1 and multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return _toy_run(cell)
+
+
+for _name, _run in (("exec_toy_bad", _bad_run), ("exec_toy_dies", _dying_run)):
+    register(
+        ExperimentSpec(
+            name=_name,
+            description="toy grid whose cell 1 or 2 fails",
+            build_cells=_toy_cells,
+            run_cell=_run,
+            reduce=_toy_reduce,
+        )
+    )
 
 
 def _reduced_sections(result):
     """The determinism-bearing artifact sections (timings excluded)."""
     payload = artifact_payload(result, created_at="T")
-    for volatile in ("elapsed_s", "jobs", "perf", "incidents", "git"):
+    for volatile in ("elapsed_s", "jobs", "perf", "git"):
         payload.pop(volatile, None)
     for record in payload["cells"]:
         record.pop("perf", None)
@@ -120,133 +98,15 @@ def _reduced_sections(result):
 
 
 # --------------------------------------------------------------------------- #
-# Chaos grammar                                                               #
-# --------------------------------------------------------------------------- #
-
-
-class TestChaosGrammar:
-    def test_parse_fault_list(self):
-        faults = parse_chaos(
-            "kill_worker:cell=3;hang:cell=1:hold_s=2.5;partial_artifact:count=2"
-        )
-        assert faults[0] == ChaosFault(kind="kill_worker", params=(("cell", 3),))
-        assert faults[1].kind == "hang"
-        assert faults[1].param("hold_s") == 2.5
-        assert faults[2] == ChaosFault(kind="partial_artifact", count=2)
-
-    def test_count_param_sets_budget_not_target(self):
-        (fault,) = parse_chaos("kill_worker:cell=0:count=3")
-        assert fault.count == 3
-        assert fault.matches("kill_worker", {"cell": 0})
-
-    def test_matches_requires_every_targeting_param(self):
-        (fault,) = parse_chaos("kill_worker:cell=2")
-        assert fault.matches("kill_worker", {"cell": 2})
-        assert not fault.matches("kill_worker", {"cell": 1})
-        assert not fault.matches("kill_worker", {})
-        assert not fault.matches("hang", {"cell": 2})
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_chaos("explode:cell=1")
-
-    def test_malformed_param_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_chaos("hang:cell")
-        with pytest.raises(ConfigError):
-            parse_chaos("kill_worker:count=0")
-        with pytest.raises(ConfigError):
-            parse_chaos("kill_worker:count=two")
-
-    @pytest.mark.parametrize("text", [
-        "kill_worker:cel=3",        # typo of cell=
-        "kill_worker:shard=1",      # the removed shard target
-        "hang:shard=1:hold_s=2",
-        "partial_artifact:cell=1",  # partial_artifact only takes count=
-    ])
-    def test_unknown_param_rejected(self, text):
-        with pytest.raises(ConfigError, match="unknown chaos param"):
-            parse_chaos(text)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_runner_rejects_bad_env_before_running(self, jobs):
-        with _env(REPRO_CHAOS="kill_worker:shard=1", **_FAST):
-            with pytest.raises(ConfigError, match="unknown chaos param"):
-                Runner(jobs=jobs).run("exec_toy")
-
-    def test_empty_env_means_no_faults(self):
-        with _env(REPRO_CHAOS=None):
-            assert find_fault("kill_worker", cell=0) is None
-
-    def test_find_fault_reads_environment(self):
-        with _env(REPRO_CHAOS="hang:cell=1"):
-            assert find_fault("hang", cell=1) is not None
-            assert find_fault("hang", cell=0) is None
-            assert find_fault("kill_worker", cell=1) is None
-
-
-# --------------------------------------------------------------------------- #
-# Supervision policy                                                          #
-# --------------------------------------------------------------------------- #
-
-
-class TestSupervisionPolicy:
-    def test_env_knobs(self):
-        with _env(**{TIMEOUT_ENV: "2.5", MAX_ATTEMPTS_ENV: "5", BACKOFF_ENV: "0"}):
-            policy = SupervisionPolicy.from_env()
-        assert policy.timeout_s == 2.5
-        assert policy.max_attempts == 5
-        assert policy.backoff_base_s == 0
-
-    def test_bad_env_raises_config_error(self):
-        with _env(**{TIMEOUT_ENV: "soon"}):
-            with pytest.raises(ConfigError):
-                SupervisionPolicy.from_env()
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            SupervisionPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            SupervisionPolicy(timeout_s=-1.0)
-        with pytest.raises(ConfigError):
-            SupervisionPolicy(backoff_base_s=-0.1)
-
-    def test_timeout_explicit_beats_adaptive(self):
-        policy = SupervisionPolicy(timeout_s=7.0)
-        assert policy.cell_timeout_s(100.0) == 7.0
-
-    def test_timeout_adapts_to_slowest_observed_cell(self):
-        policy = SupervisionPolicy(timeout_scale=8.0, timeout_floor_s=5.0)
-        assert policy.cell_timeout_s(None) == policy.default_timeout_s
-        assert policy.cell_timeout_s(2.0) == 16.0
-        assert policy.cell_timeout_s(0.01) == 5.0  # floor
-
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = SupervisionPolicy(backoff_base_s=0.1, backoff_cap_s=1.0)
-        first = policy.backoff_s("exp", 3, 1)
-        assert first == policy.backoff_s("exp", 3, 1)
-        assert policy.backoff_s("exp", 4, 1) != first  # decorrelated
-        for attempt in range(1, 8):
-            delay = policy.backoff_s("exp", 0, attempt)
-            assert 0.0 <= delay <= 1.0 * 1.5  # cap times max jitter
-        assert SupervisionPolicy(backoff_base_s=0.0).backoff_s("exp", 0, 1) == 0.0
-
-    def test_error_hierarchy_is_single_rooted(self):
-        assert issubclass(ExecutionError, ReproError)
-        assert issubclass(CellTimeoutError, ExecutionError)
-
-
-# --------------------------------------------------------------------------- #
-# Supervised runner: kills, hangs, retries, bit-identity                      #
+# Parallel runner (--jobs) on the process pool                                #
 # --------------------------------------------------------------------------- #
 
 
 class TestSupervisedRunner:
     def test_clean_parallel_run(self):
-        with _env(REPRO_CHAOS=None, **_FAST):
-            result = Runner(jobs=2).run("exec_toy", count=6)
-        assert [p["attempts"] for p in result.cell_perf] == [1] * 6
-        assert result.incidents == []
+        result = Runner(jobs=2).run("exec_toy", count=6)
+        serial = Runner(jobs=1).run("exec_toy", count=6)
+        assert _reduced_sections(result) == _reduced_sections(serial)
         assert result.reduced["5"] == {"i": 5, "value": 51}
         # Regression: per-cell perf dicts must never alias each other.
         assert all(
@@ -255,76 +115,24 @@ class TestSupervisedRunner:
             for b in result.cell_perf[i + 1 :]
         )
 
-    def test_killed_worker_recovers_bit_identical(self):
-        with _env(REPRO_CHAOS=None, **_FAST):
-            clean = Runner(jobs=2).run("exec_toy")
-        with _env(REPRO_CHAOS="kill_worker:cell=1", **_FAST):
-            chaotic = Runner(jobs=2).run("exec_toy")
-        assert chaotic.cell_results == clean.cell_results
-        assert chaotic.reduced == clean.reduced
-        assert _reduced_sections(chaotic) == _reduced_sections(clean)
-        assert chaotic.cell_perf[1]["attempts"] == 2
-        (incident,) = chaotic.incidents
-        assert incident["kind"] == "worker_death"
-        assert incident["cell"] == 1
-        assert str(CHAOS_EXIT_CODE) in incident["detail"]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_exception_propagates_unchanged(self, jobs):
+        with pytest.raises(ConfigError, match="cell 2 is misconfigured"):
+            Runner(jobs=jobs).run("exec_toy_bad")
 
-    def test_hung_worker_times_out_and_recovers(self):
-        with _env(
-            REPRO_CHAOS="hang:cell=0:hold_s=60",
-            **{TIMEOUT_ENV: "1.0", BACKOFF_ENV: "0"},
-        ):
-            start = time.monotonic()
-            result = Runner(jobs=2).run("exec_toy")
-            elapsed = time.monotonic() - start
-        assert elapsed < 30.0  # bounded: one 1 s budget + teardown, not 60 s
-        assert result.cell_perf[0]["attempts"] == 2
-        (incident,) = result.incidents
-        assert incident["kind"] == "timeout"
-        assert result.reduced["0"] == {"i": 0, "value": 1}
+    def test_dead_worker_raises_execution_error(self):
+        with pytest.raises(ExecutionError, match="'exec_toy_dies'") as exc:
+            Runner(jobs=2).run("exec_toy_dies")
+        assert isinstance(exc.value, ReproError)
+        assert multiprocessing.active_children() == []
 
-    def test_exhausted_attempts_raise_with_history(self):
-        with _env(
-            REPRO_CHAOS="kill_worker:cell=2:count=9",
-            **{MAX_ATTEMPTS_ENV: "2", BACKOFF_ENV: "0"},
-        ):
-            with pytest.raises(ExecutionError, match=r"cell 2 .*2 attempt"):
-                Runner(jobs=2).run("exec_toy")
-
-    def test_supervised_map_prefill_skips_execution(self):
+    def test_pool_prefill_skips_execution(self):
         cells = _toy_cells()
         prefilled = {0: ({"i": 0, "value": 999}, {"wall_s": 0.0, "resumed": True})}
-        with _env(REPRO_CHAOS=None, **_FAST):
-            results, perf, incidents = supervised_map(
-                "exec_toy", cells, jobs=2, prefilled=prefilled
-            )
+        results, perf = Runner(jobs=2)._map(TOY, cells, prefilled=prefilled)
         assert results[0] == {"i": 0, "value": 999}  # replayed, not re-run
         assert perf[0]["resumed"] is True
         assert [r["value"] for r in results[1:]] == [11, 21, 31]
-        assert incidents == []
-
-    @settings(max_examples=5, deadline=None)
-    @given(
-        kills=st.dictionaries(
-            keys=st.integers(min_value=0, max_value=3),
-            values=st.integers(min_value=1, max_value=2),
-            max_size=3,
-        )
-    )
-    def test_any_kill_schedule_reduces_identically(self, kills):
-        """Chaos over any subset of cells (retries within budget) is invisible
-        in the reduced artifact — the acceptance property from the issue."""
-        with _env(REPRO_CHAOS=None, **_FAST):
-            clean = Runner(jobs=2).run("exec_toy")
-        chaos = ";".join(
-            f"kill_worker:cell={cell}:count={count}"
-            for cell, count in sorted(kills.items())
-        )
-        with _env(REPRO_CHAOS=chaos or None, **_FAST):
-            chaotic = Runner(jobs=2).run("exec_toy")
-        assert _reduced_sections(chaotic) == _reduced_sections(clean)
-        for cell, count in kills.items():
-            assert chaotic.cell_perf[cell]["attempts"] == count + 1
 
 
 # --------------------------------------------------------------------------- #
@@ -335,8 +143,7 @@ class TestSupervisedRunner:
 class TestCheckpointJournal:
     def _clean_run(self, tmp_path, name="clean"):
         path = str(tmp_path / f"{name}.ckpt.jsonl")
-        with _env(REPRO_CHAOS=None, **_FAST):
-            result = Runner(jobs=1).run("exec_toy", checkpoint_path=path)
+        result = Runner(jobs=1).run("exec_toy", checkpoint_path=path)
         return result, path
 
     def test_journal_round_trip(self, tmp_path):
@@ -356,10 +163,9 @@ class TestCheckpointJournal:
         with open(crashed, "w", encoding="utf-8") as fh:
             fh.writelines(lines[:3])
             fh.write('{"index": 3, "key": "trunc')
-        with _env(REPRO_CHAOS=None, **_FAST):
-            resumed = Runner(jobs=2).run(
-                "exec_toy", resume_from=crashed, checkpoint_path=crashed
-            )
+        resumed = Runner(jobs=2).run(
+            "exec_toy", resume_from=crashed, checkpoint_path=crashed
+        )
         assert resumed.cell_results == clean.cell_results
         assert resumed.reduced == clean.reduced
         assert _reduced_sections(resumed) == _reduced_sections(clean)
@@ -429,45 +235,47 @@ class TestCheckpointJournal:
 # --------------------------------------------------------------------------- #
 
 
+def _failing_fsync(fd):
+    raise OSError("disk vanished mid-write")
+
+
 class TestAtomicWrites:
     def test_json_write_round_trips_with_trailing_newline(self, tmp_path):
         path = str(tmp_path / "out.json")
-        with _env(REPRO_CHAOS=None):
-            assert atomic_write_json(path, {"a": [1, 2]}) == path
+        assert atomic_write_json(path, {"a": [1, 2]}) == path
         text = open(path, encoding="utf-8").read()
         assert text.endswith("\n")
         assert json.loads(text) == {"a": [1, 2]}
         assert not os.path.exists(path + ".tmp")
 
-    def test_partial_artifact_chaos_never_touches_final_path(self, tmp_path):
+    def test_interrupted_write_never_touches_final_path(self, tmp_path, monkeypatch):
         path = str(tmp_path / "artifact.json")
-        with _env(REPRO_CHAOS="partial_artifact"):
-            reset_chaos_state()
-            with pytest.raises(ExecutionError, match="partial_artifact"):
+        atomic_write_json(path, {"old": True})
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", _failing_fsync)
+            with pytest.raises(OSError, match="mid-write"):
                 atomic_write_json(path, {"big": list(range(100))})
-            # The interrupted write left only partial bytes in the temp
-            # sibling; the final path does not exist at all.
-            assert not os.path.exists(path)
-            assert os.path.exists(path + ".tmp")
-            # The fault budget (count=1) is spent: the retry succeeds and
-            # replaces the partial temp file.
-            atomic_write_json(path, {"big": list(range(100))})
+        # The failed write stopped in the temp sibling; the final path
+        # still holds the old file, whole.
+        assert json.loads(open(path, encoding="utf-8").read()) == {"old": True}
+        # A retry succeeds and replaces the stale temp file.
+        atomic_write_json(path, {"big": list(range(100))})
         assert json.loads(open(path, encoding="utf-8").read())["big"][-1] == 99
         assert not os.path.exists(path + ".tmp")
 
-    def test_write_artifact_is_atomic_under_chaos(self, tmp_path):
-        with _env(REPRO_CHAOS=None, **_FAST):
-            result = Runner(jobs=1).run("exec_toy")
-        with _env(REPRO_CHAOS="partial_artifact"):
-            reset_chaos_state()
-            with pytest.raises(ExecutionError):
+    def test_write_artifact_is_atomic_under_a_failed_write(self, tmp_path, monkeypatch):
+        result = Runner(jobs=1).run("exec_toy")
+        first = write_artifact(result, out_dir=str(tmp_path))
+        before = open(first, encoding="utf-8").read()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", _failing_fsync)
+            with pytest.raises(OSError):
                 write_artifact(result, out_dir=str(tmp_path))
-            final = [
-                name
-                for name in os.listdir(tmp_path / "exec_toy")
-                if name.endswith(".json")
-            ]
-            assert final == []  # no truncated artifact at a final path
-            path = write_artifact(result, out_dir=str(tmp_path))
+        final = [
+            name for name in os.listdir(tmp_path / "exec_toy") if name.endswith(".json")
+        ]
+        assert final == [os.path.basename(first)]  # no truncated second artifact
+        assert open(first, encoding="utf-8").read() == before
+        path = write_artifact(result, out_dir=str(tmp_path))
         data = json.loads(open(path, encoding="utf-8").read())
         assert data["results"] == result.reduced

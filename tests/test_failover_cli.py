@@ -167,3 +167,24 @@ class TestCli:
             ])
         assert exc.value.code == 2
         assert "error: seed must be non-negative: -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "figure8a", "--nodes", "0"],
+            ["run", "figure8a", "--messages", "0"],
+            ["run", "serving", "--ops-per-client", "0"],
+            ["run", "ablations", "--messages", "-5"],
+            ["figure8a", "--nodes", "0"],
+            ["scenario", "run", "--nodes", "0"],
+            ["scenario", "run", "--messages", "0"],
+        ],
+    )
+    def test_zero_count_is_a_usage_error(self, argv, tmp_path, capsys):
+        # A count of 0 once meant "unset" and quietly ran the default scale.
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

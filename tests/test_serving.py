@@ -15,6 +15,7 @@ import pytest
 from reference_kernel import KERNELS, replay_on
 
 from repro.apps.serving import (
+    ServingCluster,
     ServingSpec,
     TenantSpec,
     latency_percentiles,
@@ -23,6 +24,7 @@ from repro.apps.serving import (
 )
 from repro.errors import ConfigError
 from repro.experiments import Runner, serving_profile, serving_profiles
+from repro.host.nic import HostConfig
 from repro.scenarios.spec import FaultSpec
 from repro.workloads.api import RateShape
 
@@ -153,6 +155,19 @@ class TestClosedLoop:
         cut = run_serving(_spec(seed=1, deadline_ns=full["makespan_ns"] / 4))
         assert cut["totals"]["issued"] < full["totals"]["issued"]
         assert cut["makespan_ns"] <= full["makespan_ns"] / 4
+
+    def test_stale_read_timers_do_not_stretch_the_makespan(self):
+        # With the §3.3 read timer on, each read's timer outlives the read
+        # and pops after the last completion; the drained makespan still
+        # ends at that completion, as in the run without timers.
+        plain = run_serving(_spec(seed=1))
+        cluster = ServingCluster(_spec(seed=1))
+        for nic in cluster.cluster.nics.values():
+            nic.config = HostConfig(read_timeout_ns=1_000_000.0)
+        timed = cluster.run()
+        assert cluster.sim.now > plain["makespan_ns"] + 1_000_000.0 / 2
+        assert timed["makespan_ns"] == plain["makespan_ns"]
+        assert timed["totals"] == plain["totals"]
 
     def test_bursty_shape_shortens_makespan(self):
         steady = run_serving(_spec())
