@@ -39,9 +39,9 @@ def main() -> None:
     print(f"  primary pending: {primary.pending_demands}, "
           f"backup pending: {backup.pending_demands}  (identical state)")
 
-    p = [(g.grant.src, g.grant.dst, g.grant.chunk_bytes)
+    p = [(g.src, g.dst, g.chunk_bytes)
          for g in primary.schedule(20.0)]
-    b = [(g.grant.src, g.grant.dst, g.grant.chunk_bytes)
+    b = [(g.src, g.dst, g.chunk_bytes)
          for g in backup.schedule(20.0)]
     print(f"  matching round on both: identical grants? {p == b}  ({len(p)} grants)")
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -73,14 +74,13 @@ def _run_and_persist(
         profiler = cProfile.Profile()
         profiler.enable()
     # Resuming appends to the same journal (continue-in-place); a fresh
-    # run gets a stamped journal next to where the artifact will land.
+    # run gets a stamped journal next to where the artifact will land.  A
+    # run that writes no artifact writes no journal either.
     resume_from: Optional[str] = getattr(args, "resume", None)
-    checkpoint_path: Optional[str] = resume_from
-    if (
-        checkpoint_path is None
-        and args.out
-        and not getattr(args, "no_checkpoint", False)
-    ):
+    no_artifact = getattr(args, "no_artifact", False)
+    write_out = bool(args.out) and not no_artifact
+    checkpoint_path = None if no_artifact else resume_from
+    if checkpoint_path is None and write_out and not getattr(args, "no_checkpoint", False):
         checkpoint_path = new_checkpoint_path(args.out, name)
     try:
         result = Runner(jobs=args.jobs).run(
@@ -89,13 +89,22 @@ def _run_and_persist(
             resume_from=resume_from,
             **options,
         )
+    except BaseException:
+        # An interrupted run keeps its journal for --resume; a fresh one
+        # that recorded no cell has nothing to resume.
+        if checkpoint_path is not None:
+            if checkpoint_path != resume_from and not _journal_has_cells(
+                checkpoint_path
+            ):
+                _remove_quietly(checkpoint_path)
+            else:
+                print(f"[checkpoint] {checkpoint_path}", file=sys.stderr)
+        raise
     finally:
         if profiler is not None:
             profiler.disable()
-    if checkpoint_path is not None:
-        print(f"[checkpoint] {checkpoint_path}", file=sys.stderr)
     artifact_path: Optional[str] = None
-    if args.out and not getattr(args, "no_artifact", False):
+    if write_out:
         # Record exactly what the runner received — not the raw argparse
         # namespace, whose flags an experiment may not consume.
         config = {
@@ -104,9 +113,30 @@ def _run_and_persist(
         }
         artifact_path = write_artifact(result, out_dir=args.out, config=config)
         print(f"[artifact] {artifact_path}", file=sys.stderr)
+        # The artifact landed atomically, so the journal has no more use.
+        if checkpoint_path is not None:
+            _remove_quietly(checkpoint_path)
+    elif checkpoint_path is not None:
+        print(f"[checkpoint] {checkpoint_path}", file=sys.stderr)
     if profiler is not None:
         _write_profile(profiler, name, args, artifact_path)
     return result
+
+
+def _journal_has_cells(path: str) -> bool:
+    """Whether a checkpoint journal holds a complete line past its header."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().count(b"\n") > 1
+    except FileNotFoundError:
+        return False
+
+
+def _remove_quietly(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 def _write_profile(
@@ -442,8 +472,9 @@ def _add_runner_args(
     parser.add_argument(
         "--resume", type=str, default=None, metavar="CKPT",
         help="replay completed cells from a checkpoint journal "
-        "(*.ckpt.jsonl, printed as [checkpoint] on a prior run) and "
-        "execute only the remainder; the journal keeps being appended",
+        "(*.ckpt.jsonl, printed as [checkpoint] by an interrupted run) "
+        "and execute only the remainder; the journal keeps being appended "
+        "until the artifact is written",
     )
     parser.add_argument(
         "--no-checkpoint", action="store_true",

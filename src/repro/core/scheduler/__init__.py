@@ -4,12 +4,11 @@ Public surface:
 
 * :class:`~repro.core.scheduler.ordered_list.OrderedList` — the constant
   time hardware ordered list underlying every scheduler structure.
-* :class:`~repro.core.scheduler.priority_encoder.SourceRequestArray` — the
-  per-source sorted array + priority encoder used in PIM's second cycle.
 * :class:`~repro.core.scheduler.notification_queue.NotificationQueueBank` —
   per-destination demand queues, bounded to X*N.
 * :class:`~repro.core.scheduler.pim.PimMatcher` — priority-based PIM,
-  3 cycles per iteration.
+  3 cycles per iteration, over int words of port bits (§3.1.2's request
+  flags, not_busy bits and priority encoder).
 * :class:`~repro.core.scheduler.grants.CentralScheduler` — the grant engine
   with chunking and timed port release.
 """
@@ -17,7 +16,6 @@ Public surface:
 from repro.core.scheduler.grants import (
     DEFAULT_CHUNK_BYTES,
     CentralScheduler,
-    IssuedGrant,
     SchedulerConfig,
 )
 from repro.core.scheduler.notification_queue import (
@@ -28,7 +26,6 @@ from repro.core.scheduler.notification_queue import (
 from repro.core.scheduler.ordered_list import OrderedList
 from repro.core.scheduler.pim import CYCLES_PER_ITERATION, MatchResult, PimMatcher
 from repro.core.scheduler.policies import Policy, policy_for_workload, priority_of
-from repro.core.scheduler.priority_encoder import SourceRequestArray, priority_encode
 
 __all__ = [
     "CYCLES_PER_ITERATION",
@@ -36,15 +33,12 @@ __all__ = [
     "DEFAULT_MAX_ACTIVE_PER_PAIR",
     "CentralScheduler",
     "Demand",
-    "IssuedGrant",
     "MatchResult",
     "NotificationQueueBank",
     "OrderedList",
     "PimMatcher",
     "Policy",
     "SchedulerConfig",
-    "SourceRequestArray",
     "policy_for_workload",
-    "priority_encode",
     "priority_of",
 ]

@@ -15,13 +15,22 @@ objects, maintaining:
 Rounds are incremental: busy ports are tracked live and a round offers
 the matcher only the destinations whose state changed since the last
 (maximal) matching — see :class:`CentralScheduler` for the invariant.
+
+Port state is held the way §3.1.2's hardware holds it, as bits: the busy
+sources, busy destinations and dirty destinations are each one Python
+int word (bit ``p`` is port ``p``), beside the bank's request-flag and
+non-empty words (:mod:`~repro.core.scheduler.notification_queue`).  The
+not_busy bits PIM's first cycle checks are the complements of the busy
+words, and a round's proposers are ``dirty & nonempty & ~busy_dst``,
+walked lowest set bit first like the priority encoder
+(:mod:`~repro.core.scheduler.pim`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.clock import (
     SCHEDULER_CLOCK_GHZ,
@@ -40,23 +49,10 @@ from repro.errors import SchedulerError
 #: Chunk size used in the paper's large-scale simulations (§4.3).
 DEFAULT_CHUNK_BYTES = 256
 
-
-class IssuedGrant:
-    """A grant paired with its demand and bookkeeping for the fabric model."""
-
-    __slots__ = ("grant", "demand", "is_first_for_rres", "completes_message")
-
-    def __init__(
-        self,
-        grant: Grant,
-        demand: Demand,
-        is_first_for_rres: bool = False,
-        completes_message: bool = False,
-    ) -> None:
-        self.grant = grant
-        self.demand = demand
-        self.is_first_for_rres = is_first_for_rres
-        self.completes_message = completes_message
+#: What a round hands the switch per match: the chunk's :class:`Grant`, or
+#: for an RRES's first chunk the buffered RREQ/RMWREQ the demand carries,
+#: whose forwarding is that grant (§3.1.1 step 4).
+Issued = Union[Grant, object]
 
 
 @dataclass
@@ -93,22 +89,23 @@ class CentralScheduler:
     only moves forward: a round (or :meth:`next_release_after`) at a time
     before the latest one raises :class:`~repro.errors.SchedulerError`.
 
-    Busy state is incremental.  Live ``busy_src``/``busy_dst`` sets hold
-    the ports inside a busy window, and a min-heap of
-    ``(release_at, src, dst)`` holds the pending releases.  One expiry
-    step pops the releases due by ``now`` and frees a port only if its
-    busy-until entry still equals the popped time.
+    Busy state is incremental.  The ``busy_src``/``busy_dst`` words hold
+    the ports inside a busy window, per-port lists hold each busy
+    window's end, and a min-heap of ``(release_at, src, dst)`` holds the
+    pending releases.  One expiry step pops the releases due by ``now``
+    and frees a port only if its window still ends at the popped time.
 
     **Dirty-destination rule.**  Without an iteration cap every round ends
     in a maximal matching (see :mod:`repro.core.scheduler.pim`), so the
     next round can only match at a destination whose state changed since.
     Those *dirty* destinations are: the destination of a new demand, a
     freed destination, and every destination holding a demand from a
-    freed source.  Demands leave a queue only when granted and priorities
-    only change at matched (hence busy) destinations, so nothing else can
-    create an eligible demand.  Each round passes only the dirty non-empty
-    destinations to the matcher.  With an iteration cap a round may stop
-    short of maximal, so every non-empty destination stays a candidate.
+    freed source (the bank's ``_from[src]`` word).  Demands leave a queue
+    only when granted and priorities only change at matched (hence busy)
+    destinations, so nothing else can create an eligible demand.  Each
+    round passes the matcher only the word ``dirty & nonempty``.  With an
+    iteration cap a round may stop short of maximal, so every non-empty
+    destination stays a candidate.
     """
 
     def __init__(self, config: SchedulerConfig) -> None:
@@ -119,12 +116,15 @@ class CentralScheduler:
             max_active_per_pair=config.max_active_per_pair,
         )
         self.matcher = PimMatcher(self.bank, max_iterations=config.max_iterations)
-        self._src_busy_until: Dict[int, float] = {}
-        self._dst_busy_until: Dict[int, float] = {}
-        self._busy_src: Set[int] = set()
-        self._busy_dst: Set[int] = set()
+        ports = config.num_ports
+        # Port words (module docstring); a busy window's end is meaningful
+        # only while the port's busy bit is set.
+        self._busy_src = 0
+        self._busy_dst = 0
+        self._dirty = 0
+        self._src_busy_until: List[float] = [0.0] * ports
+        self._dst_busy_until: List[float] = [0.0] * ports
         self._releases: List[Tuple[float, int, int]] = []
-        self._dirty: Set[int] = set()
         self._latest = float("-inf")
         self._first_granted: Set[int] = set()
         self.grants_issued = 0
@@ -143,21 +143,21 @@ class CentralScheduler:
     def notify(self, demand: Demand) -> None:
         """Register a demand (explicit /N/ or implicit via RREQ/RMWREQ)."""
         self.bank.add(demand)
-        self._dirty.add(demand.dst)
+        self._dirty |= 1 << demand.dst
 
     @property
     def pending_demands(self) -> int:
-        return len(self.bank)
+        return self.bank._total
 
     # ------------------------------------------------------------------ #
     # Busy-window state                                                  #
     # ------------------------------------------------------------------ #
 
     def src_free_at(self, src: int) -> float:
-        return self._src_busy_until.get(src, 0.0)
+        return self._src_busy_until[src] if self._busy_src >> src & 1 else 0.0
 
     def dst_free_at(self, dst: int) -> float:
-        return self._dst_busy_until.get(dst, 0.0)
+        return self._dst_busy_until[dst] if self._busy_dst >> dst & 1 else 0.0
 
     def _expire(self, now: float) -> None:
         """Free every port whose busy window ended by ``now``."""
@@ -167,16 +167,25 @@ class CentralScheduler:
             )
         self._latest = now
         releases = self._releases
+        if not releases or releases[0][0] > now:
+            return
+        src_until = self._src_busy_until
+        dst_until = self._dst_busy_until
+        from_src = self.bank._from
+        busy_src = self._busy_src
+        busy_dst = self._busy_dst
+        dirty = self._dirty
         while releases and releases[0][0] <= now:
             release_at, src, dst = heappop(releases)
-            if self._src_busy_until.get(src) == release_at:
-                del self._src_busy_until[src]
-                self._busy_src.discard(src)
-                self._dirty.update(self.bank.destinations_from(src))
-            if self._dst_busy_until.get(dst) == release_at:
-                del self._dst_busy_until[dst]
-                self._busy_dst.discard(dst)
-                self._dirty.add(dst)
+            if src_until[src] == release_at:
+                busy_src &= ~(1 << src)
+                dirty |= from_src[src]
+            if dst_until[dst] == release_at:
+                busy_dst &= ~(1 << dst)
+                dirty |= 1 << dst
+        self._busy_src = busy_src
+        self._busy_dst = busy_dst
+        self._dirty = dirty
 
     def next_release_after(self, now: float) -> Optional[float]:
         """Earliest future time a busy port frees up (for re-scheduling)."""
@@ -196,25 +205,28 @@ class CentralScheduler:
     # Matching + grant issue                                             #
     # ------------------------------------------------------------------ #
 
-    def schedule(self, now: float) -> List[IssuedGrant]:
+    def schedule(self, now: float) -> List[Issued]:
         """Run one matching round at time ``now`` and issue chunk grants.
 
         One pass: expire due releases, match once, then issue each match's
-        chunk grant inline (remaining bytes, SRPT re-key, busy windows,
-        first-grant bookkeeping) in match order.
+        chunk inline (remaining bytes, SRPT re-key, busy windows,
+        first-grant bookkeeping) in match order.  Each match yields its
+        :class:`Grant`, or for an RRES's first chunk the carried request
+        (:data:`Issued`).
         """
         self._expire(now)
         bank = self.bank
-        dirty = self._dirty
         if not bank._total:
-            dirty.clear()
+            self._dirty = 0
             return []
         if self.matcher.max_iterations is None:
-            candidates: Optional[List[int]] = sorted(dirty.intersection(bank._nonempty))
+            candidates = self._dirty & bank._nonempty
         else:
-            candidates = None
-        dirty.clear()
-        result = self.matcher.run(self._busy_src, self._busy_dst, candidates)
+            candidates = bank._nonempty
+        self._dirty = 0
+        busy_src = self._busy_src
+        busy_dst = self._busy_dst
+        result = self.matcher.run(busy_src, busy_dst, candidates)
         self.rounds_run += 1
         self.total_iterations += result.iterations
 
@@ -226,7 +238,7 @@ class CentralScheduler:
         first_granted = self._first_granted
         queues = bank._queues
         rekey = bank._priority_of
-        issued: List[IssuedGrant] = []
+        issued: List[Issued] = []
         for demand in result.matches:
             remaining = demand.remaining_bytes
             chunk = chunk_bytes if chunk_bytes < remaining else remaining
@@ -259,22 +271,27 @@ class CentralScheduler:
             dst = demand.dst
             src_busy_until[src] = release_at
             dst_busy_until[dst] = release_at
+            busy_src |= 1 << src
+            busy_dst |= 1 << dst
             heappush(releases, (release_at, src, dst))
 
-            first = False
             uid = demand.message_uid
-            for_response = demand.carried_request is not None
-            if for_response and uid is not None:
-                if uid not in first_granted:
-                    first_granted.add(uid)
-                    first = True
-            if completes and uid is not None:
-                first_granted.discard(uid)
-
-            grant = Grant(
-                src, dst, demand.message_id, chunk, now, uid, for_response,
-            )
-            issued.append(IssuedGrant(grant, demand, first, completes))
+            carried = demand.carried_request
+            if uid is not None:
+                if carried is not None and uid not in first_granted:
+                    # The RRES's first chunk: its carried request is the
+                    # grant.  Later chunks get /G/ blocks.
+                    if not completes:
+                        first_granted.add(uid)
+                    issued.append(carried)
+                    continue
+                if completes:
+                    first_granted.discard(uid)
+            issued.append(Grant(
+                src, dst, demand.message_id, chunk, now, uid, carried is not None,
+            ))
+        self._busy_src = busy_src
+        self._busy_dst = busy_dst
         self.grants_issued += len(issued)
         return issued
 

@@ -7,6 +7,17 @@ N per-destination-port queues.  Each queue is a hardware ordered list
 bounded to ``X * N`` entries, where X is the maximum number of active
 notifications allowed per source-destination pair (senders rate-limit to
 enforce this; X=3 empirically best, §4.3).
+
+Beside the queues the bank keeps §3.1.2's per-port flags as Python int
+words, bit ``p`` standing for port ``p`` (ints are unbounded, so a
+144-port switch needs no special case):
+
+* ``_req[dst]`` — bit ``s`` is set while source ``s`` has a demand queued
+  at ``dst``: the request flags a destination raises in PIM's first
+  cycle, before the not_busy mask is applied;
+* ``_from[src]`` — bit ``d`` is set while ``src`` has a demand queued at
+  ``d``: the destinations a freed source makes worth re-matching;
+* ``_nonempty`` — bit ``d`` is set while ``d``'s queue holds a demand.
 """
 
 from __future__ import annotations
@@ -125,26 +136,15 @@ class NotificationQueueBank:
             OrderedList(capacity=capacity) for _ in range(num_ports)
         ]
         self._pair_counts: Dict[Tuple[int, int, bool], int] = {}
-        # Per-source index ``dst -> pending demand count``: when a source
-        # port frees up, the grant engine marks exactly these destinations
-        # as matching candidates instead of rescanning every queue.
-        self._by_src: List[Dict[int, int]] = [{} for _ in range(num_ports)]
-        # Cached totals: the matcher polls these every round, and summing
-        # N per-port queues per poll is O(N^2) per simulated chunk-time.
+        # Port words (module docstring).  _total is cached: the scheduler
+        # polls it every round.
+        self._req: List[int] = [0] * num_ports
+        self._from: List[int] = [0] * num_ports
+        self._nonempty = 0
         self._total = 0
-        self._nonempty: set = set()
 
     def __len__(self) -> int:
         return self._total
-
-    def nonempty_destinations(self) -> List[int]:
-        """Destination ports with pending demands, in ascending order."""
-        return sorted(self._nonempty)
-
-    def destinations_from(self, src: int) -> Dict[int, int]:
-        """Destinations holding a pending demand from ``src`` (live view:
-        ``dst -> count``; callers must not mutate it)."""
-        return self._by_src[src]
 
     def queue_for(self, dst: int) -> OrderedList[Demand]:
         self._check_port(dst)
@@ -168,13 +168,14 @@ class NotificationQueueBank:
                 f"pair {pair} exceeded X={self.max_active_per_pair} active "
                 f"notifications; the sender's rate limiter must hold this demand"
             )
+        src = demand.src
         dst = demand.dst
         self._queues[dst].insert(self._priority_of(demand), demand)
         self._pair_counts[pair] = count + 1
         self._total += 1
-        self._nonempty.add(dst)
-        dsts = self._by_src[demand.src]
-        dsts[dst] = dsts.get(dst, 0) + 1
+        self._nonempty |= 1 << dst
+        self._req[dst] |= 1 << src
+        self._from[src] |= 1 << dst
 
     def remove(self, demand: Demand) -> None:
         """Remove a fully-granted demand (remaining bytes hit zero)."""
@@ -183,19 +184,20 @@ class NotificationQueueBank:
         queue.remove(demand)
         self._total -= 1
         if not queue:
-            self._nonempty.discard(dst)
-        dsts = self._by_src[demand.src]
-        left = dsts[dst] - 1
-        if left:
-            dsts[dst] = left
-        else:
-            del dsts[dst]
+            self._nonempty ^= 1 << dst
+        pair_counts = self._pair_counts
         pair = demand.pair
-        count = self._pair_counts.get(pair, 0)
-        if count <= 1:
-            self._pair_counts.pop(pair, None)
-        else:
-            self._pair_counts[pair] = count - 1
+        count = pair_counts.get(pair, 0)
+        if count > 1:
+            pair_counts[pair] = count - 1
+            return
+        pair_counts.pop(pair, None)
+        # The pair's last demand in this direction: the flags clear once
+        # the other direction holds none either.
+        src = demand.src
+        if (src, dst, not pair[2]) not in pair_counts:
+            self._req[dst] &= ~(1 << src)
+            self._from[src] &= ~(1 << dst)
 
     def reprioritize(self, demand: Demand) -> None:
         """Re-key a demand after its remaining bytes changed (SRPT)."""

@@ -11,8 +11,19 @@ Each PIM iteration runs in exactly 3 scheduler clock cycles:
 
 Iterations repeat until no new matches form; PIM converges to a maximal
 matching in ~log2(N) iterations on average.  The matcher works over the
-:class:`NotificationQueueBank` and a caller-supplied port-busy view, so the
+:class:`NotificationQueueBank` and caller-supplied busy words, so the
 grant engine can layer chunking and timed port release on top.
+
+**The hardware's bits as int words.**  Bit ``p`` of a word is port
+``p``.  The not_busy bits are the complements of the ``busy_src`` and
+``busy_dst`` words.  A destination's request flags are the bank's
+``_req[dst]`` word, so ``_req[dst] & ~busy_src`` is what cycle 1 can
+propose from: when it is zero the destination is skipped without reading
+its queue.  The destinations in play are one word, walked lowest set bit
+first (``x & -x``); that walk is the priority encoder, with port order as
+the encoded order.  Cycle 2's per-source sorted array is the comparison
+of proposal priorities, ties going to the lower port, which is the
+first proposal in the walk.
 
 **Maximality invariant.**  Without an iteration cap a round only stops
 when no free destination holds a demand from a free source, so it always
@@ -75,57 +86,60 @@ class PimMatcher:
 
     def run(
         self,
-        busy_src: Set[int],
-        busy_dst: Set[int],
-        candidates: Optional[List[int]] = None,
+        busy_src: int = 0,
+        busy_dst: int = 0,
+        candidates: Optional[int] = None,
     ) -> MatchResult:
-        """Form (an extension of) a maximal matching given busy port sets.
+        """Form (an extension of) a maximal matching given busy port words.
 
-        ``busy_src`` / ``busy_dst`` are mutated: newly matched ports are
-        added, mirroring cycle 3 of the hardware loop.  ``candidates`` are
-        the destinations allowed to propose, in ascending port order; the
-        default is every destination with a pending demand.  A caller may
-        narrow it only to destinations that can still hold an eligible
-        demand (see :class:`~repro.core.scheduler.grants.CentralScheduler`):
-        the others never propose, so the result is unchanged.
+        ``busy_src`` / ``busy_dst`` are the ports inside a busy window;
+        the caller marks the matched ports busy itself.  ``candidates`` is
+        the word of destinations allowed to propose; the default is every
+        destination with a pending demand.  A caller may narrow it only to
+        destinations that can still hold an eligible demand (see
+        :class:`~repro.core.scheduler.grants.CentralScheduler`): the
+        others never propose, so the result is unchanged.
 
-        Each iteration is one pass over the destinations still in play.
-        Cycle 1: every free destination proposes its highest-priority
-        demand from a free source (an inline scan of its priority-ordered
-        queue).  Cycle 2: each source keeps its lowest-priority-value
-        proposal; destinations propose in ascending port order, so ties go
-        to the lower port.  This is what loading the source's sorted
-        request array and priority-encoding it
-        (:class:`~repro.core.scheduler.priority_encoder.SourceRequestArray`)
-        selects.  Cycle 3: winners' ports turn busy.
+        Each iteration is one lowest-bit-first walk over the free
+        destinations still in play.  Cycle 1: a destination whose request
+        word has a free source proposes its highest-priority demand from a
+        free source (an inline scan of its priority-ordered queue).  Cycle
+        2: each source keeps its lowest-priority-value proposal; the walk
+        is in ascending port order, so ties go to the lower port.  Cycle
+        3: winners' ports turn busy.
 
         Only the destinations that proposed and lost are revisited.  Busy
-        sets only grow inside a round and queues do not change, so a
+        words only grow inside a round and queues do not change, so a
         destination that found no eligible demand never finds one later,
         and a winner is busy.  Matches, their order (by each source's first
         proposal) and the iteration count are those of re-scanning every
         candidate each iteration.
         """
+        bank = self.bank
         if candidates is None:
-            candidates = self.bank.nonempty_destinations()
-        queues = self.bank._queues
-        priority = self.bank._priority_of
+            candidates = bank._nonempty
+        queues = bank._queues
+        req = bank._req
+        priority = bank._priority_of
         cap = self.max_iterations
         matches: List[Demand] = []
         iterations = 0
-        pending = candidates
+        pending = candidates & ~busy_dst
         while pending and (cap is None or iterations < cap):
             winners: Dict[int, Demand] = {}
             contested: Dict[int, float] = {}
-            proposers: List[int] = []
-            for dst in pending:
-                if dst in busy_dst:
+            proposers = 0
+            while pending:
+                bit = pending & -pending
+                pending ^= bit
+                dst = bit.bit_length() - 1
+                if not req[dst] & ~busy_src:
                     continue
                 for demand in queues[dst]._values:
                     src = demand.src
-                    if src in busy_src:
+                    if busy_src >> src & 1:
                         continue
-                    proposers.append(dst)
+                    proposers |= bit
                     held = winners.get(src)
                     if held is None:
                         winners[src] = demand
@@ -143,8 +157,8 @@ class PimMatcher:
                 break
             iterations += 1
             for demand in winners.values():
-                busy_src.add(demand.src)
-                busy_dst.add(demand.dst)
+                busy_src |= 1 << demand.src
+                busy_dst |= 1 << demand.dst
                 matches.append(demand)
-            pending = [dst for dst in proposers if dst not in busy_dst]
+            pending = proposers & ~busy_dst
         return MatchResult(matches, iterations)

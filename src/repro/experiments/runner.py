@@ -190,9 +190,9 @@ def _timed_cell(spec: ExperimentSpec, cell: Cell) -> Tuple[Any, Dict[str, float]
     that never touch the simulator report zero events.
     """
     events_before = process_events_executed()
-    # Cyclic GC off while the cell runs: the event loop allocates tuples
-    # and partials at a rate that triggers a gen-0 collection every few
-    # hundred events, and a cell's working set is bounded, so deferring
+    # Cyclic GC off while the cell runs: the event loop allocates entry
+    # tuples and bound methods at a rate that triggers a gen-0 collection
+    # every few hundred events, and a cell's working set is bounded, so deferring
     # collection to the cell boundary is a measurable win at no risk.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:

@@ -79,11 +79,13 @@ class FastpassFabric(Fabric):
             # Reads pay the extra request hop to the memory node first.
             request_extra = (2 * prop + PIPELINE_NS) if message.is_read else 0.0
             complete_at = start + request_extra + duration + 2 * prop + PIPELINE_NS
-            sim.post_at(
-                complete_at,
-                lambda: result.records.append(
-                    CompletionRecord(message=message, completed_at=sim.now)
-                ),
+            # complete_at is past now (start >= grant_at = now): pushed
+            # straight onto the root lane (sim/engine.py).
+            sim._push((complete_at, 0, next(sim._seq), complete, message))
+
+        def complete(message: OfferedMessage) -> None:
+            result.records.append(
+                CompletionRecord(message=message, completed_at=sim.now)
             )
 
         # Hosts cap their outstanding notifications; excess messages queue

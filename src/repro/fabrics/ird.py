@@ -17,8 +17,7 @@ implicitly by the chunk never arriving, and keeps pacing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.fabrics.base import (
     ClusterConfig,
@@ -79,6 +78,10 @@ class IrdFabric(Fabric):
         bandwidth = self.config.link_gbps
         prop = self.config.propagation_ns
         half_rtt = prop + PIPELINE_NS / 2.0
+        # Every event below is pushed straight onto the root lane
+        # (sim/engine.py) at now plus a non-negative delay.
+        push = sim._push
+        seq = sim._seq
 
         def tx_ns(payload: int) -> float:
             return frame_wire_bytes(payload) * 8.0 / bandwidth
@@ -102,14 +105,14 @@ class IrdFabric(Fabric):
             flow = min(grantable, key=lambda f: f.remaining)
             chunk = min(self.CHUNK_BYTES, flow.remaining)
             flow.remaining -= chunk
-            sim.post_at(sim._now + half_rtt, partial(sender_side, recv, flow, chunk))
+            push((sim._now + half_rtt, 0, next(seq), sender_side, (recv, flow, chunk)))
             arm(recv, tx_ns(chunk))
 
         def arm(recv: _Receiver, delay: float) -> None:
             if recv.pacing:
                 return
             recv.pacing = True
-            sim.post_at(sim._now + delay, partial(pace, recv))
+            push((sim._now + delay, 0, next(seq), pace, recv))
 
         # Grants colliding at a busy sender queue there (Homa-style) and are
         # served in arrival order when the sender frees up.  The conflict
@@ -119,7 +122,8 @@ class IrdFabric(Fabric):
             n: [] for n in range(self.config.num_nodes)
         }
 
-        def sender_side(recv: _Receiver, flow: _Flow, chunk: int) -> None:
+        def sender_side(credit: Tuple[_Receiver, _Flow, int]) -> None:
+            recv, flow, chunk = credit
             sender = flow.data_src
             if sender_busy_until[sender] > sim.now and len(sender_queue[sender]) >= 2:
                 # The sender is transmitting and already holds a queued
@@ -128,22 +132,23 @@ class IrdFabric(Fabric):
                 flow.remaining += chunk
                 arm(recv, 0.0)
                 return
-            sender_queue[sender].append((recv, flow, chunk))
+            sender_queue[sender].append(credit)
             if sender_busy_until[sender] <= sim.now:
                 serve_sender(sender)
 
         def serve_sender(sender: int) -> None:
             if not sender_queue[sender] or sender_busy_until[sender] > sim.now:
                 return
-            recv, flow, chunk = sender_queue[sender].pop(0)
-            duration = tx_ns(chunk)
+            credit = sender_queue[sender].pop(0)
+            duration = tx_ns(credit[2])
             now = sim._now
             sender_busy_until[sender] = now + duration
             arrive_at = now + duration + half_rtt
-            sim.post_at(arrive_at, partial(chunk_arrived, recv, flow, chunk))
-            sim.post_at(now + duration, partial(serve_sender, sender))
+            push((arrive_at, 0, next(seq), chunk_arrived, credit))
+            push((now + duration, 0, next(seq), serve_sender, sender))
 
-        def chunk_arrived(recv: _Receiver, flow: _Flow, chunk: int) -> None:
+        def chunk_arrived(credit: Tuple[_Receiver, _Flow, int]) -> None:
+            recv, flow, chunk = credit
             flow.delivered += chunk
             if flow.delivered >= flow.offered.size_bytes:
                 recv.pending.remove(flow)

@@ -40,7 +40,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import FabricError
 from repro.fabrics.base import (
@@ -53,7 +53,7 @@ from repro.fabrics.base import (
     dominant_sizes,
 )
 from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import MAX_EVENT_TIME, Process, Simulator
 from repro.sim.link import Link
 from repro.switchfab.l2switch import PIPELINE_NS
 from repro.topology import EcmpHasher, SubstrateTopology
@@ -94,6 +94,11 @@ class ProtocolPolicy:
     min_rate_factor: float = 0.05
     rto_ns: float = DEFAULT_RTO_NS
     use_rate_control: bool = True
+
+    def __post_init__(self) -> None:
+        # Retransmit timers are pushed straight onto the event heap.
+        if not 0 <= self.rto_ns < MAX_EVENT_TIME:
+            raise FabricError(f"rto_ns must be finite and >= 0: {self.rto_ns}")
 
 
 @dataclass(slots=True)
@@ -232,6 +237,7 @@ class BaselineHost(Process):
 
 @dataclass
 class _EgressState:
+    port: Hashable = None
     queued: List[Frame] = field(default_factory=list)
     queued_bytes: int = 0
     paused: bool = False
@@ -256,6 +262,8 @@ class BaselineSwitch(Process):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(sim, name or f"{policy.name}-switch")
+        if not 0 <= pipeline_ns < MAX_EVENT_TIME:
+            raise FabricError(f"pipeline delay must be finite and >= 0: {pipeline_ns}")
         self.policy = policy
         self.pipeline_ns = pipeline_ns
         # The policy resolved once: the per-frame path reads these flags.
@@ -277,7 +285,7 @@ class BaselineSwitch(Process):
 
     def attach_port(self, node_id: Hashable, link: Link) -> None:
         self.egress_links[node_id] = link
-        state = _EgressState()
+        state = _EgressState(port=node_id)
         state.credits = self.policy.credit_bytes
         self.egress[node_id] = state
         self.ingress[node_id] = deque()
@@ -304,13 +312,17 @@ class BaselineSwitch(Process):
 
     def _ingress(self, frame: Frame, port: Hashable) -> None:
         """Run the L2 pipeline, then queue at egress (lossy) or ingress."""
+        # Pushed straight onto the lane: the pipeline delay is a
+        # non-negative constant (checked at construction).
+        at = self._clock._now + self.pipeline_ns
         if self._lossy:
-            self.sim.post(self.pipeline_ns, partial(self._enqueue_egress, frame))
+            self._push((at, 0, next(self._seq), self._enqueue_egress, frame))
         else:
-            self.sim.post(self.pipeline_ns, partial(self._hold_ingress, frame, port))
+            self._push((at, 0, next(self._seq), self._hold_ingress, (frame, port)))
 
-    def _hold_ingress(self, frame: Frame, port: Hashable) -> None:
+    def _hold_ingress(self, arrival: Tuple[Frame, Hashable]) -> None:
         """Lossless modes: the frame joins its ingress FIFO after the pipeline."""
+        frame, port = arrival
         self.ingress[port].append(frame)
         self._ingress_backlog += 1
         self._advance_ingress(port)
@@ -395,13 +407,15 @@ class BaselineSwitch(Process):
         frame = state.queued[0]
         link = self.egress_links[port]
         link.send(frame, frame.wire_bytes)
-        done_at = link.busy_until
-        self.sim.post_at(done_at, partial(self._served, port, frame))
+        # The head stays at index 0 until it is served (SRPT inserts and
+        # pFabric evictions never touch it), so the entry carries only the
+        # port's state; busy_until is not before now.
+        self._push((link.busy_until, 0, next(self._seq), self._served, state))
 
-    def _served(self, port: Hashable, frame: Frame) -> None:
-        state = self.egress[port]
+    def _served(self, state: _EgressState) -> None:
+        port = state.port
         state.serving = False
-        state.queued.pop(0)
+        frame = state.queued.pop(0)
         state.queued_bytes -= frame.wire_bytes
         if self._credit:
             state.credits += frame.wire_bytes
@@ -604,6 +618,10 @@ class QueueingFabric(Fabric):
             feedback_delay = (
                 2 * (self.config.propagation_ns + core_prop) + 3 * PIPELINE_NS
             )
+        # ACKs and retransmit timers are pushed straight onto the root lane
+        # (sim/engine.py): both delays are non-negative constants.
+        push = sim._push
+        seq = sim._seq
 
         def deliver(frame: Frame) -> None:
             flow = frame.flow
@@ -615,9 +633,8 @@ class QueueingFabric(Fabric):
                 return
             # Per-frame ACK back to the data sender (carries the ECN echo).
             now = sim._now
-            sim.post_at(
-                now + feedback_delay, partial(hosts[frame.src].on_ack, frame.marked)
-            )
+            push((now + feedback_delay, 0, next(seq), hosts[frame.src].on_ack,
+                  frame.marked))
             flow.packets_delivered += 1
             flow.remaining_bytes = max(
                 0, flow.remaining_bytes - MTU_PAYLOAD_BYTES
@@ -679,9 +696,8 @@ class QueueingFabric(Fabric):
         def on_drop(frame: Frame) -> None:
             # A dropped single-frame memory message can only recover via
             # timeout (§2.4 limitation 6).
-            sim.post_at(
-                sim._now + self.policy.rto_ns, partial(hosts[frame.src].inject, frame)
-            )
+            push((sim._now + self.policy.rto_ns, 0, next(seq),
+                  hosts[frame.src].inject, frame))
 
         for sw in switches:
             sw.on_drop = on_drop

@@ -25,7 +25,6 @@ consume.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.clock import PCS_CYCLE_NS
@@ -60,7 +59,7 @@ from repro.host.wire import (
 )
 from repro.memctrl.controller import MemoryController
 from repro.sim.context import SimContext
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import MAX_EVENT_TIME, Process, Simulator
 from repro.sim.link import Link
 
 CompletionCallback = Callable[["Completion"], None]
@@ -152,6 +151,10 @@ class HostConfig:
         cycle_ns: float = PCS_CYCLE_NS,
         read_timeout_ns: Optional[float] = None,
     ) -> None:
+        if read_timeout_ns is not None and not 0 <= read_timeout_ns < MAX_EVENT_TIME:
+            raise HostError(
+                f"read timeout must be finite and >= 0, got {read_timeout_ns}"
+            )
         self.chunk_bytes = chunk_bytes
         self.max_active_per_pair = max_active_per_pair
         self.cycle_ns = cycle_ns
@@ -230,13 +233,14 @@ class EdmHostNic(Process):
         return count * self.config.cycle_ns
 
     def _send(self, transfer: WireTransfer, after_ns: float) -> None:
-        uplink = self.uplink
-        if uplink is None:
+        if self.uplink is None:
             raise HostError(f"node {self.node_id} has no uplink attached")
         self._push((
-            self._clock._now + after_ns, 0, next(self._seq),
-            partial(uplink.send, transfer, transfer.blocks * 8),
+            self._clock._now + after_ns, 0, next(self._seq), self._transmit, transfer,
         ))
+
+    def _transmit(self, transfer: WireTransfer) -> None:
+        self.uplink.send(transfer, transfer.blocks * 8)
 
     # ------------------------------------------------------------------ #
     # compute-side API (§2.3's four message types)                       #
@@ -315,11 +319,14 @@ class EdmHostNic(Process):
         if self.limiter.admit(message):
             self._send_request(message)
         self.messages_sent += 1
-        if self.config.read_timeout_ns is not None:
-            self.post(
-                self.config.read_timeout_ns,
-                partial(self._on_read_timeout, message),
-            )
+        timeout = self.config.read_timeout_ns
+        if timeout is not None:
+            # Finite and non-negative (HostConfig checks), so the timer is
+            # pushed straight onto the lane.
+            self._push((
+                self._clock._now + timeout, 0, next(self._seq),
+                self._on_read_timeout, message,
+            ))
 
     def _send_request(self, message: MemoryMessage) -> None:
         # 2 cycles: read message queue + create block / write state table.
@@ -367,7 +374,7 @@ class EdmHostNic(Process):
             release_transfer(transfer)
             self._push((
                 self._clock._now + self._d_rx_grant, 0, next(self._seq),
-                partial(self._emit_chunk, grant),
+                self._emit_chunk, grant,
             ))
         elif kind == KIND_REQUEST:
             # An RREQ/RMWREQ forwarded by the switch = implicit first grant.
@@ -379,12 +386,12 @@ class EdmHostNic(Process):
                 )
             self._push((
                 self._clock._now + self._d_rx_rreq, 0, next(self._seq),
-                partial(self._service_request, transfer.message),
+                self._service_request, transfer.message,
             ))
         elif kind == KIND_DATA_CHUNK:
             self._push((
                 self._clock._now + self._d_rx_data, 0, next(self._seq),
-                partial(self._absorb_chunk, transfer),
+                self._absorb_chunk, transfer,
             ))
         else:
             raise HostError(f"host received unexpected transfer kind {transfer.kind}")
@@ -456,13 +463,11 @@ class EdmHostNic(Process):
             if early is not None:
                 state.pending_grants.extend(early)
         wait = max(0.0, done_at - now)
-        self._push((
-            now + wait, 0, next(self._seq),
-            partial(self._rres_data_ready, rres, state),
-        ))
+        self._push((now + wait, 0, next(self._seq), self._rres_data_ready, state))
 
-    def _rres_data_ready(self, rres: MemoryMessage, state: MessageState) -> None:
+    def _rres_data_ready(self, state: MessageState) -> None:
         state.data_ready = True
+        rres = state.message
         now = self._clock._now
         # The forwarded request acted as the grant for the first chunk
         # (§3.1.1 step 4): emit it now.  4 grant-queue cycles + 3 TX cycles.
@@ -477,15 +482,14 @@ class EdmHostNic(Process):
             message_uid=rres.uid,
             for_response=True,
         )
+        # It leads the grants that piled up while the memory read was in
+        # flight (nonzero DRAM latency); they follow it back to back.
+        state.pending_grants.insert(0, grant)
         self._push((
-            now + self._d_grant_read, 0, next(self._seq),
-            partial(self._emit_chunk_if_pending, state, grant),
+            now + self._d_grant_read, 0, next(self._seq), self._emit_pending, state,
         ))
 
-    def _emit_chunk_if_pending(self, state: MessageState, grant: Grant) -> None:
-        self._emit_chunk(grant)
-        # Grants that piled up while the memory read was in flight (nonzero
-        # DRAM latency) follow the first chunk back to back.
+    def _emit_pending(self, state: MessageState) -> None:
         pending = state.pending_grants
         while pending:
             self._emit_chunk(pending.pop(0))

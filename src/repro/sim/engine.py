@@ -6,12 +6,15 @@ repeated runs with the same seed replay identically — a property the
 reproduction's regression tests rely on.
 
 The pending-event set is a binary heap of plain ``(time, priority, seq,
-callback)`` entry tuples driven by C ``heapq``, so ordering comparisons
+fn, arg)`` entry tuples driven by C ``heapq``, so ordering comparisons
 run at C speed.  Every entry enters through a bound
 ``partial(heappush, heap)`` and the run loop pops, sets the clock and
-calls, so neither side costs a Python frame per event.  The test suite
-replays the heap against an independent sorted-list kernel to check the
-order.
+calls ``fn(arg)``, so neither side costs a Python frame per event, and
+an event that needs one argument (a delivered payload, a matching
+round's generation) carries it in the entry instead of in a per-event
+``functools.partial``.  A zero-argument callback from :meth:`post` /
+:meth:`post_at` rides as ``(_call, callback)``.  The test suite replays
+the heap against an independent sorted-list kernel to check the order.
 
 Nothing is cancelled.  A component that no longer wants an entry it
 pushed (EDM's switch superseding a later matching round, a host's read
@@ -51,7 +54,7 @@ link's lane keep their keys however the rest of the cluster is wired
 A seq counter keeps its identity for the simulator's lifetime (it only
 ever advances in place), so a hot path may hold its lane's clock (the
 root :class:`Simulator`), seq counter and bound push, and push
-``(time, priority, next(seq), callback)`` entries itself:
+``(time, priority, next(seq), fn, arg)`` entries itself:
 :class:`Process` binds them once as ``_clock``, ``_seq`` and ``_push``.
 Such a push skips the time checks, so it is only for times that are
 finite and not before ``now`` by construction.
@@ -68,6 +71,14 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 from repro.errors import SimulationError
 
 EventCallback = Callable[[], None]
+
+try:
+    from operator import call as _call  # Python 3.11+: the call runs in C
+except ImportError:  # pragma: no cover - Python 3.10
+
+    def _call(callback: EventCallback) -> None:
+        """Run a zero-argument callback: the ``fn`` of a :meth:`post` entry."""
+        callback()
 
 #: Events may not be scheduled at or beyond this time: the guard rejects
 #: inf and NaN times, which would otherwise sit in the heap forever or
@@ -95,15 +106,16 @@ def process_events_executed() -> int:
 
 
 #: Queue entries are plain tuples so heap sifts and comparisons run at C
-#: speed; ``seq`` is unique, so the trailing callback never compares.
-_Entry = Tuple[float, int, int, EventCallback]
+#: speed; ``seq`` is unique, so the trailing ``fn`` and ``arg`` never
+#: compare.
+_Entry = Tuple[float, int, int, Callable[[Any], None], Any]
 
 
 class _HeapKernel:
-    """Binary heap of plain ``(time, priority, seq, callback)`` tuples.
+    """Binary heap of plain ``(time, priority, seq, fn, arg)`` tuples.
 
-    Sift comparisons run in C, and ``seq`` is unique, so the callback
-    never compares.  Entries push through :attr:`push_raw`, a
+    Sift comparisons run in C, and ``seq`` is unique, so ``fn`` and
+    ``arg`` never compare.  Entries push through :attr:`push_raw`, a
     ``partial(heappush, heap)`` bound once, so posting an event costs no
     Python frame.
     """
@@ -125,9 +137,9 @@ class _HeapKernel:
         processed = 0
         try:
             while heap and heap[0][0] <= limit:
-                time, _, _, callback = heappop(heap)
+                time, _, _, fn, arg = heappop(heap)
                 sim._now = time
-                callback()
+                fn(arg)
                 processed += 1
             if until is not None:
                 sim._now = until
@@ -154,7 +166,7 @@ class Simulator:
         self._events_processed = 0
         # Bound once: post/post_at run millions of times per fabric cell
         # and the kernel object never changes after construction.  It
-        # takes one ``(time, priority, seq, callback)`` entry tuple.
+        # takes one ``(time, priority, seq, fn, arg)`` entry tuple.
         self._push = self._queue.push_raw
 
     @property
@@ -202,21 +214,22 @@ class Simulator:
         """Run ``callback`` ``delay`` ns from now.
 
         Lower ``priority`` values run earlier among same-time events.  The
-        entry tuple goes through a bound ``heappush``, so the hot paths
-        (link deliveries, switch pipelines) pay no event object.
+        entry ``(…, _call, callback)`` goes through a bound ``heappush``;
+        hot paths that pass an argument push ``(…, fn, arg)`` themselves
+        (module docstring).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         time = self._now + delay
         if not time < MAX_EVENT_TIME:
             raise SimulationError(f"event time must be finite, got {time}")
-        self._push((time, priority, next(self._seq), callback))
+        self._push((time, priority, next(self._seq), _call, callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
         """Run ``callback`` at absolute simulation time ``time``."""
         if not self._now <= time < MAX_EVENT_TIME:
             self._check_time(time)
-        self._push((time, priority, next(self._seq), callback))
+        self._push((time, priority, next(self._seq), _call, callback))
 
     def inject_arrivals(
         self,
@@ -254,11 +267,11 @@ class Simulator:
         def arrive(item: Any) -> None:
             successor = next(arrivals, _END)
             if successor is not _END:
-                push((key(successor), 0, next(seqs), partial(arrive, successor)))
+                push((key(successor), 0, next(seqs), arrive, successor))
             launch(item)
 
         first = next(arrivals)
-        push((key(first), 0, next(seqs), partial(arrive, first)))
+        push((key(first), 0, next(seqs), arrive, first))
         return count
 
     def run(self, until: Optional[float] = None) -> float:
@@ -336,13 +349,13 @@ class LaneView:
         time = root._now + delay
         if not time < MAX_EVENT_TIME:
             raise SimulationError(f"event time must be finite, got {time}")
-        self._push((time, priority, next(self._seq), callback))
+        self._push((time, priority, next(self._seq), _call, callback))
 
     def post_at(self, time: float, callback: EventCallback, *, priority: int = 0) -> None:
         root = self.root
         if not root._now <= time < MAX_EVENT_TIME:
             root._check_time(time)
-        self._push((time, priority, next(self._seq), callback))
+        self._push((time, priority, next(self._seq), _call, callback))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LaneView lane={self.lane} of {self.root!r}>"

@@ -17,7 +17,6 @@ cluster is wired.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.core.clock import gbps_to_bits_per_ns
@@ -111,5 +110,5 @@ class Link(Process):
         # Inlined post_at: arrival >= now by construction (start >= now,
         # positive serialization, non-negative propagation) and finite for
         # finite payload sizes, so post_at's validation cannot fire here.
-        self._push((arrival, 0, next(self._seq), partial(receiver, payload)))
+        self._push((arrival, 0, next(self._seq), receiver, payload))
         return arrival

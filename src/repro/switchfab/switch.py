@@ -15,11 +15,10 @@ only moves forward, which the scheduler's incremental rounds rely on.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, Optional
 
 from repro.core.clock import PCS_CYCLE_NS
-from repro.core.messages import MessageType
+from repro.core.messages import Grant, MessageType
 from repro.core.scheduler import CentralScheduler, Demand, SchedulerConfig
 from repro.errors import FabricError
 from repro.host import cycles
@@ -34,6 +33,13 @@ from repro.sim.engine import Process, Simulator
 from repro.sim.link import Link
 
 
+class _EgressPorts(dict):
+    """Egress links by node id; a node with no port is a FabricError."""
+
+    def __missing__(self, node_id: int) -> Link:
+        raise FabricError(f"switch has no port for node {node_id}")
+
+
 class EdmSwitch(Process):
     """An EDM-capable switch with one scheduler and per-port egress links."""
 
@@ -46,7 +52,7 @@ class EdmSwitch(Process):
         super().__init__(sim, "edm-switch")
         self.scheduler = CentralScheduler(scheduler_config)
         self.cycle_ns = cycle_ns
-        self.egress: Dict[int, Link] = {}
+        self.egress: Dict[int, Link] = _EgressPorts()
         self._round_armed_at: Optional[float] = None
         # Generation of the armed round: a superseded one still pops, finds
         # its generation stale and does nothing (_run_round).
@@ -70,12 +76,6 @@ class EdmSwitch(Process):
     def attach_port(self, node_id: int, egress_link: Link) -> None:
         self.egress[node_id] = egress_link
 
-    def _egress_for(self, node_id: int) -> Link:
-        try:
-            return self.egress[node_id]
-        except KeyError as exc:
-            raise FabricError(f"switch has no port for node {node_id}") from exc
-
     def _cycles(self, count: int) -> float:
         return count * self.cycle_ns
 
@@ -93,17 +93,17 @@ class EdmSwitch(Process):
             # Virtual circuit: no parsing, 4 cycles RX->TX clock movement.
             self._push((
                 self._clock._now + self._d_classify_forward, 0, next(self._seq),
-                partial(self._forward, transfer),
+                self._forward, transfer,
             ))
         elif kind == KIND_NOTIFY:
             self._push((
                 self._clock._now + self._d_classify, 0, next(self._seq),
-                partial(self._accept_notification, transfer),
+                self._accept_notification, transfer,
             ))
         elif kind == KIND_REQUEST:
             self._push((
                 self._clock._now + self._d_classify, 0, next(self._seq),
-                partial(self._accept_request, transfer),
+                self._accept_request, transfer,
             ))
         else:
             raise FabricError(f"switch cannot ingest transfer kind {transfer.kind}")
@@ -143,8 +143,13 @@ class EdmSwitch(Process):
         self._arm_round()
 
     def _forward(self, transfer: WireTransfer) -> None:
-        self._egress_for(transfer.dst).send(transfer, transfer.blocks * 8)
+        self.egress[transfer.dst].send(transfer, transfer.blocks * 8)
         self.transfers_forwarded += 1
+
+    def _send_grant(self, grant: Grant) -> None:
+        """Emit a /G/ block to the granted sender (1 TX cycle after the round)."""
+        transfer = grant_transfer(grant, grant.src)
+        self.egress[grant.src].send(transfer, transfer.blocks * 8)
 
     # ------------------------------------------------------------------ #
     # scheduling rounds                                                  #
@@ -170,7 +175,7 @@ class EdmSwitch(Process):
         # latency, or a pending port release, which the round that read it
         # left strictly in the future.
         self._push((
-            fire_at, 1, next(self._seq), partial(self._run_round, self._round_gen),
+            fire_at, 1, next(self._seq), self._run_round, self._round_gen,
         ))
 
     def _run_round(self, gen: int) -> None:
@@ -184,30 +189,21 @@ class EdmSwitch(Process):
         push = self._push
         seq = self._seq
         for item in issued:
-            demand = item.demand
-            if item.is_first_for_rres and demand.carried_request is not None:
+            if item.__class__ is Grant:
+                # A /G/ block to the data sender (WREQ: the compute node;
+                # RRES chunks beyond the first: the memory node).
+                push((now + self._d_tx_grant, 0, next(seq), self._send_grant, item))
+            else:
                 # The buffered RREQ/RMWREQ *is* the first grant (§3.1.1
                 # step 4): forward it to the memory node through the new
                 # circuit.
-                push((
-                    now + self._d_forward, 0, next(seq),
-                    partial(self._forward, demand.carried_request),
-                ))
-                continue
-            # Otherwise a /G/ block to the data sender (WREQ: the compute
-            # node; RRES chunks beyond the first: the memory node).
-            sender = demand.src
-            transfer = grant_transfer(item.grant, sender)
-            push((
-                now + self._d_tx_grant, 0, next(seq),
-                partial(self._egress_for(sender).send, transfer, transfer.blocks * 8),
-            ))
+                push((now + self._d_forward, 0, next(seq), self._forward, item))
         if scheduler.pending_demands:
             # schedule() already expired every release due by now, so the
             # heap's head is the next one, without a second expiry pass.
             next_release = scheduler.next_release()
             if next_release is not None:
-                self._arm_round(at=next_release)
+                self._arm_round(next_release)
             elif not issued:
                 raise FabricError(
                     "scheduler has pending demands, no busy ports, and made "

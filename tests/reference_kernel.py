@@ -22,7 +22,8 @@ from repro.sim import engine
 
 
 class SortedListKernel:
-    """Pending events in one list sorted by ``(time, priority, seq)``."""
+    """Pending ``(time, priority, seq, fn, arg)`` entries in one list
+    sorted by ``(time, priority, seq)``."""
 
     def __init__(self):
         self._entries = []
@@ -39,9 +40,9 @@ class SortedListKernel:
         processed = 0
         try:
             while entries and entries[0][0] <= limit:
-                time, _, _, callback = entries.pop(0)
+                time, _, _, fn, arg = entries.pop(0)
                 sim._now = time
-                callback()
+                fn(arg)
                 processed += 1
             if until is not None:
                 sim._now = until

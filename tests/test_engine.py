@@ -92,6 +92,35 @@ class TestRunControl:
         assert seen == [3.0, 5.0]
 
 
+class TestEntryShape:
+    """Entries are ``(time, priority, seq, fn, arg)``: the kernel calls ``fn(arg)``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_posts_and_raw_pushes_tie_in_seq_order(self, kernel, seed):
+        sim, seen = Simulator(), []
+        rng = random.Random(seed)
+        for n in range(12):
+            way = rng.randrange(3)
+            if way == 0:
+                sim.post(5.0, partial(seen.append, n))
+            elif way == 1:
+                sim.post_at(5.0, partial(seen.append, n))
+            else:
+                sim._push((5.0, 0, next(sim._seq), seen.append, n))
+        sim._push((5.0, 1, next(sim._seq), seen.append, "late priority"))
+        sim.run()
+        assert seen == list(range(12)) + ["late priority"]
+
+    def test_the_argument_rides_in_the_entry(self, kernel):
+        sim, seen = Simulator(), []
+        sim._push((1.0, 0, next(sim._seq), seen.append, None))
+        sim._push((2.0, 0, next(sim._seq), seen.append, (3, "x")))
+        sim.post(3.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [None, (3, "x"), 3.0]
+        assert sim.events_processed == 3
+
+
 class TestDiscard:
     """A stale entry pops as a no-op that no event count sees."""
 
@@ -184,7 +213,7 @@ class TestLaneView:
             elif n == 1:
                 view.post_at(10.0, partial(seen.append, tag))
             else:
-                view._push((10.0, 0, next(view._seq), partial(seen.append, tag)))
+                view._push((10.0, 0, next(view._seq), seen.append, tag))
         # The root simulator is lane 0, so its events lead every tie.
         sim.post_at(10.0, partial(seen.append, (0, 0)))
         sim.run()

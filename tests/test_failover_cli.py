@@ -107,8 +107,8 @@ class TestEndToEndMirroring:
         # Identical matching decisions on identical state.
         p_grants = primary.schedule(10.0)
         b_grants = backup.schedule(10.0)
-        assert [(g.grant.src, g.grant.dst, g.grant.chunk_bytes) for g in p_grants] == [
-            (g.grant.src, g.grant.dst, g.grant.chunk_bytes) for g in b_grants
+        assert [(g.src, g.dst, g.chunk_bytes) for g in p_grants] == [
+            (g.src, g.dst, g.chunk_bytes) for g in b_grants
         ]
 
 
@@ -188,3 +188,41 @@ class TestCli:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_checkpoint_journal_lives_only_while_it_can_be_resumed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+        from repro.execution.checkpoint import CheckpointWriter
+
+        def journals():
+            return list(tmp_path.rglob("*.ckpt.jsonl"))
+
+        # A run that fails before recording a cell leaves no journal, with
+        # or without an artifact requested.
+        for extra in (["--no-artifact"], []):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "figure8a", "--nodes", "1", "--out", str(tmp_path), *extra])
+            assert exc.value.code == 2
+        assert journals() == []
+        # A successful run leaves its artifact and nothing else.
+        argv = ["run", "figure8a", "--nodes", "4", "--messages", "50",
+                "--loads", "0.3,0.6", "--fabrics", "EDM", "--out", str(tmp_path)]
+        main(argv)
+        assert journals() == [] and len(list(tmp_path.rglob("*.json"))) == 1
+        # An interrupted run keeps the cell it recorded for --resume, and
+        # the resumed run's artifact retires the journal.
+        record = CheckpointWriter.record
+
+        def record_then_interrupt(self, *args):
+            record(self, *args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CheckpointWriter, "record", record_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        (journal,) = journals()
+        assert len(journal.read_text().splitlines()) == 2  # header + one cell
+        monkeypatch.undo()
+        main([*argv, "--resume", str(journal)])
+        assert journals() == [] and len(list(tmp_path.rglob("*.json"))) == 2

@@ -1,4 +1,4 @@
-"""Tests for notification queues, priority encoder, PIM, and the grant engine."""
+"""Tests for notification queues, the PIM port-word encoder, and the grant engine."""
 
 import random
 
@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from repro.core.scheduler import (
     CentralScheduler,
     Demand,
-    IssuedGrant,
     NotificationQueueBank,
     PimMatcher,
     Policy,
     SchedulerConfig,
-    SourceRequestArray,
-    priority_encode,
     priority_of,
 )
 from repro.core.messages import Grant
@@ -31,33 +28,52 @@ def demand(src, dst, size=64, t=0.0, mid=0, response=False):
     )
 
 
+def one_round(bank, busy_src=0, busy_dst=0):
+    """The destination a single PIM iteration matches, or None."""
+    matches = PimMatcher(bank, max_iterations=1).run(busy_src, busy_dst).matches
+    assert len(matches) <= 1
+    return matches[0].dst if matches else None
+
+
+def word(ports):
+    return sum(1 << p for p in ports)
+
+
 class TestPriorityEncoder:
+    """§3.1.2's priority encoder is the PIM walk over int words of port bits.
+
+    Each case has a single source requested by several destinations, so
+    one PIM iteration resolves exactly one winner, the source's encoder
+    output: the best priority, ties going to the first set bit.
+    """
+
     def test_first_set_bit_wins(self):
-        assert priority_encode([False, True, True]) == 1
+        bank = NotificationQueueBank(num_ports=4)
+        bank.add(demand(3, 1, mid=0))
+        bank.add(demand(3, 2, mid=1))
+        assert one_round(bank) == 1
 
     def test_all_clear_returns_none(self):
-        assert priority_encode([False, False]) is None
+        bank = NotificationQueueBank(num_ports=4)
+        bank.add(demand(3, 1))
+        result = PimMatcher(bank).run(busy_src=word([3]))
+        assert result.matches == [] and result.iterations == 0
 
     def test_source_array_resolves_best_priority(self):
-        array = SourceRequestArray(num_ports=4)
-        array.update_destination(1, 50.0)
-        array.update_destination(2, 10.0)
-        array.update_destination(3, 30.0)
-        array.request(1)
-        array.request(2)
-        assert array.resolve() == 2  # lowest priority value wins
-
-    def test_request_without_demand_raises(self):
-        array = SourceRequestArray(num_ports=4)
-        with pytest.raises(SchedulerError):
-            array.request(1)
+        bank = NotificationQueueBank(num_ports=4, policy=Policy.FCFS)
+        for dst, prio in ((1, 50.0), (2, 10.0), (3, 30.0)):
+            bank.add(demand(0, dst, t=prio, mid=dst))
+        # Destination 3 is busy, so only 1 and 2 raise their requests.
+        assert one_round(bank, busy_dst=word([3])) == 2  # lowest value wins
 
     def test_update_to_none_removes(self):
-        array = SourceRequestArray(num_ports=4)
-        array.update_destination(1, 5.0)
-        array.update_destination(1, None)
-        with pytest.raises(SchedulerError):
-            array.request(1)
+        bank = NotificationQueueBank(num_ports=4)
+        d = demand(0, 1)
+        bank.add(d)
+        assert bank._req[1] == word([0]) and bank._from[0] == word([1])
+        bank.remove(d)
+        assert bank._req[1] == bank._from[0] == bank._nonempty == 0
+        assert one_round(bank) is None
 
 
 def brute_force_encode(bits, output_count):
@@ -67,68 +83,67 @@ def brute_force_encode(bits, output_count):
 
 
 class TestEncoderOracle:
-    """priority_encode and SourceRequestArray against a brute-force encoder.
+    """The PIM word walk against a brute-force encoder.
 
     ``output_count`` repeats the resolution, dropping each winner's
-    request before the next: the sequence of winners must be the set
-    requests in priority order.
+    demand before the next: the sequence of winners must be the set
+    requests in priority order.  Source ``input_width`` is the resolving
+    source; in the array test, source ``input_width + 1`` is busy and
+    holds better-priority demands the walk must skip.
     """
 
     @pytest.mark.parametrize("input_width", [1, 5, 16, 23, 24])
     @pytest.mark.parametrize("output_count", [1, 3, 4])
     def test_priority_encode(self, input_width, output_count):
         rng = random.Random(input_width + output_count)
+        src = input_width
         for _ in range(50):
-            word = rng.randrange(2 ** input_width)
-            bits = [bool(word >> i & 1) for i in range(input_width)]
-            expected = brute_force_encode(bits, output_count)
+            requests = rng.randrange(2 ** input_width)
+            bits = [bool(requests >> i & 1) for i in range(input_width)]
+            bank = NotificationQueueBank(num_ports=input_width + 1)
+            demands = {}
+            for dst in range(input_width):
+                if bits[dst]:
+                    demands[dst] = demand(src, dst, mid=dst)
+                    bank.add(demands[dst])
             winners = []
             for _ in range(output_count):
-                winner = priority_encode(bits)
+                winner = one_round(bank)
                 winners.append(winner)
                 if winner is not None:
-                    bits[winner] = False
-            assert winners == expected
+                    bank.remove(demands[winner])
+            assert winners == brute_force_encode(bits, output_count)
 
     @pytest.mark.parametrize("input_width", [5, 16, 23, 24])
     @pytest.mark.parametrize("output_count", [1, 3, 4])
     def test_source_request_array(self, input_width, output_count):
         rng = random.Random(100 * input_width + output_count)
+        src, noise = input_width, input_width + 1
         for _ in range(50):
-            array = SourceRequestArray(num_ports=input_width)
-            # Registered destinations with priorities from a small range,
-            # so ties (broken by registration order) are common; some
-            # destinations re-register, moving to the back of their tie.
+            bank = NotificationQueueBank(num_ports=input_width + 2, policy=Policy.FCFS)
+            # Priorities from a small range, so ties (to the lower port)
+            # are common.
             registered = {}
-            for _ in range(rng.randrange(input_width * 2)):
-                dst = rng.randrange(input_width)
-                prio = float(rng.randrange(4)) if rng.random() < 0.9 else None
-                array.update_destination(dst, prio)
-                registered.pop(dst, None)
-                if prio is not None:
-                    registered[dst] = prio
-            order = sorted(
-                registered, key=lambda d: (registered[d], list(registered).index(d))
-            )
+            for dst in rng.sample(range(input_width), rng.randrange(input_width)):
+                registered[dst] = demand(src, dst, t=float(rng.randrange(1, 4)), mid=dst)
+                bank.add(registered[dst])
+                if rng.random() < 0.3:
+                    bank.add(demand(noise, dst, t=0.0, mid=dst))
             requested = {d for d in registered if rng.random() < 0.5}
-            bits = [d in requested for d in order]
-            expected = [
-                None if i is None else order[i]
-                for i in brute_force_encode(bits, output_count)
-            ]
+            idle = word(set(range(input_width)) - requested)
+            order = sorted(requested, key=lambda d: (registered[d].notified_at, d))
+            expected = (order + [None] * output_count)[:output_count]
             winners = []
             for _ in range(output_count):
-                array.clear_requests()
-                for dst in requested:
-                    array.request(dst)
-                winner = array.resolve()
+                winner = one_round(bank, busy_src=word([noise]), busy_dst=idle)
                 winners.append(winner)
-                requested.discard(winner)
+                if winner is not None:
+                    bank.remove(registered[winner])
             assert winners == expected
 
     def test_source_request_array_needs_two_ports(self):
         with pytest.raises(SchedulerError):
-            SourceRequestArray(num_ports=1)
+            NotificationQueueBank(num_ports=1)
 
 
 class TestPolicies:
@@ -201,7 +216,7 @@ class TestPim:
         bank = NotificationQueueBank(num_ports=4)
         bank.add(demand(0, 1))
         matcher = PimMatcher(bank)
-        result = matcher.run(set(), set())
+        result = matcher.run()
         assert result.pairs() == {(0, 1, False)}
         assert result.iterations == 1
 
@@ -211,7 +226,7 @@ class TestPim:
         for s in range(4):
             for d in range(4, 8):
                 bank.add(demand(s, d, size=64 + s + d, mid=d - 4))
-        result = PimMatcher(bank).run(set(), set())
+        result = PimMatcher(bank).run()
         sources = [m.src for m in result.matches]
         dests = [m.dst for m in result.matches]
         assert len(sources) == len(set(sources))
@@ -224,14 +239,14 @@ class TestPim:
         for s in range(4):
             for d in range(4, 8):
                 bank.add(demand(s, d, mid=d - 4))
-        result = PimMatcher(bank).run(set(), set())
+        result = PimMatcher(bank).run()
         assert len(result.matches) == 4
 
     def test_busy_ports_excluded(self):
         bank = NotificationQueueBank(num_ports=4)
         bank.add(demand(0, 1))
         bank.add(demand(2, 3))
-        result = PimMatcher(bank).run({0}, set())
+        result = PimMatcher(bank).run(busy_src=word([0]))
         assert result.pairs() == {(2, 3, False)}
 
     def test_priority_resolves_source_conflict(self):
@@ -239,7 +254,7 @@ class TestPim:
         bank = NotificationQueueBank(num_ports=4, policy=Policy.SRPT)
         bank.add(demand(0, 1, size=1000))
         bank.add(demand(0, 2, size=10))
-        result = PimMatcher(bank, max_iterations=1).run(set(), set())
+        result = PimMatcher(bank, max_iterations=1).run()
         assert result.matches[0].dst == 2
 
     @pytest.mark.parametrize("policy", [Policy.SRPT, Policy.FCFS])
@@ -255,7 +270,7 @@ class TestPim:
             value = rng.randrange(1, 4)
             bank.add(demand(0, dst, size=64 * value, t=float(value), mid=dst))
             keys[dst] = (value, dst)
-        result = PimMatcher(bank, max_iterations=1).run(set(), set())
+        result = PimMatcher(bank, max_iterations=1).run()
         assert [m.dst for m in result.matches] == [min(keys, key=keys.get)]
 
     def test_iterations_bounded(self):
@@ -263,9 +278,25 @@ class TestPim:
         for s in range(4):
             for d in range(4, 8):
                 bank.add(demand(s, d, mid=d - 4))
-        result = PimMatcher(bank).run(set(), set())
+        result = PimMatcher(bank).run()
         assert result.iterations <= 8
         assert result.cycles == result.iterations * 3
+
+    def test_wide_ports_only_eligible_source_above_64(self):
+        # 144 ports (Figure 8a's switch): the words span several machine
+        # words, and the one eligible source sits past bit 63.
+        bank = NotificationQueueBank(num_ports=144)
+        bank.add(demand(5, 3, size=8, mid=0))
+        bank.add(demand(70, 3, size=16, mid=1))
+        bank.add(demand(100, 3, size=32, mid=2))
+        bank.add(demand(100, 130, size=8, mid=3))
+        busy_src, busy_dst = word([5, 70]), word([130])
+        result = PimMatcher(bank).run(busy_src, busy_dst)
+        assert [(m.src, m.dst) for m in result.matches] == [(100, 3)]
+        assert result.iterations == 1
+        assert [(m.src, m.dst) for m in PimMatcher(bank).run().matches] == [
+            (5, 3), (100, 130),
+        ]
 
     @given(st.lists(
         st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(1, 512)),
@@ -283,7 +314,7 @@ class TestPim:
             demands.append(dm)
         if not demands:
             return
-        result = PimMatcher(bank).run(set(), set())
+        result = PimMatcher(bank).run()
         # Valid: no port reuse.
         assert len({m.src for m in result.matches}) == len(result.matches)
         assert len({m.dst for m in result.matches}) == len(result.matches)
@@ -308,8 +339,7 @@ class TestGrantEngine:
         sched.notify(demand(0, 1, size=64))
         issued = sched.schedule(0.0)
         assert len(issued) == 1
-        assert issued[0].grant.chunk_bytes == 64
-        assert issued[0].completes_message
+        assert issued[0].chunk_bytes == 64
         assert sched.pending_demands == 0
 
     def test_large_message_chunked(self):
@@ -320,7 +350,7 @@ class TestGrantEngine:
         while sched.pending_demands or total == 0:
             issued = sched.schedule(t)
             for item in issued:
-                total += item.grant.chunk_bytes
+                total += item.chunk_bytes
                 grants += 1
             t = sched.next_release_after(t) or (t + 1.0)
             if grants > 10:
@@ -370,11 +400,11 @@ class TestGrantEngine:
         sched = self.make()
         sched.notify(demand(1, 0, size=512, response=True))
         issued = sched.schedule(0.0)
-        assert issued[0].is_first_for_rres
+        assert issued == ["rreq"]  # the demand's carried request
         t = sched.next_release_after(0.0)
         issued2 = sched.schedule(t)
-        assert issued2 and not issued2[0].is_first_for_rres
-        assert issued2[0].grant.for_response
+        assert isinstance(issued2[0], Grant)
+        assert issued2[0].for_response
 
     def test_grant_conservation(self):
         # Total granted bytes equal total demanded bytes.
@@ -386,7 +416,7 @@ class TestGrantEngine:
         t = 0.0
         for _ in range(100):
             for item in sched.schedule(t):
-                granted += item.grant.chunk_bytes
+                granted += item.chunk_bytes
             if sched.pending_demands == 0:
                 break
             t = sched.next_release_after(t) or t + 1.0
@@ -397,14 +427,14 @@ class TestGrantEngine:
         sched.notify(demand(0, 1, size=1000, mid=0))
         sched.notify(demand(2, 1, size=64, mid=1))
         issued = sched.schedule(0.0)
-        assert issued[0].demand.src == 2
+        assert issued[0].src == 2
 
     def test_fcfs_grants_oldest_first(self):
         sched = self.make(chunk=64, policy=Policy.FCFS)
         sched.notify(demand(0, 1, size=64, t=5.0, mid=0))
         sched.notify(demand(2, 1, size=8, t=1.0, mid=1))
         issued = sched.schedule(10.0)
-        assert issued[0].demand.src == 2
+        assert issued[0].src == 2
 
     def test_average_iterations_tracked(self):
         sched = self.make()
@@ -511,15 +541,17 @@ class FullRescanScheduler:
             first = True
         if completes:
             self.first_granted.discard(d.message_uid)
-        grant = Grant(d.src, d.dst, d.message_id, chunk, now, d.message_uid,
-                      d.carried_request is not None)
-        return IssuedGrant(grant, d, first, completes)
+        if first:
+            return d.carried_request
+        return Grant(d.src, d.dst, d.message_id, chunk, now, d.message_uid,
+                     d.carried_request is not None)
 
 
 def issued_tuples(issued):
     return [
-        (i.grant.src, i.grant.dst, i.grant.message_id, i.grant.chunk_bytes,
-         i.is_first_for_rres, i.completes_message)
+        (i.src, i.dst, i.message_id, i.chunk_bytes, i.granted_at, i.message_uid,
+         i.for_response)
+        if isinstance(i, Grant) else i
         for i in issued
     ]
 
@@ -528,7 +560,7 @@ class TestIncrementalRoundMatchesFullRescan:
     """Dirty-destination rounds issue exactly what a full rescan of a
     textbook PIM issues, over as many PIM iterations."""
 
-    @pytest.mark.parametrize("ports", [2, 3, 8, 16, 33])
+    @pytest.mark.parametrize("ports", [2, 3, 8, 16, 33, 64, 144])
     @pytest.mark.parametrize("policy", [Policy.SRPT, Policy.FCFS])
     @pytest.mark.parametrize("max_iterations", [None, 1])
     def test_random_traces(self, ports, policy, max_iterations):
@@ -552,7 +584,7 @@ class TestIncrementalRoundMatchesFullRescan:
                         src=src, dst=dst, message_id=uid % 256,
                         total_bytes=rng.choice([1, 8, 64, 100, 256, 1000]),
                         notified_at=now, message_uid=uid,
-                        carried_request="rreq" if response else None,
+                        carried_request=("rreq", uid) if response else None,
                     )
                     fast.notify(d.clone())
                     ref.notify(d.clone())
