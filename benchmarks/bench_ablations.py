@@ -13,13 +13,15 @@ runner; set REPRO_BENCH_JOBS to fan a family's settings out over worker
 processes.
 """
 
-from repro.experiments import run_ablations
+from repro.experiments import run_experiment
 
 NODES = 16
 
 
 def family(name, jobs):
-    return run_ablations(families=(name,), num_nodes=NODES, jobs=jobs)[name]
+    return run_experiment(
+        "ablations", jobs=jobs, families=(name,), num_nodes=NODES
+    )[name]
 
 
 def test_ablation_chunk_size(benchmark, bench_jobs):

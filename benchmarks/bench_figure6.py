@@ -1,10 +1,10 @@
 """Bench F6 — regenerates Figure 6 (KV throughput, EDM vs RDMA, YCSB A/B/F)."""
 
-from repro.experiments import run_figure6
+from repro.experiments import run_experiment
 
 
 def test_figure6(benchmark, bench_jobs):
-    rows = benchmark(lambda: run_figure6(jobs=bench_jobs))
+    rows = benchmark(lambda: run_experiment("figure6", jobs=bench_jobs))
     print("\nFigure 6 — million requests/sec (100 Gbps):")
     for row in rows:
         print(

@@ -1,10 +1,10 @@
 """Bench F7 — regenerates Figure 7 (YCSB latency vs local:remote split)."""
 
-from repro.experiments import run_figure7
+from repro.experiments import run_experiment
 
 
 def test_figure7(benchmark, bench_jobs):
-    rows = benchmark(lambda: run_figure7(jobs=bench_jobs))
+    rows = benchmark(lambda: run_experiment("figure7", jobs=bench_jobs))
     print("\nFigure 7 — mean YCSB-A latency (ns) vs placement:")
     for row in rows:
         print(

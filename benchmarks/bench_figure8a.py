@@ -6,14 +6,16 @@ with REPRO_BENCH_NODES / REPRO_BENCH_MESSAGES and parallelize the
 (load, fabric) grid with REPRO_BENCH_JOBS.
 """
 
-from repro.experiments import format_grid, run_figure8a_loads, run_figure8a_mix
+from repro.experiments import format_grid, run_experiment
 
 
 def test_figure8a_load_sweep(benchmark, fig8a_scale, bench_jobs):
     loads = (0.2, 0.5, 0.8, 0.9)
 
     def run():
-        return run_figure8a_loads(loads=loads, scale=fig8a_scale, jobs=bench_jobs)
+        return run_experiment(
+            "figure8a", jobs=bench_jobs, loads=loads, scale=fig8a_scale
+        )
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -33,8 +35,9 @@ def test_figure8a_mixed_ratios(benchmark, fig8a_scale, bench_jobs):
     mixes = ((100, 0), (50, 50), (0, 100))
 
     def run():
-        return run_figure8a_mix(
-            mixes=mixes, load=0.8, scale=fig8a_scale, jobs=bench_jobs
+        return run_experiment(
+            "figure8a_mix", jobs=bench_jobs, mixes=mixes, load=0.8,
+            scale=fig8a_scale,
         )
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

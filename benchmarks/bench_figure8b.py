@@ -6,7 +6,7 @@ on Hadoop / Spark / Spark SQL / GraphLab / Memcached traces.  The
 (app, fabric) grid parallelizes with REPRO_BENCH_JOBS.
 """
 
-from repro.experiments import format_grid, run_figure8b
+from repro.experiments import format_grid, run_experiment
 
 
 def test_figure8b_traces(benchmark, fig8b_scale, bench_jobs):
@@ -16,7 +16,7 @@ def test_figure8b_traces(benchmark, fig8b_scale, bench_jobs):
     apps = ("hadoop", "spark", "spark_sql", "graphlab", "memcached")
 
     def run():
-        return run_figure8b(apps=apps, scale=scale, jobs=bench_jobs)
+        return run_experiment("figure8b", jobs=bench_jobs, apps=apps, scale=scale)
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -9,12 +9,12 @@ latency — the paper's Figure 8a metric.
 Run:  python examples/disaggregated_cluster.py  (takes a minute or two)
 """
 
-from repro.experiments import Figure8aScale, run_figure8a_loads
+from repro.experiments import Figure8aScale, run_experiment
 
 
 def main() -> None:
     scale = Figure8aScale(num_nodes=16, message_count=6_000)
-    results = run_figure8a_loads(loads=(0.2, 0.8), scale=scale)
+    results = run_experiment("figure8a", loads=(0.2, 0.8), scale=scale)
     print("Normalized 64 B latency (mean / unloaded), per protocol:")
     for load, per_fabric in results.items():
         print(f"\n  load {load}:")

@@ -9,7 +9,7 @@ Run:  python examples/kvstore_ycsb.py
 """
 
 from repro.apps.kvstore import RemoteKvStore
-from repro.experiments import run_figure6, run_figure7
+from repro.experiments import run_experiment
 from repro.fabrics.base import ClusterConfig
 from repro.fabrics.edm import EdmCluster
 from repro.memctrl.dram import DramTiming
@@ -53,14 +53,14 @@ def main() -> None:
     print()
 
     print("Figure 6 — KV throughput (Mrps), EDM vs RDMA:")
-    for row in run_figure6():
+    for row in run_experiment("figure6"):
         print(
             f"  YCSB-{row['workload']}: EDM {row['edm_mrps']:6.2f}  "
             f"RDMA {row['rdma_mrps']:6.2f}  ({row['speedup']:.2f}x)"
         )
     print()
     print("Figure 7 — mean YCSB-A latency (ns) vs local:remote placement:")
-    for row in run_figure7():
+    for row in run_experiment("figure7"):
         print(
             f"  {row['split']:>7}: EDM {row['edm_ns']:7.1f}  "
             f"CXL {row['cxl_ns']:7.1f}  RDMA {row['rdma_ns']:7.1f}"

@@ -2,24 +2,23 @@
 
 Usage::
 
-    python -m repro.cli table1
-    python -m repro.cli figure5
-    python -m repro.cli figure6
-    python -m repro.cli figure7
-    python -m repro.cli figure8a --nodes 24 --messages 8000 --loads 0.2,0.8 --jobs 4
-    python -m repro.cli figure8b --nodes 12 --messages 1200 --apps memcached
-    python -m repro.cli run figure8a --jobs 4 --out results
-    python -m repro.cli run serving --profiles steady_ab --ops-per-client 200
-    python -m repro.cli run figure8a --profile   # .prof + top-25 table
     python -m repro.cli run --list
+    python -m repro.cli run table1
+    python -m repro.cli run figure8a --nodes 24 --messages 8000 --loads 0.2,0.8 --jobs 4
+    python -m repro.cli run figure8b --nodes 12 --messages 1200 --apps memcached
+    python -m repro.cli run serving --profiles steady_ab --ops-per-client 200
+    python -m repro.cli run scenarios pfc_incast_failover --nodes 8 --messages 400
+    python -m repro.cli run figure8a --profile   # .prof + top-25 table
     python -m repro.cli scenario list
-    python -m repro.cli scenario run --jobs 4
-    python -m repro.cli scenario run pfc_incast_failover --nodes 8 --messages 400
     python -m repro.cli checks
 
-Simulation subcommands fan their parameter grid out over ``--jobs``
-worker processes (results are bit-identical to ``--jobs 1``) and persist
-a JSON artifact under ``--out`` (default ``results/``).
+``table1``, ``figure5``, ``figure6``, ``figure7``, ``figure8a`` and
+``figure8b`` are aliases of ``run <name>`` (``python -m repro.cli figure6``
+is ``run figure6``), and ``scenario run [names...]`` is
+``run scenarios [names...]``.  Every run fans its parameter grid out over
+``--jobs`` worker processes (results are bit-identical to ``--jobs 1``),
+prints the experiment's own rendering of the result and persists a JSON
+artifact under ``--out`` (default ``results/``).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError, ReproError
 from repro.experiments import (
@@ -37,24 +36,24 @@ from repro.experiments import (
     Runner,
     RunnerResult,
     experiment_names,
-    format_grid,
     get_experiment,
     summarize_shape_checks,
     write_artifact,
 )
 from repro.execution import new_checkpoint_path
-from repro.latency.breakdown import format_breakdown, read_breakdown, write_breakdown
-from repro.latency.table1 import format_table1
+from repro.scenarios import format_scenario_list
+
+#: Per-figure commands, each an alias of ``run <name>``.
+_ALIASES = ("table1", "figure5", "figure6", "figure7", "figure8a", "figure8b")
 
 
-def _cmd_table1(_: argparse.Namespace) -> None:
-    print(format_table1())
-
-
-def _cmd_figure5(_: argparse.Namespace) -> None:
-    print(format_breakdown(read_breakdown(), "Figure 5 — 64 B READ"))
-    print()
-    print(format_breakdown(write_breakdown(), "Figure 5 — 64 B WRITE"))
+def _expand_alias(argv: List[str]) -> List[str]:
+    """Rewrite an alias to the ``run`` command it stands for."""
+    if argv[:1] and argv[0] in _ALIASES:
+        return ["run", *argv]
+    if argv[:2] == ["scenario", "run"]:
+        return ["run", "scenarios", *argv[2:]]
+    return argv
 
 
 def _run_and_persist(
@@ -62,7 +61,7 @@ def _run_and_persist(
 ) -> RunnerResult:
     """Run one experiment through the runner; write an artifact unless opted out."""
     profiler = None
-    if getattr(args, "profile", False):
+    if args.profile:
         import cProfile
 
         if args.jobs != 1:
@@ -76,11 +75,10 @@ def _run_and_persist(
     # Resuming appends to the same journal (continue-in-place); a fresh
     # run gets a stamped journal next to where the artifact will land.  A
     # run that writes no artifact writes no journal either.
-    resume_from: Optional[str] = getattr(args, "resume", None)
-    no_artifact = getattr(args, "no_artifact", False)
-    write_out = bool(args.out) and not no_artifact
-    checkpoint_path = None if no_artifact else resume_from
-    if checkpoint_path is None and write_out and not getattr(args, "no_checkpoint", False):
+    resume_from: Optional[str] = args.resume
+    write_out = bool(args.out) and not args.no_artifact
+    checkpoint_path = None if args.no_artifact else resume_from
+    if checkpoint_path is None and write_out and not args.no_checkpoint:
         checkpoint_path = new_checkpoint_path(args.out, name)
     try:
         result = Runner(jobs=args.jobs).run(
@@ -91,14 +89,10 @@ def _run_and_persist(
         )
     except BaseException:
         # An interrupted run keeps its journal for --resume; a fresh one
-        # that recorded no cell has nothing to resume.
-        if checkpoint_path is not None:
-            if checkpoint_path != resume_from and not _journal_has_cells(
-                checkpoint_path
-            ):
-                _remove_quietly(checkpoint_path)
-            else:
-                print(f"[checkpoint] {checkpoint_path}", file=sys.stderr)
+        # is created with its first cell, so one that recorded no cell
+        # left nothing to resume.
+        if checkpoint_path is not None and os.path.exists(checkpoint_path):
+            print(f"[checkpoint] {checkpoint_path}", file=sys.stderr)
         raise
     finally:
         if profiler is not None:
@@ -121,15 +115,6 @@ def _run_and_persist(
     if profiler is not None:
         _write_profile(profiler, name, args, artifact_path)
     return result
-
-
-def _journal_has_cells(path: str) -> bool:
-    """Whether a checkpoint journal holds a complete line past its header."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read().count(b"\n") > 1
-    except FileNotFoundError:
-        return False
 
 
 def _remove_quietly(path: str) -> None:
@@ -171,26 +156,6 @@ def _write_profile(
     print(f"[profile] {text_path}", file=sys.stderr)
 
 
-def _cmd_figure6(args: argparse.Namespace) -> None:
-    result = _run_and_persist("figure6", args, {})
-    print("Figure 6 — KV throughput (Mrps), EDM vs RDMA:")
-    for row in result.reduced:
-        print(
-            f"  YCSB-{row['workload']}: EDM {row['edm_mrps']:6.2f}  "
-            f"RDMA {row['rdma_mrps']:6.2f}  speedup {row['speedup']:.2f}x"
-        )
-
-
-def _cmd_figure7(args: argparse.Namespace) -> None:
-    result = _run_and_persist("figure7", args, {})
-    print("Figure 7 — mean YCSB-A latency (ns) vs local:remote placement:")
-    for row in result.reduced:
-        print(
-            f"  {row['split']:>7}: EDM {row['edm_ns']:7.1f}  "
-            f"CXL {row['cxl_ns']:7.1f}  RDMA {row['rdma_ns']:7.1f}"
-        )
-
-
 def _positive_int(text: str) -> int:
     """argparse type for counts: an integer of at least 1 (else exit 2)."""
     try:
@@ -211,71 +176,127 @@ def _parse_loads(text: str) -> tuple:
         ) from None
 
 
-def _parse_fabrics(text: str) -> Optional[tuple]:
-    return tuple(text.split(",")) if text else None
+def _figure_scale(scale_class: type, args: argparse.Namespace) -> Any:
+    return scale_class(
+        num_nodes=args.nodes,
+        message_count=args.messages,
+        seed=args.seed,
+        fabric_names=tuple(args.fabrics.split(",")) if args.fabrics else None,
+        topology=args.topology,
+    )
 
 
 def _figure8a_options(args: argparse.Namespace) -> Dict[str, Any]:
-    scale = Figure8aScale(
-        num_nodes=args.nodes,
-        message_count=args.messages,
-        seed=args.seed,
-        fabric_names=_parse_fabrics(args.fabrics),
-        topology=args.topology,
-    )
-    return {"loads": _parse_loads(args.loads), "scale": scale}
+    return {
+        "loads": _parse_loads(args.loads),
+        "scale": _figure_scale(Figure8aScale, args),
+    }
 
 
 def _figure8b_options(args: argparse.Namespace) -> Dict[str, Any]:
-    scale = Figure8bScale(
-        num_nodes=args.nodes,
-        message_count=args.messages,
-        seed=args.seed,
-        fabric_names=_parse_fabrics(args.fabrics),
-        topology=args.topology,
-    )
-    return {"apps": args.apps.split(",") if args.apps else None, "scale": scale}
+    return {
+        "apps": args.apps.split(",") if args.apps else None,
+        "scale": _figure_scale(Figure8bScale, args),
+    }
 
 
-def _cmd_figure8a(args: argparse.Namespace) -> None:
-    result = _run_and_persist("figure8a", args, _figure8a_options(args))
-    print(format_grid(result.reduced, "Figure 8a — normalized 64 B latency vs load"))
+def _ablation_options(args: argparse.Namespace) -> Dict[str, Any]:
+    options: Dict[str, Any] = {
+        "num_nodes": args.nodes,
+        "seed": args.seed,
+        "message_count": args.messages,
+    }
+    if args.families:
+        options["families"] = tuple(args.families.split(","))
+    return options
 
 
-def _cmd_figure8b(args: argparse.Namespace) -> None:
-    result = _run_and_persist("figure8b", args, _figure8b_options(args))
-    print(format_grid(result.reduced, "Figure 8b — normalized MCT per app trace"))
+def _serving_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """Scale overrides for the serving experiment (None = spec value)."""
+    options: Dict[str, Any] = {}
+    if args.profiles:
+        options["profiles"] = args.profiles.split(",")
+    if args.seed is not None:
+        options["seed"] = args.seed
+    if args.ops_per_client is not None:
+        options["ops_per_client"] = args.ops_per_client
+    if args.nodes is not None:
+        options["num_nodes"] = args.nodes
+    return options
 
 
-#: `run` flag -> (attribute, unset value); used to spot flags a chosen
-#: experiment does not consume.
-_RUN_FLAG_DEFAULTS = {
-    "nodes": None,
-    "messages": None,
-    "seed": None,
-    "loads": "0.2,0.5,0.8",
-    "apps": "",
-    "fabrics": "",
-    "families": "",
-    "profiles": "",
-    "ops_per_client": None,
-    "topology": "single",
+def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
+    """Scale overrides for the scenarios experiment (None = spec value)."""
+    options: Dict[str, Any] = {}
+    if args.names:
+        options["names"] = args.names
+    if args.seed is not None:
+        options["seed"] = args.seed
+    if args.nodes is not None:
+        options["num_nodes"] = args.nodes
+    if args.messages is not None:
+        options["message_count"] = args.messages
+    if args.topology not in (None, "single"):
+        options["topology"] = args.topology
+    return options
+
+
+@dataclasses.dataclass(frozen=True)
+class _Usage:
+    """How ``run`` drives one experiment.
+
+    ``flags`` are the ``run`` arguments it reads (any other that is set
+    draws a warning), ``defaults`` fill those left unset, and
+    ``options`` turns them into the runner's grid options.
+    """
+
+    flags: Tuple[str, ...]
+    defaults: Mapping[str, Any]
+    options: Callable[[argparse.Namespace], Dict[str, Any]]
+
+
+_SIM_FLAGS = ("nodes", "messages", "seed", "fabrics", "topology")
+
+#: The CLI default scale of the figure-8 sweeps, reduced from the paper's
+#: 144-node configuration; serving and scenarios default to their specs'.
+_USAGE = {
+    "figure8a": _Usage(
+        _SIM_FLAGS + ("loads",),
+        {"nodes": 24, "messages": 8000, "seed": 1, "topology": "single",
+         "loads": "0.2,0.5,0.8"},
+        _figure8a_options,
+    ),
+    "figure8a_mix": _Usage(
+        _SIM_FLAGS,
+        {"nodes": 24, "messages": 8000, "seed": 1, "topology": "single"},
+        lambda args: {"scale": _figure_scale(Figure8aScale, args)},
+    ),
+    "figure8b": _Usage(
+        _SIM_FLAGS + ("apps",),
+        {"nodes": 12, "messages": 1200, "seed": 1, "topology": "single"},
+        _figure8b_options,
+    ),
+    # The canonical ablation seed is 3 (what the benchmarks use).
+    "ablations": _Usage(
+        ("families", "nodes", "messages", "seed"),
+        {"nodes": 16, "seed": 3},
+        _ablation_options,
+    ),
+    "serving": _Usage(
+        ("profiles", "ops_per_client", "nodes", "seed"), {}, _serving_options
+    ),
+    "scenarios": _Usage(
+        ("names", "nodes", "messages", "seed", "topology"), {}, _scenario_options
+    ),
 }
 
+#: Analytic experiments read no flag.
+_NO_FLAGS = _Usage((), {}, lambda args: {})
 
-def _warn_ignored_flags(
-    name: str, args: argparse.Namespace, flags: tuple
-) -> None:
-    ignored = [
-        f"--{flag}"
-        for flag in flags
-        if getattr(args, flag) != _RUN_FLAG_DEFAULTS[flag]
-    ]
-    if ignored:
-        print(
-            f"warning: {', '.join(ignored)} not used by {name!r}; ignoring",
-            file=sys.stderr,
-        )
+#: Every experiment flag of ``run``, each None when unset (names apart).
+_ALL_FLAGS = tuple(
+    dict.fromkeys(f for u in _USAGE.values() for f in u.flags if f != "names")
+)
 
 
 def _grid_summary(name: str) -> str:
@@ -325,118 +346,29 @@ def _cmd_run(args: argparse.Namespace) -> None:
             sys.exit(2)
         return
     name = args.experiment
-    options: Dict[str, Any]
-    if name in ("figure8a", "figure8a_mix"):
-        args.nodes = 24 if args.nodes is None else args.nodes
-        args.messages = 8000 if args.messages is None else args.messages
-        args.seed = 1 if args.seed is None else args.seed
-        _warn_ignored_flags(name, args, ("families", "profiles", "ops_per_client"))
-        options = _figure8a_options(args)
-        if name == "figure8a_mix":
-            options = {"scale": options["scale"]}
-    elif name == "figure8b":
-        args.nodes = 12 if args.nodes is None else args.nodes
-        args.messages = 1200 if args.messages is None else args.messages
-        args.seed = 1 if args.seed is None else args.seed
-        _warn_ignored_flags(
-            name, args, ("loads", "families", "profiles", "ops_per_client")
+    spec = get_experiment(name)
+    usage = _USAGE.get(name, _NO_FLAGS)
+    if args.names and "names" not in usage.flags:
+        raise ConfigError(f"{name!r} takes no names: {' '.join(args.names)}")
+    ignored = [
+        "--" + flag.replace("_", "-")
+        for flag in _ALL_FLAGS
+        if flag not in usage.flags and getattr(args, flag) is not None
+    ]
+    if ignored:
+        print(
+            f"warning: {', '.join(ignored)} not used by {name!r}; ignoring",
+            file=sys.stderr,
         )
-        options = _figure8b_options(args)
-    elif name == "scenarios":
-        _warn_ignored_flags(
-            name, args,
-            ("loads", "apps", "fabrics", "families", "profiles", "ops_per_client"),
-        )
-        options = _scenario_options(args)
-    elif name == "serving":
-        _warn_ignored_flags(
-            name, args,
-            ("loads", "apps", "fabrics", "families", "messages", "topology"),
-        )
-        options = _serving_options(args)
-    elif name == "ablations":
-        _warn_ignored_flags(
-            name, args,
-            ("loads", "apps", "fabrics", "profiles", "ops_per_client",
-             "topology"),
-        )
-        options = {
-            "num_nodes": 16 if args.nodes is None else args.nodes,
-            # Canonical ablation seed is 3 (what the benchmarks use).
-            "seed": 3 if args.seed is None else args.seed,
-            "message_count": args.messages,
-        }
-        if args.families:
-            options["families"] = tuple(args.families.split(","))
-    else:
-        # Analytic experiments take no scale options.
-        _warn_ignored_flags(
-            name, args,
-            (
-                "nodes", "messages", "seed", "loads", "apps", "fabrics",
-                "families", "profiles", "ops_per_client", "topology",
-            ),
-        )
-        options = {}
-    result = _run_and_persist(name, args, options)
-    reduced = result.reduced
-    if name == "scenarios":
-        from repro.scenarios import format_scenario_results
-
-        print(format_scenario_results(reduced))
-        return
-    if name == "serving":
-        from repro.experiments.serving import format_serving_results
-
-        print(format_serving_results(reduced))
-        return
-    if isinstance(reduced, dict) and all(
-        isinstance(v, dict) for v in reduced.values()
-    ):
-        print(format_grid(reduced, f"{name} ({result.jobs} jobs)"))
-    else:
-        print(f"{name} ({result.jobs} jobs):")
-        print(reduced)
+    for flag, value in usage.defaults.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, value)
+    result = _run_and_persist(name, args, usage.options(args))
+    print(spec.render(result.reduced))
 
 
-def _serving_options(args: argparse.Namespace) -> Dict[str, Any]:
-    """Scale overrides for the serving experiment (None = spec value)."""
-    options: Dict[str, Any] = {}
-    if args.profiles:
-        options["profiles"] = args.profiles.split(",")
-    if args.seed is not None:
-        options["seed"] = args.seed
-    if args.ops_per_client is not None:
-        options["ops_per_client"] = args.ops_per_client
-    if args.nodes is not None:
-        options["num_nodes"] = args.nodes
-    return options
-
-
-def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
-    """Scale overrides for the scenarios experiment (None = spec value)."""
-    options: Dict[str, Any] = {}
-    if getattr(args, "names", None):
-        options["names"] = args.names
-    if args.seed is not None:
-        options["seed"] = args.seed
-    if args.nodes is not None:
-        options["num_nodes"] = args.nodes
-    if args.messages is not None:
-        options["message_count"] = args.messages
-    if getattr(args, "topology", "single") != "single":
-        options["topology"] = args.topology
-    return options
-
-
-def _cmd_scenario(args: argparse.Namespace) -> None:
-    from repro.scenarios import format_scenario_list, format_scenario_results
-
-    if args.action == "list":
-        print(format_scenario_list())
-        return
-    result = _run_and_persist("scenarios", args, _scenario_options(args))
-    print(format_scenario_results(result.reduced))
+def _cmd_scenario_list(_: argparse.Namespace) -> None:
+    print(format_scenario_list())
 
 
 def _cmd_checks(_: argparse.Namespace) -> None:
@@ -448,65 +380,8 @@ def _cmd_checks(_: argparse.Namespace) -> None:
         sys.exit(1)
 
 
-def _add_runner_args(
-    parser: argparse.ArgumentParser, *, out_default: Optional[str] = "results"
-) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the cell grid (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--out", type=str, default=out_default,
-        help="artifact directory"
-        + (f" (default {out_default}/)" if out_default else " (no artifact unless set)"),
-    )
-    parser.add_argument(
-        "--no-artifact", action="store_true",
-        help="skip writing the JSON artifact",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="cProfile the run; writes .prof + top-25 cumulative table "
-        "next to the artifact (parent process only — use --jobs 1)",
-    )
-    parser.add_argument(
-        "--resume", type=str, default=None, metavar="CKPT",
-        help="replay completed cells from a checkpoint journal "
-        "(*.ckpt.jsonl, printed as [checkpoint] by an interrupted run) "
-        "and execute only the remainder; the journal keeps being appended "
-        "until the artifact is written",
-    )
-    parser.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="skip the crash-safe checkpoint journal (docs/RESILIENCE.md)",
-    )
-
-
-def _add_scale_args(
-    parser: argparse.ArgumentParser,
-    *,
-    nodes: Optional[int],
-    messages: Optional[int],
-    seed: Optional[int] = 1,
-) -> None:
-    parser.add_argument("--nodes", type=_positive_int, default=nodes)
-    parser.add_argument("--messages", type=_positive_int, default=messages)
-    parser.add_argument("--seed", type=int, default=seed)
-    parser.add_argument(
-        "--fabrics", type=str, default="",
-        help="comma-separated fabric names (default: all seven)",
-    )
-    parser.add_argument(
-        "--topology", type=str, default="single",
-        help="substrate topology: 'single' or "
-        "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md); "
-        "only fabrics tagged 'multitier' accept a multi-tier value",
-    )
-
-
-#: Shared epilog for the simulation subcommands.  The README's "Scaling
-#: up" section documents the same contract — keep the two in sync (CI
-#: greps for the marker phrases).
+#: Epilog of ``run``.  The README's "Scaling up" section documents the
+#: same contract — keep the two in sync (CI greps for the marker phrases).
 _SCALING_EPILOG = (
     "scaling up: --jobs N runs independent grid cells in worker processes "
     "(embarrassingly parallel); each simulation runs serially on one "
@@ -521,99 +396,94 @@ _SCALING_EPILOG = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser with one subcommand per artifact."""
+    """Construct the argument parser: ``run``, ``scenario list``, ``checks``."""
     parser = argparse.ArgumentParser(
         prog="repro.cli",
         description="Regenerate EDM (ASPLOS 2025) evaluation artifacts.",
+        epilog=f"aliases: {', '.join(_ALIASES)} = run <name>; "
+        "scenario run [names] = run scenarios [names]",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table1", help="Table 1: unloaded fabric latency").set_defaults(fn=_cmd_table1)
-    sub.add_parser("figure5", help="Figure 5: EDM cycle breakdown").set_defaults(fn=_cmd_figure5)
-
-    f6 = sub.add_parser("figure6", help="Figure 6: KV throughput")
-    _add_runner_args(f6, out_default=None)
-    f6.set_defaults(fn=_cmd_figure6)
-
-    f7 = sub.add_parser("figure7", help="Figure 7: latency vs placement")
-    _add_runner_args(f7, out_default=None)
-    f7.set_defaults(fn=_cmd_figure7)
-
-    f8a = sub.add_parser(
-        "figure8a", help="Figure 8a: latency vs load", epilog=_SCALING_EPILOG
-    )
-    _add_scale_args(f8a, nodes=24, messages=8000)
-    f8a.add_argument("--loads", type=str, default="0.2,0.5,0.8")
-    _add_runner_args(f8a)
-    f8a.set_defaults(fn=_cmd_figure8a)
-
-    f8b = sub.add_parser(
-        "figure8b", help="Figure 8b: MCT on app traces", epilog=_SCALING_EPILOG
-    )
-    _add_scale_args(f8b, nodes=12, messages=1200)
-    f8b.add_argument("--apps", type=str, default="")
-    _add_runner_args(f8b)
-    f8b.set_defaults(fn=_cmd_figure8b)
 
     run = sub.add_parser(
         "run", help="run any registered experiment through the parallel runner",
         epilog=_SCALING_EPILOG,
     )
-    run.add_argument("experiment", nargs="?", default=None)
-    run.add_argument("--list", action="store_true", help="list experiments")
-    # Unset = the CLI default scale for that experiment (the same
-    # defaults as the dedicated figure8a/figure8b subcommands — reduced
-    # from the papers' 144-node configuration) and its canonical seed.
-    _add_scale_args(run, nodes=None, messages=None, seed=None)
-    run.add_argument("--loads", type=str, default="0.2,0.5,0.8")
-    run.add_argument("--apps", type=str, default="")
     run.add_argument(
-        "--families", type=str, default="",
-        help="ablations: comma-separated families",
+        "experiment", nargs="?", default=None,
+        help="a registered experiment (see --list)",
     )
     run.add_argument(
-        "--profiles", type=str, default="",
+        "names", nargs="*", default=[],
+        help="scenarios: scenario names (default: the whole catalog)",
+    )
+    run.add_argument("--list", action="store_true", help="list experiments")
+    # Unset = the experiment's default (see _USAGE).
+    scale = run.add_argument_group("scale (default: the experiment's own)")
+    scale.add_argument("--nodes", type=_positive_int)
+    scale.add_argument("--messages", type=_positive_int)
+    scale.add_argument("--seed", type=int)
+    scale.add_argument(
+        "--fabrics", help="comma-separated fabric names (default: all seven)",
+    )
+    scale.add_argument(
+        "--topology",
+        help="substrate topology: 'single' or "
+        "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md); "
+        "only fabrics tagged 'multitier' accept a multi-tier value",
+    )
+    scale.add_argument(
+        "--loads", help="figure8a: comma-separated loads (default 0.2,0.5,0.8)",
+    )
+    scale.add_argument("--apps", help="figure8b: comma-separated app traces")
+    scale.add_argument("--families", help="ablations: comma-separated families")
+    scale.add_argument(
+        "--profiles",
         help="serving: comma-separated profile names (default: the catalog)",
     )
-    run.add_argument(
-        "--ops-per-client", type=_positive_int, default=None,
+    scale.add_argument(
+        "--ops-per-client", type=_positive_int,
         help="serving: override every profile's per-client op budget",
     )
-    _add_runner_args(run)
+    runner = run.add_argument_group("runner")
+    runner.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes for the cell grid (default 1 = serial)",
+    )
+    runner.add_argument(
+        "--out", default="results", help="artifact directory (default results/)",
+    )
+    runner.add_argument(
+        "--no-artifact", action="store_true",
+        help="skip writing the JSON artifact",
+    )
+    runner.add_argument(
+        "--profile", action="store_true",
+        help="cProfile the run; writes .prof + top-25 cumulative table "
+        "next to the artifact (parent process only — use --jobs 1)",
+    )
+    runner.add_argument(
+        "--resume", default=None, metavar="CKPT",
+        help="replay completed cells from a checkpoint journal "
+        "(*.ckpt.jsonl, printed as [checkpoint] by an interrupted run) "
+        "and execute only the remainder; the journal keeps being appended "
+        "until the artifact is written",
+    )
+    runner.add_argument(
+        "--no-checkpoint", action="store_true",
+        help="skip the crash-safe checkpoint journal (docs/RESILIENCE.md)",
+    )
     run.set_defaults(fn=_cmd_run)
 
     scenario = sub.add_parser(
-        "scenario", help="declarative fabric × workload × fault scenarios"
+        "scenario",
+        help="declarative fabric × workload × fault scenarios "
+        "(scenario run = run scenarios)",
     )
     scenario_sub = scenario.add_subparsers(dest="action", required=True)
-    scenario_list = scenario_sub.add_parser("list", help="list the catalog")
-    scenario_list.set_defaults(fn=_cmd_scenario)
-    scenario_run = scenario_sub.add_parser(
-        "run", help="run scenarios through the parallel runner",
-        epilog=_SCALING_EPILOG,
+    scenario_sub.add_parser("list", help="list the catalog").set_defaults(
+        fn=_cmd_scenario_list
     )
-    scenario_run.add_argument(
-        "names", nargs="*", default=[],
-        help="scenario names (default: the whole catalog)",
-    )
-    scenario_run.add_argument(
-        "--nodes", type=_positive_int, default=None,
-        help="override every scenario's cluster size (default: spec value)",
-    )
-    scenario_run.add_argument(
-        "--messages", type=_positive_int, default=None,
-        help="override every scenario's message count (default: spec value)",
-    )
-    scenario_run.add_argument(
-        "--seed", type=int, default=None,
-        help="override every scenario's seed (default: spec value)",
-    )
-    scenario_run.add_argument(
-        "--topology", type=str, default="single",
-        help="override every scenario's topology: 'single' or "
-        "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md)",
-    )
-    _add_runner_args(scenario_run)
-    scenario_run.set_defaults(fn=_cmd_scenario)
 
     sub.add_parser("checks", help="Headline shape checks").set_defaults(fn=_cmd_checks)
     return parser
@@ -621,11 +491,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> None:
     """Entry point: dispatch to the selected artifact generator."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(_expand_alias(argv))
+    # argparse leaves names that follow an option unparsed
+    # (``run scenarios --nodes 8 a b``); they are still run's names.
+    if extras and (
+        args.command != "run" or any(x.startswith("-") for x in extras)
+    ):
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    if extras:
+        args.names += extras
     try:
         args.fn(args)
     except ReproError as exc:
-        # User-input problems (unknown experiment/fabric, bad --jobs)
+        # User-input problems (unknown experiment/fabric, bad --loads)
         # surface as clean usage errors, not tracebacks.
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)

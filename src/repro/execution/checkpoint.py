@@ -52,9 +52,12 @@ def grid_fingerprint(experiment: str, cells: Sequence[Any]) -> str:
 
 
 def new_checkpoint_path(out_dir: str, experiment: str) -> str:
-    """A fresh ``<out_dir>/<experiment>/<stamp>.ckpt.jsonl`` path."""
+    """A fresh ``<out_dir>/<experiment>/<stamp>.ckpt.jsonl`` path.
+
+    Nothing is created: the journal and its directory appear with the
+    first completed cell (:class:`CheckpointWriter`).
+    """
     directory = os.path.join(out_dir, experiment)
-    os.makedirs(directory, exist_ok=True)
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     path = os.path.join(directory, f"{stamp}{CHECKPOINT_SUFFIX}")
     suffix = 1
@@ -68,8 +71,10 @@ class CheckpointWriter:
     """Appends completed cells to a journal with per-line fsync.
 
     Opening an existing journal (the ``--resume`` continue-in-place
-    path) validates its header against the current grid and appends;
-    opening a fresh path writes the header first.
+    path) validates its header against the current grid and appends.
+    A fresh journal, and its directory, is created with its header just
+    before the first record, so a run that fails before any cell
+    completes leaves nothing on disk.
     """
 
     def __init__(
@@ -82,29 +87,24 @@ class CheckpointWriter:
     ) -> None:
         self.path = path
         self._default = default
+        self._fh: Optional[Any] = None
+        self._header: Optional[Dict[str, Any]] = None
         fingerprint = grid_fingerprint(experiment, cells)
-        existing = os.path.exists(path) and os.path.getsize(path) > 0
-        if existing:
+        if os.path.exists(path) and os.path.getsize(path) > 0:
             header = _read_header(path)
             _check_header(header, path, experiment, fingerprint)
             # A crash mid-append leaves a torn final line with no newline;
             # drop it before appending, or the next record would be glued
             # onto it and corrupt the journal.
             _truncate_torn_tail(path)
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._fh = open(path, "a", encoding="utf-8")
-        if not existing:
-            self._append(
-                {
-                    "schema": CHECKPOINT_SCHEMA_VERSION,
-                    "kind": "checkpoint",
-                    "experiment": experiment,
-                    "grid": fingerprint,
-                    "cells": len(cells),
-                }
-            )
+        else:
+            self._header = {
+                "schema": CHECKPOINT_SCHEMA_VERSION,
+                "kind": "checkpoint",
+                "experiment": experiment,
+                "grid": fingerprint,
+                "cells": len(cells),
+            }
 
     def _append(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, default=self._default)
@@ -117,12 +117,19 @@ class CheckpointWriter:
     def record(
         self, index: int, cell: Any, result: Any, perf: Dict[str, Any]
     ) -> None:
+        if self._fh is None:
+            directory = os.path.dirname(self.path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            self._fh = open(self.path, "a", encoding="utf-8")
+            if self._header is not None:
+                self._append(self._header)
         self._append(
             {"index": index, "key": cell.key, "result": result, "perf": perf}
         )
 
     def close(self) -> None:
-        if not self._fh.closed:
+        if self._fh is not None:
             self._fh.close()
 
     def __enter__(self) -> "CheckpointWriter":

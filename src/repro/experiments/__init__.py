@@ -1,7 +1,8 @@
 """Experiment drivers and the parallel runner (see DESIGN.md §4).
 
-Importing this package registers every experiment spec (figures and
-ablations) with the runner's registry.
+Importing this package registers every experiment spec (figures,
+ablations, serving and scenarios) with the runner's registry; run one by
+name with :func:`run_experiment` or :class:`Runner`.
 """
 
 from repro.experiments.runner import (
@@ -22,15 +23,10 @@ from repro.experiments.figures import (
     Figure8bScale,
     format_grid,
     run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8a_loads,
-    run_figure8a_mix,
-    run_figure8b,
     run_table1,
     summarize_shape_checks,
 )
-from repro.experiments.ablations import FAMILIES, run_ablations
+from repro.experiments.ablations import FAMILIES
 from repro.experiments.serving import (
     format_serving_results,
     serving_profile,
@@ -58,14 +54,8 @@ __all__ = [
     "get_experiment",
     "make_cell",
     "register",
-    "run_ablations",
     "run_experiment",
     "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8a_loads",
-    "run_figure8a_mix",
-    "run_figure8b",
     "run_table1",
     "summarize_shape_checks",
     "write_artifact",

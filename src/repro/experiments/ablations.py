@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.scheduler import Policy
 from repro.errors import ConfigError
-from repro.experiments.figures import shared_workload
-from repro.experiments.runner import Cell, ExperimentSpec, Runner, make_cell, register
+from repro.experiments.figures import format_grid, shared_workload
+from repro.experiments.runner import Cell, ExperimentSpec, make_cell, register
 from repro.fabrics.base import ClusterConfig
 from repro.fabrics.edm import EdmFabric
 from repro.workloads.distributions import HADOOP_SORT, fixed_size
@@ -205,28 +205,7 @@ register(
         build_cells=build_ablation_cells,
         run_cell=run_ablation_cell,
         reduce=_reduce_ablations,
+        render=lambda grid: format_grid(grid, "Ablations — EDM design choices"),
     )
 )
 
-
-def run_ablations(
-    families: Optional[Sequence[str]] = None,
-    num_nodes: int = 16,
-    link_gbps: float = 100.0,
-    seed: int = 3,
-    message_count: Optional[int] = None,
-    jobs: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Run ablation families through the runner; ``{family: {setting: value}}``."""
-    return (
-        Runner(jobs=jobs)
-        .run(
-            "ablations",
-            families=families,
-            num_nodes=num_nodes,
-            link_gbps=link_gbps,
-            seed=seed,
-            message_count=message_count,
-        )
-        .reduced
-    )

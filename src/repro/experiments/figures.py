@@ -1,14 +1,14 @@
 """Experiment definitions: one registered spec per paper table/figure.
 
 Each experiment names a parameter grid of :class:`~repro.experiments.runner.Cell`
-points, a pure per-cell function, and a reducer that reassembles per-cell
-results into the figure's shape.  The ``run_*`` wrappers keep the
-original serial call signatures (plus a ``jobs`` knob) for tests, the
-CLI, and the benchmark harness; they all route through the
-:class:`~repro.experiments.runner.Runner`, so ``jobs=N`` output is
-bit-identical to serial.  Experiment scale (node count, message count)
-is parameterized so tests run small and benches run at representative
-size.
+points, a pure per-cell function, a reducer that reassembles per-cell
+results into the figure's shape, and a renderer that prints it.  Every
+caller — the CLI, tests, examples — runs one by name through the
+:class:`~repro.experiments.runner.Runner` (``run_experiment("figure8a",
+jobs=4, loads=..., scale=...)``), so ``jobs=N`` output is bit-identical
+to serial.  Experiment scale (node count, message count) is a grid
+option, so tests run small and benches run at representative size.
+``run_table1`` and ``run_figure5`` are the analytic cells themselves.
 
 Sweeps build cells as ``for x: for fabric``, so the fabric cells at one
 grid point offer the *same* frozen workload spec.  :func:`shared_workload`
@@ -30,15 +30,14 @@ from repro.apps.kvstore import (
 from repro.errors import FabricError
 from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
 from repro.fabrics.base import Fabric, OfferedMessage
-from repro.latency.breakdown import read_breakdown, total_ns, write_breakdown
-from repro.latency.table1 import compute_table1, latency_ratios
-from repro.experiments.runner import (
-    Cell,
-    ExperimentSpec,
-    Runner,
-    make_cell,
-    register,
+from repro.latency.breakdown import (
+    format_breakdown,
+    read_breakdown,
+    total_ns,
+    write_breakdown,
 )
+from repro.latency.table1 import compute_table1, format_table1, latency_ratios
+from repro.experiments.runner import Cell, ExperimentSpec, make_cell, register
 from repro.workloads.distributions import fixed_size
 from repro.workloads.api import workload_from_spec
 from repro.workloads.synthetic import SyntheticSpec
@@ -82,6 +81,16 @@ def _first_result(cells: Sequence[Cell], results: Sequence) -> object:
     return results[0]
 
 
+def _render_figure5(totals: Dict[str, float]) -> str:
+    """Both 64 B timelines; ``totals`` holds only their end points."""
+    return "\n\n".join(
+        (
+            format_breakdown(read_breakdown(), "Figure 5 — 64 B READ"),
+            format_breakdown(write_breakdown(), "Figure 5 — 64 B WRITE"),
+        )
+    )
+
+
 register(
     ExperimentSpec(
         name="table1",
@@ -89,6 +98,8 @@ register(
         build_cells=_single_cell("table1"),
         run_cell=lambda cell: run_table1(),
         reduce=_first_result,
+        # The table rows come from the same stage models as the totals.
+        render=lambda totals: format_table1(),
     )
 )
 
@@ -99,6 +110,7 @@ register(
         build_cells=_single_cell("figure5"),
         run_cell=lambda cell: run_figure5(),
         reduce=_first_result,
+        render=_render_figure5,
     )
 )
 
@@ -133,6 +145,16 @@ def _rows(cells: Sequence[Cell], results: Sequence) -> List:
     return list(results)
 
 
+def _render_figure6(rows: Sequence[Dict[str, object]]) -> str:
+    lines = ["Figure 6 — KV throughput (Mrps), EDM vs RDMA:"]
+    for row in rows:
+        lines.append(
+            f"  YCSB-{row['workload']}: EDM {row['edm_mrps']:6.2f}  "
+            f"RDMA {row['rdma_mrps']:6.2f}  speedup {row['speedup']:.2f}x"
+        )
+    return "\n".join(lines)
+
+
 register(
     ExperimentSpec(
         name="figure6",
@@ -140,12 +162,9 @@ register(
         build_cells=_figure6_cells,
         run_cell=_figure6_cell,
         reduce=_rows,
+        render=_render_figure6,
     )
 )
-
-
-def run_figure6(link_gbps: float = 100.0, jobs: int = 1) -> List[Dict[str, object]]:
-    return Runner(jobs=jobs).run("figure6", link_gbps=link_gbps).reduced
 
 
 # --------------------------------------------------------------------------- #
@@ -175,6 +194,16 @@ def _figure7_cell(cell: Cell) -> Dict[str, object]:
     return row
 
 
+def _render_figure7(rows: Sequence[Dict[str, object]]) -> str:
+    lines = ["Figure 7 — mean YCSB-A latency (ns) vs local:remote placement:"]
+    for row in rows:
+        lines.append(
+            f"  {row['split']:>7}: EDM {row['edm_ns']:7.1f}  "
+            f"CXL {row['cxl_ns']:7.1f}  RDMA {row['rdma_ns']:7.1f}"
+        )
+    return "\n".join(lines)
+
+
 register(
     ExperimentSpec(
         name="figure7",
@@ -182,12 +211,9 @@ register(
         build_cells=_figure7_cells,
         run_cell=_figure7_cell,
         reduce=_rows,
+        render=_render_figure7,
     )
 )
-
-
-def run_figure7(link_gbps: float = 100.0, jobs: int = 1) -> List[Dict[str, object]]:
-    return Runner(jobs=jobs).run("figure7", link_gbps=link_gbps).reduced
 
 
 # --------------------------------------------------------------------------- #
@@ -340,22 +366,11 @@ register(
         build_cells=_figure8a_cells,
         run_cell=_figure8a_cell,
         reduce=_figure8a_reduce,
+        render=lambda grid: format_grid(
+            grid, "Figure 8a — normalized 64 B latency vs load"
+        ),
     )
 )
-
-
-def run_figure8a_loads(
-    loads: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 0.9),
-    write_fraction: float = 0.5,
-    scale: Figure8aScale = Figure8aScale(),
-    jobs: int = 1,
-) -> Dict[float, Dict[str, Dict[str, float]]]:
-    """Normalized 64 B read/write latency vs load, all protocols."""
-    return (
-        Runner(jobs=jobs)
-        .run("figure8a", loads=loads, write_fraction=write_fraction, scale=scale)
-        .reduced
-    )
 
 
 def _figure8a_mix_cells(
@@ -413,28 +428,11 @@ register(
         build_cells=_figure8a_mix_cells,
         run_cell=_figure8a_mix_cell,
         reduce=_figure8a_mix_reduce,
+        render=lambda grid: format_grid(
+            grid, "Figure 8a — normalized latency vs write:read mix"
+        ),
     )
 )
-
-
-def run_figure8a_mix(
-    mixes: Sequence[Tuple[int, int]] = (
-        (100, 0),
-        (80, 20),
-        (50, 50),
-        (20, 80),
-        (0, 100),
-    ),
-    load: float = 0.8,
-    scale: Figure8aScale = Figure8aScale(),
-    jobs: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Mixed write:read ratios at a fixed load (the figure's right panel)."""
-    return (
-        Runner(jobs=jobs)
-        .run("figure8a_mix", mixes=mixes, load=load, scale=scale)
-        .reduced
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -508,17 +506,11 @@ register(
         build_cells=_figure8b_cells,
         run_cell=_figure8b_cell,
         reduce=_figure8b_reduce,
+        render=lambda grid: format_grid(
+            grid, "Figure 8b — normalized MCT per app trace"
+        ),
     )
 )
-
-
-def run_figure8b(
-    apps: Optional[Sequence[str]] = None,
-    scale: Figure8bScale = Figure8bScale(),
-    jobs: int = 1,
-) -> Dict[str, Dict[str, float]]:
-    """Mean normalized MCT per application trace, all protocols."""
-    return Runner(jobs=jobs).run("figure8b", apps=apps, scale=scale).reduced
 
 
 def _calibrate_ideal(fabric: Fabric):

@@ -3,11 +3,11 @@
 The evaluation surface (Table 1, Figures 5-8, the ablation sweeps)
 decomposes into *cells* — independent ``(fabric, load, seed, scale)``
 points of a parameter grid.  Each registered :class:`ExperimentSpec`
-names its grid builder, a pure per-cell function, and a reducer that
-reassembles per-cell results into the figure's shape.  The
-:class:`Runner` fans cells out over a stdlib process pool and keeps
-results in grid order, so parallel output is bit-identical to a serial
-run regardless of worker completion order.
+names its grid builder, a pure per-cell function, a reducer that
+reassembles per-cell results into the figure's shape, and a renderer
+that prints the reduction.  The :class:`Runner` fans cells out over a
+stdlib process pool and keeps results in grid order, so parallel output
+is bit-identical to a serial run regardless of worker completion order.
 
 Artifacts: :func:`write_artifact` atomically persists the reduced
 results plus the full per-cell record, the run configuration, and git
@@ -129,11 +129,13 @@ def make_cell(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A named experiment: grid builder, pure cell function, reducer.
+    """A named experiment: grid builder, pure cell function, reducer, renderer.
 
     ``run_cell`` must be a module-level function — worker processes look
     the spec up by name and call it, so it is never pickled itself.
-    ``reduce`` receives the cells and their results in grid order.
+    ``reduce`` receives the cells and their results in grid order;
+    ``render`` turns the reduction into the text ``repro.cli run``
+    prints.
     """
 
     name: str
@@ -141,6 +143,7 @@ class ExperimentSpec:
     build_cells: Callable[..., Sequence[Cell]]
     run_cell: Callable[[Cell], Any]
     reduce: Callable[[Sequence[Cell], Sequence[Any]], Any]
+    render: Callable[[Any], str] = str
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}

@@ -175,17 +175,6 @@ def _serving_reduce(
     return {cell.param("profile"): row for cell, row in zip(cells, results)}
 
 
-register(
-    ExperimentSpec(
-        name="serving",
-        description="Closed-loop multi-tenant KV serving with per-tenant SLOs",
-        build_cells=_serving_cells,
-        run_cell=_serving_cell,
-        reduce=_serving_reduce,
-    )
-)
-
-
 # --------------------------------------------------------------------------- #
 # Formatting                                                                  #
 # --------------------------------------------------------------------------- #
@@ -212,6 +201,18 @@ def format_serving_results(reduced: Dict[str, Dict[str, object]]) -> str:
                 f"SLO {summary['slo_attainment'] * 100:5.1f}%"
             )
     return "\n".join(lines)
+
+
+register(
+    ExperimentSpec(
+        name="serving",
+        description="Closed-loop multi-tenant KV serving with per-tenant SLOs",
+        build_cells=_serving_cells,
+        run_cell=_serving_cell,
+        reduce=_serving_reduce,
+        render=format_serving_results,
+    )
+)
 
 
 __all__ = [

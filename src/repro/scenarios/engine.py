@@ -9,8 +9,8 @@ The module also registers the ``scenarios`` experiment with the parallel
 runner's registry, so catalog sweeps fan out over worker processes and
 persist artifacts exactly like the figure experiments::
 
-    repro.cli scenario run --jobs 4          # the whole catalog
-    repro.cli scenario run pfc_incast_failover cxl_shuffle_degraded
+    repro.cli run scenarios --jobs 4          # the whole catalog
+    repro.cli run scenarios pfc_incast_failover cxl_shuffle_degraded
 
 Scenario cells are pure functions of their spec + seed, which is what
 lets the runner resume half-finished catalog sweeps from a checkpoint
@@ -212,17 +212,6 @@ def _scenario_reduce(
     return {cell.param("scenario"): row for cell, row in zip(cells, results)}
 
 
-register(
-    ExperimentSpec(
-        name="scenarios",
-        description="Scenario engine: declarative fabric × workload × fault sweeps",
-        build_cells=_scenario_cells,
-        run_cell=_scenario_cell,
-        reduce=_scenario_reduce,
-    )
-)
-
-
 # --------------------------------------------------------------------------- #
 # Formatting                                                                  #
 # --------------------------------------------------------------------------- #
@@ -261,6 +250,18 @@ def format_scenario_results(reduced: Dict[str, Dict[str, object]]) -> str:
             f"{row['completed']:>5}/{row['offered']:<5} {lat}  faults: {faults}"
         )
     return "\n".join(lines)
+
+
+register(
+    ExperimentSpec(
+        name="scenarios",
+        description="Scenario engine: declarative fabric × workload × fault sweeps",
+        build_cells=_scenario_cells,
+        run_cell=_scenario_cell,
+        reduce=_scenario_reduce,
+        render=format_scenario_results,
+    )
+)
 
 
 def check_conservation(row: Dict[str, object]) -> bool:

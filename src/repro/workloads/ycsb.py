@@ -106,7 +106,7 @@ class ZipfianKeyChooser:
 
     def next_key(self) -> int:
         u = self._rng.random()
-        rank = int(np.searchsorted(self._cdf, u))
+        rank = int(self._cdf.searchsorted(u))
         return int(self._permutation[min(rank, self.keyspace - 1)])
 
 

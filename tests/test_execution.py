@@ -224,6 +224,8 @@ class TestCheckpointJournal:
 
     def test_new_checkpoint_paths_never_collide(self, tmp_path):
         first = new_checkpoint_path(str(tmp_path), "exec_toy")
+        assert not any(tmp_path.iterdir())  # the writer creates the directory
+        os.makedirs(os.path.dirname(first))
         open(first, "w").close()
         second = new_checkpoint_path(str(tmp_path), "exec_toy")
         assert first != second

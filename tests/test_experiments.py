@@ -9,13 +9,8 @@ from repro.experiments import (
     Figure8aScale,
     Figure8bScale,
     format_grid,
+    run_experiment,
     run_figure5,
-    run_figure6,
-    run_figure7,
-    run_figure8a_loads,
-    run_figure8a_mix,
-    run_ablations,
-    run_figure8b,
     run_table1,
     summarize_shape_checks,
 )
@@ -52,12 +47,12 @@ class TestAnalyticDrivers:
         assert 250 < f5["write_total_ns"] < 350
 
     def test_figure6_rows(self):
-        rows = run_figure6()
+        rows = run_experiment("figure6")
         assert [r["workload"] for r in rows] == ["A", "B", "F"]
         assert all(r["speedup"] > 1.0 for r in rows)
 
     def test_figure7_rows(self):
-        rows = run_figure7()
+        rows = run_experiment("figure7")
         assert len(rows) == 5
         for row in rows:
             assert row["edm_ns"] < row["rdma_ns"]
@@ -65,7 +60,7 @@ class TestAnalyticDrivers:
 
 class TestSimulationDrivers:
     def test_figure8a_loads_small(self):
-        results = run_figure8a_loads(loads=(0.3,), scale=SMALL_8A)
+        results = run_experiment("figure8a", loads=(0.3,), scale=SMALL_8A)
         point = results[0.3]
         assert set(point) == {"EDM", "DCTCP"}
         for values in point.values():
@@ -74,25 +69,27 @@ class TestSimulationDrivers:
             assert values["incomplete"] == 0
 
     def test_figure8a_mix_small(self):
-        results = run_figure8a_mix(mixes=((50, 50),), load=0.4, scale=SMALL_8A)
+        results = run_experiment(
+            "figure8a_mix", mixes=((50, 50),), load=0.4, scale=SMALL_8A
+        )
         assert "50:50" in results
         assert results["50:50"]["EDM"] >= 0.9
 
     def test_figure8b_small(self):
-        results = run_figure8b(apps=("memcached",), scale=SMALL_8B)
+        results = run_experiment("figure8b", apps=("memcached",), scale=SMALL_8B)
         assert set(results) == {"memcached"}
         for value in results["memcached"].values():
             assert value >= 0.9
 
     def test_format_grid_renders(self):
-        results = run_figure8a_loads(loads=(0.3,), scale=SMALL_8A)
+        results = run_experiment("figure8a", loads=(0.3,), scale=SMALL_8A)
         text = format_grid(results, "Figure 8a")
         assert "Figure 8a" in text and "EDM" in text
 
     def test_preemption_ablation(self):
         # §3.2.3: an 8 B RREQ behind a 1500 B frame finishes at block 193
         # without preemption and at block 1 with it.
-        assert run_ablations(families=["preemption"]) == {
+        assert run_experiment("ablations", families=["preemption"]) == {
             "preemption": {"off": 193.0, "on": 1.0}
         }
 

@@ -1,5 +1,8 @@
 """Tests for §3.3 fault tolerance (mirroring/failover) and the CLI."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.errors import FabricError
@@ -112,22 +115,85 @@ class TestEndToEndMirroring:
         ]
 
 
+CLI_STDOUT = pathlib.Path(__file__).parent / "fixtures" / "cli_stdout"
+
+#: Each alias with the smoke-scale arguments it is run with, and the
+#: ``run`` command it stands for.
+ALIAS_SMOKE = [
+    (["table1"], ["run", "table1"], []),
+    (["figure5"], ["run", "figure5"], []),
+    (["figure6"], ["run", "figure6"], []),
+    (["figure7"], ["run", "figure7"], []),
+    (["figure8a"], ["run", "figure8a"],
+     ["--nodes", "4", "--messages", "50", "--loads", "0.3", "--fabrics", "EDM"]),
+    (["figure8b"], ["run", "figure8b"],
+     ["--nodes", "4", "--messages", "50", "--apps", "memcached",
+      "--fabrics", "EDM"]),
+    (["scenario", "run"], ["run", "scenarios"],
+     ["pfabric_incast_baseline", "--nodes", "6", "--messages", "80"]),
+]
+
+
+def _only_artifact(directory):
+    (path,) = directory.rglob("*.json")
+    return json.loads(path.read_text())
+
+
 class TestCli:
-    def test_table1_command(self, capsys):
+    @pytest.mark.parametrize("name", ["table1", "figure5", "figure6", "figure7"])
+    def test_analytic_stdout_is_golden(self, name, tmp_path, capsys):
+        # Captured from the dedicated subcommands these aliases replaced.
         from repro.cli import main
-        main(["table1"])
+        main([name, "--out", str(tmp_path)])
+        golden = (CLI_STDOUT / f"{name}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+        assert _only_artifact(tmp_path)["experiment"] == name
+
+    @pytest.mark.parametrize(
+        "alias,command,flags", ALIAS_SMOKE, ids=[" ".join(a[0]) for a in ALIAS_SMOKE]
+    )
+    def test_alias_equals_run(self, alias, command, flags, tmp_path, capsys):
+        from repro.cli import main
+        main([*alias, *flags, "--out", str(tmp_path / "alias")])
+        alias_out = capsys.readouterr().out
+        main([*command, *flags, "--out", str(tmp_path / "run")])
+        assert capsys.readouterr().out == alias_out
+        via_alias = _only_artifact(tmp_path / "alias")
+        via_run = _only_artifact(tmp_path / "run")
+        assert via_alias["results"] == via_run["results"]
+        assert via_alias["config"] == via_run["config"]
+
+    def test_table1_command(self, capsys, tmp_path):
+        from repro.cli import main
+        main(["table1", "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert "EDM" in out and "299.52" in out
 
-    def test_figure6_command(self, capsys):
+    def test_figure6_command(self, capsys, tmp_path):
         from repro.cli import main
-        main(["figure6"])
+        main(["figure6", "--out", str(tmp_path)])
         assert "YCSB-A" in capsys.readouterr().out
 
-    def test_figure7_command(self, capsys):
+    def test_figure7_command(self, capsys, tmp_path):
         from repro.cli import main
-        main(["figure7"])
+        main(["figure7", "--out", str(tmp_path)])
         assert "100:10" in capsys.readouterr().out
+
+    def test_scenario_names_may_follow_options(self, capsys):
+        from repro.cli import main
+        main(["run", "scenarios", "--nodes", "6", "--messages", "80",
+              "pfabric_incast_baseline", "--no-artifact"])
+        assert "Scenario sweep — 1 scenarios" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "figure8a", "stray"], ["figure6", "--bogus"]]
+    )
+    def test_unused_positional_or_flag_is_a_usage_error(self, argv, tmp_path):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_checks_command_passes(self, capsys):
         from repro.cli import main
@@ -178,6 +244,8 @@ class TestCli:
             ["figure8a", "--nodes", "0"],
             ["scenario", "run", "--nodes", "0"],
             ["scenario", "run", "--messages", "0"],
+            ["run", "figure8a", "--jobs", "0"],
+            ["figure6", "--jobs", "0"],
         ],
     )
     def test_zero_count_is_a_usage_error(self, argv, tmp_path, capsys):
@@ -204,7 +272,7 @@ class TestCli:
             with pytest.raises(SystemExit) as exc:
                 main(["run", "figure8a", "--nodes", "1", "--out", str(tmp_path), *extra])
             assert exc.value.code == 2
-        assert journals() == []
+        assert not any(tmp_path.iterdir())  # no journal, no directory
         # A successful run leaves its artifact and nothing else.
         argv = ["run", "figure8a", "--nodes", "4", "--messages", "50",
                 "--loads", "0.3,0.6", "--fabrics", "EDM", "--out", str(tmp_path)]
