@@ -29,6 +29,7 @@ from repro.fabrics.base import (
     dominant_sizes,
 )
 from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
+from repro.sim.engine import DelayLine
 from repro.switchfab.l2switch import PIPELINE_NS
 
 
@@ -79,12 +80,19 @@ class IrdFabric(Fabric):
         prop = self.config.propagation_ns
         half_rtt = prop + PIPELINE_NS / 2.0
         # Every event below is pushed straight onto the root lane
-        # (sim/engine.py) at now plus a non-negative delay.
+        # (sim/engine.py) at now plus a non-negative delay; credits in
+        # flight wait on a delay line of half an RTT.
         push = sim._push
         seq = sim._seq
+        tx_ns_of: Dict[int, float] = {}  # payload -> serialization ns
 
         def tx_ns(payload: int) -> float:
-            return frame_wire_bytes(payload) * 8.0 / bandwidth
+            duration = tx_ns_of.get(payload)
+            if duration is None:
+                duration = tx_ns_of[payload] = (
+                    frame_wire_bytes(payload) * 8.0 / bandwidth
+                )
+            return duration
 
         def pace(recv: _Receiver) -> None:
             """One credit slot: grant SRPT-first, re-arm after a chunk time.
@@ -96,16 +104,20 @@ class IrdFabric(Fabric):
             decentralized conflict.
             """
             recv.pacing = False
-            grantable = [f for f in recv.pending if f.remaining > 0]
-            if not grantable:
-                return
             # Decentralized: the receiver cannot see other receivers'
-            # grants, so it picks pure SRPT and its credit may collide at
-            # a sender already serving someone else.
-            flow = min(grantable, key=lambda f: f.remaining)
+            # grants, so it picks pure SRPT (the first flow with the
+            # fewest bytes left) and its credit may collide at a sender
+            # already serving someone else.
+            flow = None
+            for candidate in recv.pending:
+                left = candidate.remaining
+                if left > 0 and (flow is None or left < flow.remaining):
+                    flow = candidate
+            if flow is None:
+                return
             chunk = min(self.CHUNK_BYTES, flow.remaining)
             flow.remaining -= chunk
-            push((sim._now + half_rtt, 0, next(seq), sender_side, (recv, flow, chunk)))
+            credit_flight((recv, flow, chunk))
             arm(recv, tx_ns(chunk))
 
         def arm(recv: _Receiver, delay: float) -> None:
@@ -135,6 +147,8 @@ class IrdFabric(Fabric):
             sender_queue[sender].append(credit)
             if sender_busy_until[sender] <= sim.now:
                 serve_sender(sender)
+
+        credit_flight = DelayLine(sim, half_rtt, sender_side).post
 
         def serve_sender(sender: int) -> None:
             if not sender_queue[sender] or sender_busy_until[sender] > sim.now:

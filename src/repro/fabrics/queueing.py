@@ -32,6 +32,15 @@ lossy vs pause vs credit, FIFO vs SRPT, and the buffer/ECN thresholds
 become plain attributes, so the per-frame path tests no enum and runs no
 mechanism its protocol lacks.  That resolution adds, removes and
 reorders no simulated event — the baseline golden fixture pins it.
+
+The per-frame path is kept short.  The two constant-delay stages, the
+switch's L2 pipeline and each host's ACK echo, wait on delay lines
+(:class:`~repro.sim.engine.DelayLine`), so the event heap holds one
+entry per line instead of one per frame in flight, with unchanged keys
+(docs/DETERMINISM.md §2).  A lossy switch's host uplinks deliver
+straight into its pipeline line.  Host pacing and egress service push
+their entries with prebound callbacks, and each :class:`_EgressState`
+carries its egress link, so serving a port needs no lookup by port.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from repro.fabrics.base import (
     dominant_sizes,
 )
 from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
-from repro.sim.engine import MAX_EVENT_TIME, Process, Simulator
+from repro.sim.engine import MAX_EVENT_TIME, DelayLine, Process, Simulator
 from repro.sim.link import Link
 from repro.switchfab.l2switch import PIPELINE_NS
 from repro.topology import EcmpHasher, SubstrateTopology
@@ -159,38 +168,51 @@ class BaselineHost(Process):
         self._queue: Deque[Frame] = deque()
         self._next_send_at = 0.0
         self._pump_armed = False
+        self._send = self._send_head  # bound once: every pump entry carries it
         self._window_armed = False
         self._acks_total = 0
         self._acks_marked = 0
 
     def inject(self, frame: Frame) -> None:
         self._queue.append(frame)
-        self._pump()
+        if not self._pump_armed:
+            self._pump()
 
     def inject_front(self, frame: Frame) -> None:
         self._queue.appendleft(frame)
-        self._pump()
+        if not self._pump_armed:
+            self._pump()
 
     def _pump(self) -> None:
-        if self._pump_armed or not self._queue:
-            return
-        delay = max(0.0, self._next_send_at - self.sim._now)
-        self._pump_armed = True
-        self.sim.post(delay, self._send_head)
+        """Arm the send of the queue's head at the paced time.
 
-    def _send_head(self) -> None:
-        self._pump_armed = False
-        if not self._queue:
-            return
-        frame = self._queue.popleft()
+        Pushed straight onto the lane (sim/engine.py) with the key
+        ``post(max(0.0, next_send_at - now), …)`` gives it: the delay is
+        finite and not negative.
+        """
+        self._pump_armed = True
+        now = self._clock._now
+        delay = self._next_send_at - now
+        at = now + delay if delay > 0.0 else now
+        self._push((at, 0, next(self._seq), self._send, None))
+
+    def _send_head(self, _: None) -> None:
+        queue = self._queue
+        frame = queue.popleft()
         if self.uplink is None:
             raise FabricError(f"host {self.node_id} has no uplink")
         self.uplink.send(frame, frame.wire_bytes)
         # Pacing: the next frame may start once this one would finish at the
         # host's current (possibly reduced) rate.
         paced = frame.wire_bytes * 8.0 / (self.link_gbps * self.rate_factor)
-        self._next_send_at = self.sim._now + paced
-        self._pump()
+        now = self._clock._now
+        self._next_send_at = next_at = now + paced
+        if queue:  # re-arm: _pump inlined
+            delay = next_at - now
+            at = now + delay if delay > 0.0 else now
+            self._push((at, 0, next(self._seq), self._send, None))
+        else:
+            self._pump_armed = False
 
     # -- congestion feedback (DCTCP control law) ------------------------ #
 
@@ -235,9 +257,9 @@ class BaselineHost(Process):
             self.post(self.policy.window_ns, self._close_window)
 
 
-@dataclass
+@dataclass(slots=True)
 class _EgressState:
-    port: Hashable = None
+    link: Link
     queued: List[Frame] = field(default_factory=list)
     queued_bytes: int = 0
     paused: bool = False
@@ -273,6 +295,16 @@ class BaselineSwitch(Process):
         self._srpt = policy.discipline is QueueDiscipline.SRPT
         self._buffer_bytes = policy.buffer_bytes
         self._ecn_bytes = policy.ecn_threshold_bytes
+        # The L2 pipeline is a constant delay, so its frames wait on one
+        # delay line (sim/engine.py), not one heap entry each.  Lossy
+        # switches queue at egress and ignore the ingress port, so a
+        # host uplink delivers straight to the line.
+        if self._lossy:
+            self._pipeline = DelayLine(self.sim, pipeline_ns, self._enqueue_egress)
+            self.on_ingress: Callable[[Frame], None] = self._pipeline.post
+        else:
+            self._pipeline = DelayLine(self.sim, pipeline_ns, self._hold_ingress)
+            self.on_ingress = self._ingress_from_host
         self.egress_links: Dict[Hashable, Link] = {}
         self.egress: Dict[Hashable, _EgressState] = {}
         self.ingress: Dict[Hashable, Deque[Frame]] = {}
@@ -285,7 +317,7 @@ class BaselineSwitch(Process):
 
     def attach_port(self, node_id: Hashable, link: Link) -> None:
         self.egress_links[node_id] = link
-        state = _EgressState(port=node_id)
+        state = _EgressState(link)
         state.credits = self.policy.credit_bytes
         self.egress[node_id] = state
         self.ingress[node_id] = deque()
@@ -297,28 +329,28 @@ class BaselineSwitch(Process):
 
     # -- ingress --------------------------------------------------------- #
 
-    def on_ingress(self, frame: Frame) -> None:
-        self._ingress(frame, frame.src)
+    # ``on_ingress(frame)``, bound in ``__init__``, is the receiver of host
+    # uplinks: the frame enters the L2 pipeline, and the ingress port is
+    # the sending host.
 
     def ingress_receiver(self, port: Hashable) -> Callable[[Frame], None]:
         """A receiver callback tagging arrivals with the ingress ``port``.
 
-        Host uplinks land on :meth:`on_ingress` (ingress port = the
-        sending host); inter-switch trunks use this instead, because the
-        frame's ``src`` names the original host, not the trunk the frame
-        arrived on — and lossless FIFOs are per ingress *port*.
+        Host uplinks land on ``on_ingress`` (ingress port = the sending
+        host); inter-switch trunks use this instead, because the frame's
+        ``src`` names the original host, not the trunk the frame arrived
+        on — and lossless FIFOs are per ingress *port*.
         """
+        if self._lossy:
+            return self._pipeline.post
         return partial(self._ingress, port=port)
 
+    def _ingress_from_host(self, frame: Frame) -> None:
+        self._pipeline.post((frame, frame.src))
+
     def _ingress(self, frame: Frame, port: Hashable) -> None:
-        """Run the L2 pipeline, then queue at egress (lossy) or ingress."""
-        # Pushed straight onto the lane: the pipeline delay is a
-        # non-negative constant (checked at construction).
-        at = self._clock._now + self.pipeline_ns
-        if self._lossy:
-            self._push((at, 0, next(self._seq), self._enqueue_egress, frame))
-        else:
-            self._push((at, 0, next(self._seq), self._hold_ingress, (frame, port)))
+        """Lossless modes: run the L2 pipeline, then join ``port``'s FIFO."""
+        self._pipeline.post((frame, port))
 
     def _hold_ingress(self, arrival: Tuple[Frame, Hashable]) -> None:
         """Lossless modes: the frame joins its ingress FIFO after the pipeline."""
@@ -347,8 +379,7 @@ class BaselineSwitch(Process):
     # -- egress ------------------------------------------------------------ #
 
     def _enqueue_egress(self, frame: Frame) -> None:
-        port = self._egress_port(frame)
-        state = self.egress[port]
+        state = self.egress[self._egress_port(frame)]
         depth = state.queued_bytes
         buffer_bytes = self._buffer_bytes
         if buffer_bytes is not None and depth + frame.wire_bytes > buffer_bytes:
@@ -376,8 +407,8 @@ class BaselineSwitch(Process):
         state.queued_bytes += frame.wire_bytes
         if self._pause:
             self._update_pause(state)
-        if len(state.queued) == 1:
-            self._serve(port)
+        if len(state.queued) == 1:  # was empty, so not serving
+            self._serve(state)
 
     def _drop(self, frame: Frame, state: _EgressState) -> None:
         if self._srpt and state.queued:
@@ -399,13 +430,11 @@ class BaselineSwitch(Process):
         if self.on_drop is not None:
             self.on_drop(frame)
 
-    def _serve(self, port: Hashable) -> None:
-        state = self.egress[port]
-        if state.serving or not state.queued:
-            return
+    def _serve(self, state: _EgressState) -> None:
+        """Put the head of an idle, non-empty port on the wire."""
         state.serving = True
         frame = state.queued[0]
-        link = self.egress_links[port]
+        link = state.link
         link.send(frame, frame.wire_bytes)
         # The head stays at index 0 until it is served (SRPT inserts and
         # pFabric evictions never touch it), so the entry carries only the
@@ -413,7 +442,6 @@ class BaselineSwitch(Process):
         self._push((link.busy_until, 0, next(self._seq), self._served, state))
 
     def _served(self, state: _EgressState) -> None:
-        port = state.port
         state.serving = False
         frame = state.queued.pop(0)
         state.queued_bytes -= frame.wire_bytes
@@ -422,8 +450,9 @@ class BaselineSwitch(Process):
             self._kick_all_ingress()
         elif self._pause:
             self._update_pause(state)
-        if state.queued:
-            self._serve(port)
+        # A kick above may have re-served this port already.
+        if state.queued and not state.serving:
+            self._serve(state)
 
     def _update_pause(self, state: _EgressState) -> None:
         """PFC only: XOFF above the high mark, XON (and drain) below the low."""
@@ -618,8 +647,13 @@ class QueueingFabric(Fabric):
             feedback_delay = (
                 2 * (self.config.propagation_ns + core_prop) + 3 * PIPELINE_NS
             )
-        # ACKs and retransmit timers are pushed straight onto the root lane
-        # (sim/engine.py): both delays are non-negative constants.
+        # Each host's ACKs wait on a delay line on the root lane, and
+        # retransmit timers are pushed straight onto it (sim/engine.py):
+        # both delays are non-negative constants.
+        acks = [
+            DelayLine(sim, feedback_delay, hosts[node].on_ack).post
+            for node in range(self.config.num_nodes)
+        ]
         push = sim._push
         seq = sim._seq
 
@@ -632,9 +666,8 @@ class QueueingFabric(Fabric):
                 _launch_data(flow)
                 return
             # Per-frame ACK back to the data sender (carries the ECN echo).
+            acks[frame.src](frame.marked)
             now = sim._now
-            push((now + feedback_delay, 0, next(seq), hosts[frame.src].on_ack,
-                  frame.marked))
             flow.packets_delivered += 1
             flow.remaining_bytes = max(
                 0, flow.remaining_bytes - MTU_PAYLOAD_BYTES

@@ -2,6 +2,7 @@
 
 from repro.sim.context import SimContext, StatsSink
 from repro.sim.engine import (
+    DelayLine,
     Process,
     Simulator,
     process_events_executed,
@@ -10,6 +11,7 @@ from repro.sim.link import Link
 from repro.sim.rng import make_rng
 
 __all__ = [
+    "DelayLine",
     "Link",
     "Process",
     "SimContext",

@@ -8,8 +8,8 @@ reproduction's regression tests rely on.
 The pending-event set is a binary heap of plain ``(time, priority, seq,
 fn, arg)`` entry tuples driven by C ``heapq``, so ordering comparisons
 run at C speed.  Every entry enters through a bound
-``partial(heappush, heap)`` and the run loop pops, sets the clock and
-calls ``fn(arg)``, so neither side costs a Python frame per event, and
+``partial(heappush, heap)`` and the run loop pops, checks the horizon,
+sets the clock and calls ``fn(arg)``, so neither side costs a Python frame per event, and
 an event that needs one argument (a delivered payload, a matching
 round's generation) carries it in the entry instead of in a per-event
 ``functools.partial``.  A zero-argument callback from :meth:`post` /
@@ -32,6 +32,8 @@ Scheduling surface (see docs/DETERMINISM.md for the full contract):
 * :meth:`Simulator.inject_arrivals` — a workload's arrivals with the keys
   a loop of ``post_at`` over the stable-sorted items would give them, but
   only the next one pending.
+* :class:`DelayLine` — a constant-delay stage: the keys per-entry pushes
+  would give, but only the line's head on the heap.
 
 The clock is monotone and finite: scheduling before ``now``,
 ``run(until=t)`` with ``t < now``, and an inf or NaN event time or run
@@ -66,7 +68,7 @@ import itertools
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -136,8 +138,14 @@ class _HeapKernel:
         limit = MAX_EVENT_TIME if until is None else until
         processed = 0
         try:
-            while heap and heap[0][0] <= limit:
-                time, _, _, fn, arg = heappop(heap)
+            # Pop first, then check the horizon: the one entry past
+            # ``until`` goes back once, instead of every event paying for
+            # a ``heap[0][0]`` peek.
+            while heap:
+                time, priority, seq, fn, arg = heappop(heap)
+                if time > limit:
+                    heappush(heap, (time, priority, seq, fn, arg))
+                    break
                 sim._now = time
                 fn(arg)
                 processed += 1
@@ -164,6 +172,9 @@ class Simulator:
         self._now = 0.0
         self._running = False
         self._events_processed = 0
+        #: Every :class:`DelayLine` built on this clock: their tails are
+        #: pending but off the heap.
+        self._lines: List["DelayLine"] = []
         # Bound once: post/post_at run millions of times per fabric cell
         # and the kernel object never changes after construction.  It
         # takes one ``(time, priority, seq, fn, arg)`` entry tuple.
@@ -186,8 +197,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Entries still queued, stale ones included."""
-        return len(self._queue)
+        """Entries still queued, stale ones included.
+
+        A :class:`DelayLine`'s head is on the heap and its tail is not;
+        both count.
+        """
+        return len(self._queue) + sum(len(line._tail) for line in self._lines)
 
     def _check_time(self, time: float) -> None:
         if not time < MAX_EVENT_TIME:  # also rejects NaN
@@ -340,7 +355,7 @@ class LaneView:
 
     @property
     def pending_events(self) -> int:
-        return len(self.root._queue)
+        return self.root.pending_events
 
     def post(self, delay: float, callback: EventCallback, *, priority: int = 0) -> None:
         root = self.root
@@ -359,6 +374,74 @@ class LaneView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LaneView lane={self.lane} of {self.root!r}>"
+
+
+class DelayLine:
+    """A constant-delay stage whose entries wait in a FIFO, not on the heap.
+
+    ``post(arg)`` runs ``fn(arg)`` ``delay`` ns from now with the key a
+    plain push gives it: ``(now + delay, priority, next(seq))``, the seq
+    drawn at post time from the counter of ``sim`` (a :class:`Simulator`
+    or a :class:`LaneView`).  The delay and priority are the same for
+    every entry, the clock never goes back and the counter only
+    advances, so the line's entries arrive in nondecreasing key order:
+    the stage is already a FIFO in key order.  Only its head sits on the
+    heap; when the head pops it pushes its successor before it calls
+    ``fn``, so the pop order, the clock and every event count are those
+    that per-entry pushes give, while the heap holds one entry per line.
+
+    ``post`` skips the per-entry time checks, like a hot-path push
+    (module docstring): the delay is checked once, here, and ``now`` is
+    finite.  The tail counts in :attr:`Simulator.pending_events`.
+    """
+
+    __slots__ = ("delay", "priority", "_fn", "_clock", "_seq", "_push", "_fire", "_tail", "_armed")
+
+    def __init__(
+        self,
+        sim: Any,
+        delay: float,
+        fn: Callable[[Any], None],
+        *,
+        priority: int = 0,
+    ) -> None:
+        if not 0 <= delay < MAX_EVENT_TIME:  # also rejects NaN
+            raise SimulationError(f"line delay must be finite and >= 0, got {delay}")
+        self.delay = delay
+        self.priority = priority
+        self._fn = fn
+        self._clock: Simulator = sim.root
+        self._seq = sim._seq
+        self._push = sim._push
+        self._fire = self._pop_head  # bound once: every entry carries it
+        #: Posted entries behind the head, in key order.
+        self._tail: Deque[_Entry] = deque()
+        #: Whether the head is on the heap.
+        self._armed = False
+        self._clock._lines.append(self)
+
+    def post(self, arg: Any) -> None:
+        """Run ``fn(arg)`` ``delay`` ns from now."""
+        entry = (
+            self._clock._now + self.delay, self.priority, next(self._seq),
+            self._fire, arg,
+        )
+        if self._armed:
+            self._tail.append(entry)
+        else:
+            self._armed = True
+            self._push(entry)
+
+    def _pop_head(self, arg: Any) -> None:
+        tail = self._tail
+        if tail:
+            self._push(tail.popleft())
+        else:
+            self._armed = False
+        self._fn(arg)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<DelayLine delay={self.delay} fn={self._fn!r}>"
 
 
 class Process:

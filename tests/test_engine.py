@@ -1,14 +1,18 @@
-"""Tests for the discrete-event engine: ordering, discard, determinism, lanes."""
+"""Tests for the discrete-event engine: ordering, discard, determinism,
+lanes and delay lines."""
 
 import math
 import random
+from collections import defaultdict
 from functools import partial
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from reference_kernel import each_kernel
 
 from repro.errors import SimulationError
-from repro.sim.engine import LaneView, Simulator, process_events_executed
+from repro.sim.engine import DelayLine, LaneView, Simulator, process_events_executed
 from repro.sim.link import Link
 
 
@@ -242,3 +246,121 @@ class TestLaneView:
             sim.lane(lane)
         with pytest.raises(SimulationError):
             LaneView(sim, lane)
+
+
+class PushLine:
+    """The oracle of :class:`DelayLine`: one heap entry per post, pushed
+    with the key a hot path gives it."""
+
+    def __init__(self, sim, delay, fn, *, priority=0):
+        self.sim, self.delay, self.fn, self.priority = sim, delay, fn, priority
+
+    def post(self, arg):
+        sim = self.sim
+        sim._push((sim.root.now + self.delay, self.priority, next(sim._seq),
+                   self.fn, arg))
+
+
+#: Few delays, so lines, posts and absolute times tie often.
+DELAYS = [0.0, 0.5, 1.0, 2.5]
+
+line_specs = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from(DELAYS), st.integers(0, 1)),
+    min_size=1, max_size=4,
+)
+#: ``(parent, handle, kind, choice, priority)``: op ``i`` is issued at the
+#: start, or by the callback of an earlier op (``parent % (i + 1) - 1``).
+scheduling_ops = st.lists(
+    st.tuples(
+        st.integers(0, 40), st.integers(0, 2),
+        st.sampled_from(["line", "post", "post_at"]),
+        st.integers(0, 3), st.integers(0, 1),
+    ),
+    min_size=1, max_size=30,
+)
+horizons = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 5.0]), max_size=3)
+
+
+def replay_lines(line_cls, specs, ops, stops):
+    """Callback order and times, pending counts at each stop, event count."""
+    sim = Simulator()
+    handles = [sim, sim.lane(1), sim.lane(2)]
+    runs, seen, children, roots = [0], [], defaultdict(list), []
+    for i, op in enumerate(ops):
+        parent = op[0] % (i + 1) - 1
+        (roots if parent < 0 else children[parent]).append(i)
+
+    def fire(i):
+        seen.append((runs[0], i, sim.now))
+        for child in children[i]:
+            issue(child)
+
+    lines = [line_cls(handles[h], delay, fire, priority=priority)
+             for h, delay, priority in specs]
+
+    def issue(i):
+        _, handle, kind, choice, priority = ops[i]
+        if kind == "line":
+            lines[choice % len(lines)].post(i)
+        elif kind == "post":
+            handles[handle].post(DELAYS[choice], partial(fire, i), priority=priority)
+        else:
+            at = math.ceil(sim.now) + DELAYS[choice]
+            handles[handle].post_at(at, partial(fire, i), priority=priority)
+
+    for i in roots:
+        issue(i)
+    pending = []
+    for until in sorted(stops):
+        sim.run(until=max(until, sim.now))
+        runs[0] += 1
+        pending.append(sim.pending_events)
+    sim.run()
+    assert sim.pending_events == 0
+    return seen, pending, sim.events_processed
+
+
+class TestDelayLine:
+    """A line runs its entries exactly as one heap entry per post would."""
+
+    @each_kernel
+    @settings(max_examples=150, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(specs=line_specs, ops=scheduling_ops, stops=horizons)
+    def test_lines_replay_per_entry_pushes(self, kernel, specs, ops, stops):
+        lined = replay_lines(DelayLine, specs, ops, stops)
+        assert lined == replay_lines(PushLine, specs, ops, stops)
+        assert len(lined[0]) == len(ops)
+
+    def test_run_until_stops_mid_line_and_resumes(self, kernel):
+        sim, seen = Simulator(), []
+        line = DelayLine(sim.lane(3), 10.0, seen.append)
+        for n in range(4):
+            sim.post(float(n), partial(line.post, n))
+        sim.post_at(11.0, partial(seen.append, "tie"))
+        # The entry exactly at ``until`` runs; the root lane's post ties
+        # it and goes first.  The head waits on the heap, one entry in
+        # the tail.
+        assert sim.run(until=11.0) == 11.0
+        assert seen == [0, "tie", 1]
+        assert sim.pending_events == 2
+        assert sim.run() == 13.0
+        assert seen == [0, "tie", 1, 2, 3]
+        assert sim.pending_events == 0 and sim.events_processed == 9
+
+    def test_lane_pending_events_counts_the_tail(self):
+        sim = Simulator()
+        lane = sim.lane(2)
+        line = DelayLine(lane, 1.0, lambda arg: None)
+        for n in range(3):
+            line.post(n)
+        assert len(sim._queue) == 1
+        assert sim.pending_events == lane.pending_events == 3
+
+    @pytest.mark.parametrize("delay", [-1.0, math.inf, math.nan, 1e300])
+    def test_bad_delay_rejected(self, delay):
+        sim = Simulator()
+        for handle in (sim, sim.lane(1)):
+            with pytest.raises(SimulationError):
+                DelayLine(handle, delay, lambda arg: None)
+        assert sim._lines == []
