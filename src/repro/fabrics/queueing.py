@@ -207,10 +207,11 @@ class BaselineHost(Process):
         paced = frame.wire_bytes * 8.0 / (self.link_gbps * self.rate_factor)
         now = self._clock._now
         self._next_send_at = next_at = now + paced
-        if queue:  # re-arm: _pump inlined
-            delay = next_at - now
-            at = now + delay if delay > 0.0 else now
-            self._push((at, 0, next(self._seq), self._send, None))
+        if queue:
+            # _pump inlined.  ``next_at - now`` is not negative, and
+            # adding it back to ``now`` keeps the key ``post`` gave,
+            # which may differ from ``next_at`` in the last bit.
+            self._push((now + (next_at - now), 0, next(self._seq), self._send, None))
         else:
             self._pump_armed = False
 
@@ -287,7 +288,6 @@ class BaselineSwitch(Process):
         if not 0 <= pipeline_ns < MAX_EVENT_TIME:
             raise FabricError(f"pipeline delay must be finite and >= 0: {pipeline_ns}")
         self.policy = policy
-        self.pipeline_ns = pipeline_ns
         # The policy resolved once: the per-frame path reads these flags.
         self._lossy = policy.lossless is LosslessMode.NONE
         self._pause = policy.lossless is LosslessMode.PAUSE
@@ -305,7 +305,6 @@ class BaselineSwitch(Process):
         else:
             self._pipeline = DelayLine(self.sim, pipeline_ns, self._hold_ingress)
             self.on_ingress = self._ingress_from_host
-        self.egress_links: Dict[Hashable, Link] = {}
         self.egress: Dict[Hashable, _EgressState] = {}
         self.ingress: Dict[Hashable, Deque[Frame]] = {}
         #: Frames waiting in all ingress FIFOs (lossless modes only).
@@ -316,10 +315,7 @@ class BaselineSwitch(Process):
         self.on_drop: Optional[Callable[[Frame], None]] = None
 
     def attach_port(self, node_id: Hashable, link: Link) -> None:
-        self.egress_links[node_id] = link
-        state = _EgressState(link)
-        state.credits = self.policy.credit_bytes
-        self.egress[node_id] = state
+        self.egress[node_id] = _EgressState(link, credits=self.policy.credit_bytes)
         self.ingress[node_id] = deque()
 
     def _egress_port(self, frame: Frame) -> Hashable:

@@ -9,8 +9,9 @@ The pending-event set is a binary heap of plain ``(time, priority, seq,
 fn, arg)`` entry tuples driven by C ``heapq``, so ordering comparisons
 run at C speed.  Every entry enters through a bound
 ``partial(heappush, heap)`` and the run loop pops, checks the horizon,
-sets the clock and calls ``fn(arg)``, so neither side costs a Python frame per event, and
-an event that needs one argument (a delivered payload, a matching
+sets the clock and calls ``fn(arg)``, so neither side costs a Python
+frame per event (a :class:`DelayLine` entry adds one), and an event
+that needs one argument (a delivered payload, a matching
 round's generation) carries it in the entry instead of in a per-event
 ``functools.partial``.  A zero-argument callback from :meth:`post` /
 :meth:`post_at` rides as ``(_call, callback)``.  The test suite replays
@@ -380,11 +381,11 @@ class DelayLine:
     """A constant-delay stage whose entries wait in a FIFO, not on the heap.
 
     ``post(arg)`` runs ``fn(arg)`` ``delay`` ns from now with the key a
-    plain push gives it: ``(now + delay, priority, next(seq))``, the seq
-    drawn at post time from the counter of ``sim`` (a :class:`Simulator`
-    or a :class:`LaneView`).  The delay and priority are the same for
-    every entry, the clock never goes back and the counter only
-    advances, so the line's entries arrive in nondecreasing key order:
+    plain push gives it: ``(now + delay, 0, next(seq))``, the seq drawn
+    at post time from the counter of ``sim`` (a :class:`Simulator` or a
+    :class:`LaneView`).  The delay and priority are the same for every
+    entry, the clock never goes back and the counter only advances, so
+    the line's entries arrive in nondecreasing key order:
     the stage is already a FIFO in key order.  Only its head sits on the
     heap; when the head pops it pushes its successor before it calls
     ``fn``, so the pop order, the clock and every event count are those
@@ -395,20 +396,12 @@ class DelayLine:
     finite.  The tail counts in :attr:`Simulator.pending_events`.
     """
 
-    __slots__ = ("delay", "priority", "_fn", "_clock", "_seq", "_push", "_fire", "_tail", "_armed")
+    __slots__ = ("delay", "_fn", "_clock", "_seq", "_push", "_fire", "_tail", "_armed")
 
-    def __init__(
-        self,
-        sim: Any,
-        delay: float,
-        fn: Callable[[Any], None],
-        *,
-        priority: int = 0,
-    ) -> None:
+    def __init__(self, sim: Any, delay: float, fn: Callable[[Any], None]) -> None:
         if not 0 <= delay < MAX_EVENT_TIME:  # also rejects NaN
             raise SimulationError(f"line delay must be finite and >= 0, got {delay}")
         self.delay = delay
-        self.priority = priority
         self._fn = fn
         self._clock: Simulator = sim.root
         self._seq = sim._seq
@@ -422,10 +415,7 @@ class DelayLine:
 
     def post(self, arg: Any) -> None:
         """Run ``fn(arg)`` ``delay`` ns from now."""
-        entry = (
-            self._clock._now + self.delay, self.priority, next(self._seq),
-            self._fire, arg,
-        )
+        entry = (self._clock._now + self.delay, 0, next(self._seq), self._fire, arg)
         if self._armed:
             self._tail.append(entry)
         else:
@@ -439,9 +429,6 @@ class DelayLine:
         else:
             self._armed = False
         self._fn(arg)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DelayLine delay={self.delay} fn={self._fn!r}>"
 
 
 class Process:

@@ -252,21 +252,20 @@ class PushLine:
     """The oracle of :class:`DelayLine`: one heap entry per post, pushed
     with the key a hot path gives it."""
 
-    def __init__(self, sim, delay, fn, *, priority=0):
-        self.sim, self.delay, self.fn, self.priority = sim, delay, fn, priority
+    def __init__(self, sim, delay, fn):
+        self.sim, self.delay, self.fn = sim, delay, fn
 
     def post(self, arg):
         sim = self.sim
-        sim._push((sim.root.now + self.delay, self.priority, next(sim._seq),
-                   self.fn, arg))
+        sim._push((sim.root.now + self.delay, 0, next(sim._seq), self.fn, arg))
 
 
 #: Few delays, so lines, posts and absolute times tie often.
 DELAYS = [0.0, 0.5, 1.0, 2.5]
 
+#: ``(handle, delay)`` of each line.
 line_specs = st.lists(
-    st.tuples(st.integers(0, 2), st.sampled_from(DELAYS), st.integers(0, 1)),
-    min_size=1, max_size=4,
+    st.tuples(st.integers(0, 2), st.sampled_from(DELAYS)), min_size=1, max_size=4
 )
 #: ``(parent, handle, kind, choice, priority)``: op ``i`` is issued at the
 #: start, or by the callback of an earlier op (``parent % (i + 1) - 1``).
@@ -295,8 +294,7 @@ def replay_lines(line_cls, specs, ops, stops):
         for child in children[i]:
             issue(child)
 
-    lines = [line_cls(handles[h], delay, fire, priority=priority)
-             for h, delay, priority in specs]
+    lines = [line_cls(handles[h], delay, fire) for h, delay in specs]
 
     def issue(i):
         _, handle, kind, choice, priority = ops[i]
