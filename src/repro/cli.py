@@ -182,7 +182,6 @@ def _figure_scale(scale_class: type, args: argparse.Namespace) -> Any:
         message_count=args.messages,
         seed=args.seed,
         fabric_names=tuple(args.fabrics.split(",")) if args.fabrics else None,
-        topology=args.topology,
     )
 
 
@@ -236,8 +235,6 @@ def _scenario_options(args: argparse.Namespace) -> Dict[str, Any]:
         options["num_nodes"] = args.nodes
     if args.messages is not None:
         options["message_count"] = args.messages
-    if args.topology not in (None, "single"):
-        options["topology"] = args.topology
     return options
 
 
@@ -255,25 +252,24 @@ class _Usage:
     options: Callable[[argparse.Namespace], Dict[str, Any]]
 
 
-_SIM_FLAGS = ("nodes", "messages", "seed", "fabrics", "topology")
+_SIM_FLAGS = ("nodes", "messages", "seed", "fabrics")
 
 #: The CLI default scale of the figure-8 sweeps, reduced from the paper's
 #: 144-node configuration; serving and scenarios default to their specs'.
 _USAGE = {
     "figure8a": _Usage(
         _SIM_FLAGS + ("loads",),
-        {"nodes": 24, "messages": 8000, "seed": 1, "topology": "single",
-         "loads": "0.2,0.5,0.8"},
+        {"nodes": 24, "messages": 8000, "seed": 1, "loads": "0.2,0.5,0.8"},
         _figure8a_options,
     ),
     "figure8a_mix": _Usage(
         _SIM_FLAGS,
-        {"nodes": 24, "messages": 8000, "seed": 1, "topology": "single"},
+        {"nodes": 24, "messages": 8000, "seed": 1},
         lambda args: {"scale": _figure_scale(Figure8aScale, args)},
     ),
     "figure8b": _Usage(
         _SIM_FLAGS + ("apps",),
-        {"nodes": 12, "messages": 1200, "seed": 1, "topology": "single"},
+        {"nodes": 12, "messages": 1200, "seed": 1},
         _figure8b_options,
     ),
     # The canonical ablation seed is 3 (what the benchmarks use).
@@ -286,7 +282,7 @@ _USAGE = {
         ("profiles", "ops_per_client", "nodes", "seed"), {}, _serving_options
     ),
     "scenarios": _Usage(
-        ("names", "nodes", "messages", "seed", "topology"), {}, _scenario_options
+        ("names", "nodes", "messages", "seed"), {}, _scenario_options
     ),
 }
 
@@ -384,9 +380,7 @@ def _cmd_checks(_: argparse.Namespace) -> None:
 #: same contract — keep the two in sync (CI greps for the marker phrases).
 _SCALING_EPILOG = (
     "scaling up: --jobs N runs independent grid cells in worker processes "
-    "(embarrassingly parallel); each simulation runs serially on one "
-    "core; --topology leaf-spine:leaves=L,spines=S swaps the single "
-    "switch for a routed Clos substrate (docs/TOPOLOGY.md). "
+    "(embarrassingly parallel); each simulation runs serially on one core. "
     "--jobs N is bit-identical to its serial equivalent — see docs/ARCHITECTURE.md and docs/DETERMINISM.md. "
     "Interrupted sweeps resume from their checkpoint journal with "
     "--resume <path>.ckpt.jsonl (docs/RESILIENCE.md); replayed cells "
@@ -425,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--seed", type=int)
     scale.add_argument(
         "--fabrics", help="comma-separated fabric names (default: all seven)",
-    )
-    scale.add_argument(
-        "--topology",
-        help="substrate topology: 'single' or "
-        "'leaf-spine:leaves=L,spines=S[,oversub=R]' (docs/TOPOLOGY.md); "
-        "only fabrics tagged 'multitier' accept a multi-tier value",
     )
     scale.add_argument(
         "--loads", help="figure8a: comma-separated loads (default 0.2,0.5,0.8)",

@@ -55,10 +55,6 @@ class ScenarioError(ReproError):
     """Raised by the scenario engine on invalid specs or fault schedules."""
 
 
-class TopologyError(ReproError):
-    """Raised for invalid topology specifications or wiring requests."""
-
-
 class ExecutionError(ReproError):
     """Raised by the execution layer on unrecoverable failures.
 

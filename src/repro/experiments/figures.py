@@ -231,10 +231,6 @@ class Figure8aScale:
     seed: int = 1
     deadline_ns: float = 2_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None  # None = all seven
-    #: Substrate topology spec string (docs/TOPOLOGY.md): ``"single"`` or
-    #: ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``.  Only fabrics
-    #: tagged ``multitier`` accept a multi-tier value.
-    topology: str = "single"
 
 
 def _selected_fabric_names(names: Optional[Sequence[str]]) -> List[str]:
@@ -259,7 +255,6 @@ def _scale_params(scale) -> Dict[str, object]:
         "link_gbps": scale.link_gbps,
         "message_count": scale.message_count,
         "deadline_ns": scale.deadline_ns,
-        "topology": getattr(scale, "topology", "single"),
     }
 
 
@@ -268,7 +263,6 @@ def _cluster_config(cell: Cell) -> ClusterConfig:
         num_nodes=cell.param("num_nodes"),
         link_gbps=cell.param("link_gbps"),
         seed=cell.seed,
-        topology=cell.param("topology", "single"),
     )
 
 
@@ -451,8 +445,6 @@ class Figure8bScale:
     seed: int = 1
     deadline_ns: float = 5_000_000_000.0
     fabric_names: Optional[Sequence[str]] = None
-    #: Substrate topology spec string (see Figure8aScale).
-    topology: str = "single"
 
 
 def _figure8b_cells(

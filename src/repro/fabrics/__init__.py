@@ -12,8 +12,6 @@ of hard-coding names.  Tags in use:
 * ``linkfault`` — exposes link up/down/degrade faults through its own
   :class:`~repro.topology.SubstrateTopology` surface, without the full
   queueing fault machinery (no failover).
-* ``multitier`` — accepts a leaf-spine ``ClusterConfig.topology``
-  (docs/TOPOLOGY.md) instead of only the single-switch star.
 * ``lossless`` — never drops (PFC pauses, CXL credits).
 * ``lossy`` — finite buffers; drops recover via RTO.
 * ``ecn`` — marks at a shallow egress threshold.
@@ -64,7 +62,7 @@ FABRIC_REGISTRY = {
         FabricInfo(
             name="EDM",
             factory=EdmFabric,
-            tags=frozenset({"scheduled", "srpt", "linkfault", "multitier"}),
+            tags=frozenset({"scheduled", "srpt", "linkfault"}),
             description="EDM: in-network priority-PIM scheduling (the paper)",
         ),
         FabricInfo(
@@ -76,33 +74,25 @@ FABRIC_REGISTRY = {
         FabricInfo(
             name="pFabric",
             factory=PfabricFabric,
-            tags=frozenset(
-                {"queueing", "faultable", "lossy", "srpt", "ecn", "multitier"}
-            ),
+            tags=frozenset({"queueing", "faultable", "lossy", "srpt", "ecn"}),
             description="in-network SRPT over small lossy buffers",
         ),
         FabricInfo(
             name="PFC",
             factory=PfcFabric,
-            tags=frozenset(
-                {"queueing", "faultable", "lossless", "ecn", "multitier"}
-            ),
+            tags=frozenset({"queueing", "faultable", "lossless", "ecn"}),
             description="lossless pause-frame flow control with DCQCN",
         ),
         FabricInfo(
             name="DCTCP",
             factory=DctcpFabric,
-            tags=frozenset(
-                {"queueing", "faultable", "lossy", "ecn", "multitier"}
-            ),
+            tags=frozenset({"queueing", "faultable", "lossy", "ecn"}),
             description="ECN-driven sender rate control, finite buffers",
         ),
         FabricInfo(
             name="CXL",
             factory=CxlFabric,
-            tags=frozenset(
-                {"queueing", "faultable", "lossless", "credit", "multitier"}
-            ),
+            tags=frozenset({"queueing", "faultable", "lossless", "credit"}),
             description="PCIe-style link credits, no congestion control",
         ),
         FabricInfo(

@@ -23,7 +23,6 @@ from repro.errors import FabricError
 from repro.sim.context import SimContext, StatsSink
 from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
-from repro.topology.spec import SINGLE, TopologySpec, parse_topology
 
 # Fallback uid stream for ad-hoc OfferedMessage construction (tests,
 # probes).  Workload generators assign explicit 0-based uids instead, so
@@ -174,27 +173,14 @@ class ClusterConfig:
     chunk_bytes: int = 256
     max_active_per_pair: int = 3
     seed: int = 0
-    #: Shape of the switching substrate (docs/TOPOLOGY.md).  Accepts a
-    #: :class:`~repro.topology.spec.TopologySpec` or its string form
-    #: (``"single"``, ``"leaf-spine:leaves=4,spines=2"``); only fabrics
-    #: with ``supports_topology`` accept multi-tier shapes.
-    topology: TopologySpec = SINGLE
 
     def __post_init__(self) -> None:
-        if isinstance(self.topology, str):
-            object.__setattr__(self, "topology", parse_topology(self.topology))
-        if not isinstance(self.topology, TopologySpec):
-            raise FabricError(
-                f"topology must be a TopologySpec or string, "
-                f"got {type(self.topology).__name__}"
-            )
         if self.num_nodes < 2:
             raise FabricError(f"cluster needs >= 2 nodes: {self.num_nodes}")
         if self.link_gbps <= 0:
             raise FabricError(f"link rate must be positive: {self.link_gbps}")
         if self.seed < 0:
             raise FabricError(f"seed must be non-negative: {self.seed}")
-        self.topology.validate_cluster(self.num_nodes)
 
 
 class Fabric(abc.ABC):
@@ -202,18 +188,7 @@ class Fabric(abc.ABC):
 
     name: str = "fabric"
 
-    #: Whether this model can wire a multi-tier ``ClusterConfig.topology``
-    #: (docs/TOPOLOGY.md).  Fabrics that only understand the implicit
-    #: single switch reject leaf-spine configs at construction.
-    supports_topology: bool = False
-
     def __init__(self, config: ClusterConfig) -> None:
-        if not config.topology.is_single and not self.supports_topology:
-            raise FabricError(
-                f"{type(self).__name__} only models the single-switch "
-                f"topology; multi-tier shapes need a fabric tagged "
-                f"'multitier' (got {config.topology.describe()!r})"
-            )
         self.config = config
         # Per-fabric stream derived from the cluster seed: every runner
         # cell builds its own config, so cells stay independently

@@ -7,27 +7,17 @@ RREQs as implicit notifications, WREQs behind explicit /N/ + /G/
 exchanges, data moving as granted chunks through PHY virtual circuits.
 
 Every component schedules through a static sequence-number lane (the
-workload injector is lane 0, the switch lane 1, host ``h`` lane ``2+h``;
-see ``repro.sim.engine.LaneView``), so event tie order is a property of
+workload injector is lane 0, the switch lane 1, host ``h`` lane ``2+h``,
+fault events lane ``2+N``; see ``repro.sim.engine.LaneView``), so event tie order is a property of
 the component that scheduled the event — not of global scheduling order.
 The golden fixtures (``tests/test_edm_golden.py``) pin the event order
 these lanes produce, and fault events keyed on a link's lane stay put
 when unrelated wiring or scheduling calls move.
-
-With a leaf-spine ``ClusterConfig.topology`` (docs/TOPOLOGY.md), hosts
-reach the scheduled core through per-leaf trunk links instead of
-dedicated ports: all of a leaf's uplink traffic serializes over one
-leaf→core trunk at the oversubscribed rate, and the core's traffic
-toward that leaf shares one core→leaf trunk demuxed to per-host access
-links.  EDM's scheduler is a single crossbar by construction (§3), so
-multi-tier EDM requires ``spines == 1`` — one scheduled core; the leaf
-tier models access aggregation and oversubscription, not multipath.
-Leaves get their own sequence lanes (``2 + N + leaf``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.core.scheduler import Policy, SchedulerConfig
 from repro.errors import FabricError
@@ -48,10 +38,8 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.topology import SubstrateTopology
 
-#: Key of the single scheduled switch on the substrate surface.
-SWITCH_KEY = ("switch",)
-
-#: Sequence lanes are static: injector 0, switch 1, host h at 2 + h.
+#: Sequence lanes are static: injector 0, switch 1, host h at 2 + h,
+#: fault events at 2 + N.
 SWITCH_LANE = 1
 HOST_LANE_BASE = 2
 
@@ -99,14 +87,10 @@ class EdmCluster:
         self.nics: Dict[int, EdmHostNic] = {}
         # Per-node links, exposed through :meth:`substrate_topology` so
         # fault injectors (scenarios, serving) can block or degrade them
-        # by node id on the generalized SubstrateTopology surface.
+        # by node id on the SubstrateTopology surface.
         self.uplinks: Dict[int, Link] = {}
         self.downlinks: Dict[int, Link] = {}
-        self.core_links: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         self._substrate: Optional[SubstrateTopology] = None
-        if not config.topology.is_single:
-            self._wire_leaf_spine(switch_ctx, host_config, timing, memory_bytes)
-            return
         for node in range(config.num_nodes):
             # NIC and uplink share the host's lane.
             host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
@@ -128,77 +112,6 @@ class EdmCluster:
             self.switch.attach_port(node, downlink)
             self.downlinks[node] = downlink
 
-    def _wire_leaf_spine(
-        self,
-        switch_ctx: SimContext,
-        host_config: HostConfig,
-        timing: DramTiming,
-        memory_bytes: int,
-    ) -> None:
-        """Wire the leaf tier between hosts and the scheduled core.
-
-        Each leaf is a trunk mux, not a store-and-forward switch: its
-        member hosts' uplinks feed one shared leaf→core trunk running at
-        the oversubscribed rate, and the core reaches the leaf over one
-        core→leaf trunk whose demux fans transfers out to per-host access
-        links.  Leaves transmit on their own sequence lanes
-        (``2 + N + leaf``).
-        """
-        config = self.config
-        topo = config.topology
-        core_prop = topo.core_prop(config.propagation_ns)
-        trunk_gbps = topo.trunk_gbps(config.link_gbps, config.num_nodes)
-        for leaf in range(topo.leaves):
-            members = [
-                node for node in range(config.num_nodes)
-                if topo.leaf_of(node, config.num_nodes) == leaf
-            ]
-            leaf_ctx = self.ctx.lane(HOST_LANE_BASE + config.num_nodes + leaf)
-            trunk_up = Link(
-                leaf_ctx, trunk_gbps, core_prop,
-                receiver=self.switch.on_ingress, name=f"trunk_up{leaf}",
-            )
-
-            def forward_up(transfer, trunk=trunk_up) -> None:
-                trunk.send(transfer, transfer.blocks * 8)
-
-            access: Dict[int, Link] = {}
-            for node in members:
-                host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
-                nic = EdmHostNic(host_ctx, node, self.router, host_config)
-                nic.attach_memory(MemoryController(memory_bytes, timing))
-                uplink = Link(
-                    host_ctx, config.link_gbps, config.propagation_ns,
-                    receiver=forward_up, name=f"up{node}",
-                )
-                nic.attach_uplink(uplink)
-                self.nics[node] = nic
-                self.uplinks[node] = uplink
-                # Access downlinks transmit on behalf of the leaf, so
-                # they draw from the leaf's lane.
-                down = Link(
-                    leaf_ctx, config.link_gbps, config.propagation_ns,
-                    receiver=nic.on_wire, name=f"down{node}",
-                )
-                access[node] = down
-                self.downlinks[node] = down
-
-            def demux(transfer, access=access) -> None:
-                access[transfer.dst].send(transfer, transfer.blocks * 8)
-
-            # Core→leaf trunks transmit on behalf of the core, so they
-            # draw from the switch's lane.
-            trunk_down = Link(
-                switch_ctx, trunk_gbps, core_prop,
-                receiver=demux, name=f"trunk_down{leaf}",
-            )
-            # Every member port shares the leaf's trunk: grants toward
-            # co-leaf destinations serialize over it, which is exactly the
-            # oversubscription the topology models.
-            for node in members:
-                self.switch.attach_port(node, trunk_down)
-            self.core_links[(leaf, 0)] = (trunk_up, trunk_down)
-
     def substrate_topology(self) -> SubstrateTopology:
         """This cluster's fault/observability surface (docs/TOPOLOGY.md).
 
@@ -208,20 +121,14 @@ class EdmCluster:
         ``stats``; what fired is reported by the injector's summary.
         """
         if self._substrate is None:
-            config = self.config
-            topo = config.topology
-            extra = 0 if topo.is_single else topo.leaves
-            lane_ctx = self.ctx.lane(HOST_LANE_BASE + config.num_nodes + extra)
+            lane_ctx = self.ctx.lane(HOST_LANE_BASE + self.config.num_nodes)
             fault_ctx = SimContext(
                 sim=lane_ctx.sim, rng=lane_ctx.rng, stats=StatsSink()
             )
             self._substrate = SubstrateTopology(
                 ctx=fault_ctx,
-                spec=topo,
                 uplinks=dict(self.uplinks),
                 downlinks=dict(self.downlinks),
-                switches={SWITCH_KEY: self.switch},
-                core_links=dict(self.core_links),
             )
         return self._substrate
 
@@ -236,7 +143,6 @@ class EdmFabric(Fabric):
     """The EDM fabric model for Figure 8 experiments."""
 
     name = "EDM"
-    supports_topology = True
 
     def __init__(
         self,
@@ -247,12 +153,6 @@ class EdmFabric(Fabric):
         early_release: bool = True,
     ) -> None:
         super().__init__(config)
-        topo = config.topology
-        if not topo.is_single and topo.spines != 1:
-            raise FabricError(
-                "EDM models one scheduled core switch (§3); leaf-spine EDM "
-                f"needs spines=1, got spines={topo.spines}"
-            )
         # Scenario engine sets this to FaultInjector.install; called with
         # the cluster's SubstrateTopology before any workload event runs.
         self.topology_hook: Optional[Callable[[SubstrateTopology], None]] = None

@@ -14,20 +14,11 @@ DCTCP, pFabric, PFC/DCQCN, and CXL all ride on the same machinery:
 * **Drops** (finite buffers) trigger sender timeouts — the §2.4 point that
   single-frame memory messages cannot fast-retransmit.
 
-Protocol personalities plug in via :class:`ProtocolPolicy`.
+Protocol personalities plug in via :class:`ProtocolPolicy`.  Every host
+hangs off one :class:`BaselineSwitch` (§4.3's single-switch cluster),
+whose egress ports are keyed by destination node id.
 
-The switching substrate is no longer hard-wired to one switch: with
-``ClusterConfig.topology`` set to a leaf-spine shape (docs/TOPOLOGY.md),
-hosts hang off per-leaf :class:`BaselineSwitch` instances and cross-leaf
-traffic crosses spine switches over oversubscribable trunk links, with
-the spine picked per (src, dst) pair by the seed-stable
-:class:`~repro.topology.routing.EcmpHasher`.  Every switch runs the same
-pipeline/queue/pause machinery; PFC pause and CXL credits act
-switch-locally (per-hop backpressure, not end-to-end — the documented
-simplification).  The single-switch path is byte- and event-identical to
-the pre-topology code.
-
-Each :class:`BaselineSwitch` resolves its policy once, at wiring time:
+The :class:`BaselineSwitch` resolves its policy once, at wiring time:
 lossy vs pause vs credit, FIFO vs SRPT, and the buffer/ECN thresholds
 become plain attributes, so the per-frame path tests no enum and runs no
 mechanism its protocol lacks.  That resolution adds, removes and
@@ -48,8 +39,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FabricError
 from repro.fabrics.base import (
@@ -65,7 +55,7 @@ from repro.mac.frame import MTU_PAYLOAD_BYTES, frame_wire_bytes
 from repro.sim.engine import MAX_EVENT_TIME, DelayLine, Process, Simulator
 from repro.sim.link import Link
 from repro.switchfab.l2switch import PIPELINE_NS
-from repro.topology import EcmpHasher, SubstrateTopology
+from repro.topology import SubstrateTopology
 
 #: Wire size of an RREQ frame: 8 B payload in a minimum Ethernet frame.
 RREQ_WIRE_BYTES = frame_wire_bytes(8)
@@ -271,10 +261,9 @@ class _EgressState:
 class BaselineSwitch(Process):
     """The shared switch: L2 pipeline + per-protocol queue behaviour.
 
-    Ports are keyed by any hashable — host node ids on an access switch,
-    tier tuples like ``("up", spine)`` / ``("leaf", leaf)`` on multi-tier
-    wiring.  ``route``, when set, maps a frame to its egress port;
-    ``None`` (the single-switch default) routes straight to ``frame.dst``.
+    Ports are keyed by host node id: a frame leaves through
+    ``egress[frame.dst]``, and in lossless modes it waits in
+    ``ingress[frame.src]``.
     """
 
     def __init__(
@@ -282,9 +271,8 @@ class BaselineSwitch(Process):
         sim: Simulator,
         policy: ProtocolPolicy,
         pipeline_ns: float = PIPELINE_NS,
-        name: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, name or f"{policy.name}-switch")
+        super().__init__(sim, f"{policy.name}-switch")
         if not 0 <= pipeline_ns < MAX_EVENT_TIME:
             raise FabricError(f"pipeline delay must be finite and >= 0: {pipeline_ns}")
         self.policy = policy
@@ -305,23 +293,17 @@ class BaselineSwitch(Process):
         else:
             self._pipeline = DelayLine(self.sim, pipeline_ns, self._hold_ingress)
             self.on_ingress = self._ingress_from_host
-        self.egress: Dict[Hashable, _EgressState] = {}
-        self.ingress: Dict[Hashable, Deque[Frame]] = {}
+        self.egress: Dict[int, _EgressState] = {}
+        self.ingress: Dict[int, Deque[Frame]] = {}
         #: Frames waiting in all ingress FIFOs (lossless modes only).
         self._ingress_backlog = 0
         self.drops = 0
-        self.route: Optional[Callable[[Frame], Hashable]] = None
         self.on_mark: Optional[Callable[[Frame], None]] = None
         self.on_drop: Optional[Callable[[Frame], None]] = None
 
-    def attach_port(self, node_id: Hashable, link: Link) -> None:
+    def attach_port(self, node_id: int, link: Link) -> None:
         self.egress[node_id] = _EgressState(link, credits=self.policy.credit_bytes)
         self.ingress[node_id] = deque()
-
-    def _egress_port(self, frame: Frame) -> Hashable:
-        if self.route is None:
-            return frame.dst
-        return self.route(frame)
 
     # -- ingress --------------------------------------------------------- #
 
@@ -329,38 +311,22 @@ class BaselineSwitch(Process):
     # uplinks: the frame enters the L2 pipeline, and the ingress port is
     # the sending host.
 
-    def ingress_receiver(self, port: Hashable) -> Callable[[Frame], None]:
-        """A receiver callback tagging arrivals with the ingress ``port``.
-
-        Host uplinks land on ``on_ingress`` (ingress port = the sending
-        host); inter-switch trunks use this instead, because the frame's
-        ``src`` names the original host, not the trunk the frame arrived
-        on — and lossless FIFOs are per ingress *port*.
-        """
-        if self._lossy:
-            return self._pipeline.post
-        return partial(self._ingress, port=port)
-
     def _ingress_from_host(self, frame: Frame) -> None:
         self._pipeline.post((frame, frame.src))
 
-    def _ingress(self, frame: Frame, port: Hashable) -> None:
-        """Lossless modes: run the L2 pipeline, then join ``port``'s FIFO."""
-        self._pipeline.post((frame, port))
-
-    def _hold_ingress(self, arrival: Tuple[Frame, Hashable]) -> None:
+    def _hold_ingress(self, arrival: Tuple[Frame, int]) -> None:
         """Lossless modes: the frame joins its ingress FIFO after the pipeline."""
         frame, port = arrival
         self.ingress[port].append(frame)
         self._ingress_backlog += 1
         self._advance_ingress(port)
 
-    def _advance_ingress(self, src: Hashable) -> None:
+    def _advance_ingress(self, src: int) -> None:
         """Move ingress head frames to egress while permitted (HoL point)."""
         queue = self.ingress[src]
         while queue:
             head = queue[0]
-            state = self.egress[self._egress_port(head)]
+            state = self.egress[head.dst]
             if self._pause:
                 if state.paused:
                     return  # head-of-line blocked
@@ -375,7 +341,7 @@ class BaselineSwitch(Process):
     # -- egress ------------------------------------------------------------ #
 
     def _enqueue_egress(self, frame: Frame) -> None:
-        state = self.egress[self._egress_port(frame)]
+        state = self.egress[frame.dst]
         depth = state.queued_bytes
         buffer_bytes = self._buffer_bytes
         if buffer_bytes is not None and depth + frame.wire_bytes > buffer_bytes:
@@ -477,142 +443,11 @@ class QueueingFabric(Fabric):
     event loop starts — the attachment point for fault injection.
     """
 
-    supports_topology = True
-
     def __init__(self, config: ClusterConfig, policy: ProtocolPolicy) -> None:
         super().__init__(config)
         self.policy = policy
         self.name = policy.name
         self.topology_hook: Optional[Callable[[SubstrateTopology], None]] = None
-
-    # -- wiring --------------------------------------------------------- #
-
-    def _wire_single(
-        self, ctx, hosts: Dict[int, BaselineHost]
-    ) -> SubstrateTopology:
-        """The degenerate topology: every host on one implicit switch."""
-        switch = BaselineSwitch(ctx, self.policy)
-        uplinks: Dict[int, Link] = {}
-        downlinks: Dict[int, Link] = {}
-        for node in range(self.config.num_nodes):
-            host = BaselineHost(ctx, node, self.config.link_gbps, self.policy)
-            uplink = Link(
-                ctx, self.config.link_gbps, self.config.propagation_ns,
-                receiver=switch.on_ingress, name=f"up{node}",
-            )
-            host.uplink = uplink
-            downlink = Link(
-                ctx, self.config.link_gbps, self.config.propagation_ns,
-                name=f"down{node}",
-            )
-            switch.attach_port(node, downlink)
-            hosts[node] = host
-            uplinks[node] = uplink
-            downlinks[node] = downlink
-        return SubstrateTopology(
-            ctx=ctx,
-            spec=self.config.topology,
-            uplinks=uplinks,
-            downlinks=downlinks,
-            switches={("switch",): switch},
-        )
-
-    def _wire_leaf_spine(
-        self, ctx, hosts: Dict[int, BaselineHost]
-    ) -> SubstrateTopology:
-        """Two-tier Clos: per-leaf access switches, ECMP over the spines.
-
-        Each leaf attaches its member hosts plus one trunk per spine
-        (egress port ``("up", s)``); each spine attaches one trunk per
-        leaf (egress port ``("leaf", l)``).  Trunks run at the
-        oversubscribed rate from ``TopologySpec.trunk_gbps``, and a
-        frame's spine is the seed-stable per-(src, dst)-pair hash, so a
-        flow never reorders across equal-cost paths.
-        """
-        config = self.config
-        spec = config.topology
-        policy = self.policy
-        num_nodes = config.num_nodes
-        core_prop = spec.core_prop(config.propagation_ns)
-        trunk_gbps = spec.trunk_gbps(config.link_gbps, num_nodes)
-        hasher = EcmpHasher(config.seed, spec.spines)
-
-        leaves = [
-            BaselineSwitch(ctx, policy, name=f"{policy.name}-leaf{l}")
-            for l in range(spec.leaves)
-        ]
-        spines = [
-            BaselineSwitch(ctx, policy, name=f"{policy.name}-spine{s}")
-            for s in range(spec.spines)
-        ]
-
-        def leaf_route(leaf_idx: int) -> Callable[[Frame], Hashable]:
-            def route(frame: Frame) -> Hashable:
-                if spec.leaf_of(frame.dst, num_nodes) == leaf_idx:
-                    return frame.dst
-                return ("up", hasher.spine_for(frame.src, frame.dst))
-
-            return route
-
-        def spine_route(frame: Frame) -> Hashable:
-            return ("leaf", spec.leaf_of(frame.dst, num_nodes))
-
-        for l, leaf in enumerate(leaves):
-            leaf.route = leaf_route(l)
-        for spine in spines:
-            spine.route = spine_route
-
-        uplinks: Dict[int, Link] = {}
-        downlinks: Dict[int, Link] = {}
-        for node in range(num_nodes):
-            leaf = leaves[spec.leaf_of(node, num_nodes)]
-            host = BaselineHost(ctx, node, config.link_gbps, policy)
-            uplink = Link(
-                ctx, config.link_gbps, config.propagation_ns,
-                receiver=leaf.on_ingress, name=f"up{node}",
-            )
-            host.uplink = uplink
-            downlink = Link(
-                ctx, config.link_gbps, config.propagation_ns,
-                name=f"down{node}",
-            )
-            leaf.attach_port(node, downlink)
-            hosts[node] = host
-            uplinks[node] = uplink
-            downlinks[node] = downlink
-
-        core_links: Dict[tuple, tuple] = {}
-        for l, leaf in enumerate(leaves):
-            for s, spine in enumerate(spines):
-                up_trunk = Link(
-                    ctx, trunk_gbps, core_prop,
-                    receiver=spine.ingress_receiver(("leaf", l)),
-                    name=f"trunk_up{l}.{s}",
-                )
-                leaf.attach_port(("up", s), up_trunk)
-                down_trunk = Link(
-                    ctx, trunk_gbps, core_prop,
-                    receiver=leaf.ingress_receiver(("up", s)),
-                    name=f"trunk_down{l}.{s}",
-                )
-                spine.attach_port(("leaf", l), down_trunk)
-                core_links[(l, s)] = (up_trunk, down_trunk)
-
-        switches: Dict[Hashable, BaselineSwitch] = {}
-        for l, leaf in enumerate(leaves):
-            switches[("leaf", l)] = leaf
-        for s, spine in enumerate(spines):
-            switches[("spine", s)] = spine
-        return SubstrateTopology(
-            ctx=ctx,
-            spec=spec,
-            uplinks=uplinks,
-            downlinks=downlinks,
-            switches=switches,
-            core_links=core_links,
-        )
-
-    # ------------------------------------------------------------------ #
 
     def run(
         self,
@@ -620,36 +455,34 @@ class QueueingFabric(Fabric):
         *,
         deadline_ns: Optional[float] = None,
     ) -> FabricResult:
+        config = self.config
         ctx = self.new_context()
         sim = ctx.sim
-        hosts: Dict[int, BaselineHost] = {}
         result = FabricResult(fabric=self.name)
 
-        spec = self.config.topology
-        if spec.is_single:
-            substrate = self._wire_single(ctx, hosts)
-        else:
-            substrate = self._wire_leaf_spine(ctx, hosts)
-        switches = list(substrate.switches.values())
+        switch = BaselineSwitch(ctx, self.policy)
+        hosts: List[BaselineHost] = []
+        uplinks: Dict[int, Link] = {}
+        downlinks: Dict[int, Link] = {}
+        for node in range(config.num_nodes):
+            host = BaselineHost(ctx, node, config.link_gbps, self.policy)
+            host.uplink = uplinks[node] = Link(
+                ctx, config.link_gbps, config.propagation_ns,
+                receiver=switch.on_ingress, name=f"up{node}",
+            )
+            downlinks[node] = Link(
+                ctx, config.link_gbps, config.propagation_ns,
+                name=f"down{node}",
+            )
+            switch.attach_port(node, downlinks[node])
+            hosts.append(host)
 
         # An ACK/ECN echo reaches the sender about one RTT after delivery.
-        # Multi-tier paths cross two extra pipelines and the core both
-        # ways; the cross-leaf RTT is used uniformly (the conservative
-        # bound — same-leaf flows just see slightly laggier feedback).
-        if spec.is_single:
-            feedback_delay = 2 * self.config.propagation_ns + PIPELINE_NS
-        else:
-            core_prop = spec.core_prop(self.config.propagation_ns)
-            feedback_delay = (
-                2 * (self.config.propagation_ns + core_prop) + 3 * PIPELINE_NS
-            )
+        feedback_delay = 2 * config.propagation_ns + PIPELINE_NS
         # Each host's ACKs wait on a delay line on the root lane, and
         # retransmit timers are pushed straight onto it (sim/engine.py):
         # both delays are non-negative constants.
-        acks = [
-            DelayLine(sim, feedback_delay, hosts[node].on_ack).post
-            for node in range(self.config.num_nodes)
-        ]
+        acks = [DelayLine(sim, feedback_delay, host.on_ack).post for host in hosts]
         push = sim._push
         seq = sim._seq
 
@@ -677,8 +510,8 @@ class QueueingFabric(Fabric):
                     CompletionRecord(message=flow.offered, completed_at=now)
                 )
 
-        for node in range(self.config.num_nodes):
-            substrate.downlinks[node].connect(deliver)
+        for downlink in downlinks.values():
+            downlink.connect(deliver)
 
         wire_bytes_of: Dict[int, int] = {}  # payload -> frame wire bytes
 
@@ -728,17 +561,18 @@ class QueueingFabric(Fabric):
             push((sim._now + self.policy.rto_ns, 0, next(seq),
                   hosts[frame.src].inject, frame))
 
-        for sw in switches:
-            sw.on_drop = on_drop
+        switch.on_drop = on_drop
 
         if self.topology_hook is not None:
-            self.topology_hook(substrate)
+            self.topology_hook(
+                SubstrateTopology(ctx=ctx, uplinks=uplinks, downlinks=downlinks)
+            )
 
         sim.inject_arrivals(messages, launch, key=arrival_time)
         sim.run(until=deadline_ns)
         result.incomplete = len(messages) - len(result.records)
         ctx.stats.incr("messages_offered", len(messages))
-        ctx.stats.incr("frames_dropped", sum(sw.drops for sw in switches))
+        ctx.stats.incr("frames_dropped", switch.drops)
         ctx.stats.incr("sim_events", sim.events_processed)
         result.stats = ctx.stats.to_dict()
         return result

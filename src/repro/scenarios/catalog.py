@@ -4,12 +4,9 @@ Every entry is a :class:`~repro.scenarios.spec.ScenarioSpec` exercising
 one corner the figure sweeps never reach: the four queueing-substrate
 fabrics (PFC, DCTCP, pFabric, CXL) under incast storms, shuffle phases,
 switch failovers, link outages, and degraded-bandwidth windows — plus
-fault-free scheduled-fabric runs for contrast.  The multi-tier block at
-the end exercises leaf-spine topologies (docs/TOPOLOGY.md): core-trunk
-outages, cross-tier incast pinned on one leaf, and shuffles squeezed
-through oversubscribed trunks.  Scales are chosen so the
-full catalog runs in seconds; the runner's scale overrides shrink them
-further for CI smoke.
+fault-free scheduled-fabric runs for contrast.  Scales are chosen so
+the full catalog runs in seconds; the runner's scale overrides shrink
+them further for CI smoke.
 """
 
 from __future__ import annotations
@@ -107,43 +104,6 @@ def _catalog() -> Dict[str, ScenarioSpec]:
             fabric="EDM",
             workload=WorkloadSpec(kind="shuffle", load=0.6, message_count=960,
                                   size_bytes=1024, rounds=60),
-        ),
-        # ---- multi-tier scenarios (docs/TOPOLOGY.md) ------------------- #
-        ScenarioSpec(
-            name="dctcp_leafspine_corelink",
-            description="DCTCP on a 4x2 leaf-spine; one core trunk dark mid-run",
-            fabric="DCTCP",
-            topology="leaf-spine:leaves=4,spines=2",
-            workload=WorkloadSpec(kind="synthetic", load=0.6,
-                                  message_count=1600),
-            faults=(FaultSpec(kind="link_down", at_ns=0.3, until_ns=0.6,
-                              nodes=(0,), relative=True, scope="core"),),
-        ),
-        ScenarioSpec(
-            name="pfc_leafspine_cross_incast",
-            description="PFC cross-tier incast: every source aims at one leaf",
-            fabric="PFC",
-            topology="leaf-spine:leaves=4,spines=2,oversub=2",
-            workload=WorkloadSpec(kind="incast", load=0.5, message_count=960,
-                                  degree=8, write_fraction=1.0, victim=0),
-        ),
-        ScenarioSpec(
-            name="cxl_oversub_shuffle",
-            description="CXL shuffle squeezed through 4:1 oversubscribed trunks",
-            fabric="CXL",
-            topology="leaf-spine:leaves=4,spines=1,oversub=4",
-            workload=WorkloadSpec(kind="shuffle", load=0.5, message_count=640,
-                                  size_bytes=1024, rounds=40),
-        ),
-        ScenarioSpec(
-            name="edm_leafspine_corelink",
-            description="EDM leaf-spine incast with a leaf trunk dark mid-storm",
-            fabric="EDM",
-            topology="leaf-spine:leaves=4,spines=1",
-            workload=WorkloadSpec(kind="incast", load=0.6, message_count=800,
-                                  degree=8, write_fraction=1.0),
-            faults=(FaultSpec(kind="link_down", at_ns=0.3, until_ns=0.55,
-                              nodes=(1,), relative=True, scope="core"),),
         ),
     )
     return {spec.name: spec for spec in specs}

@@ -64,7 +64,6 @@ def _workload_spec(spec: ScenarioSpec):
             degree=w.degree,
             write_fraction=w.write_fraction,
             seed=spec.seed,
-            victim=None if w.victim < 0 else w.victim,
         )
     if w.kind == "shuffle":
         rounds = w.rounds
@@ -109,7 +108,6 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
         num_nodes=spec.num_nodes,
         link_gbps=spec.link_gbps,
         seed=spec.seed,
-        topology=spec.topology,
     )
     fabric = fabric_info(spec.fabric).factory(config)
     # Relative fault times resolve against the offered arrival span, so a
@@ -132,7 +130,6 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
         "workload": spec.workload.kind,
         "num_nodes": spec.num_nodes,
         "seed": spec.seed,
-        "topology": spec.topology,
         "faults": [f.describe() for f in spec.faults],
         "offered": len(messages),
         "completed": len(result.records),
@@ -162,7 +159,6 @@ def _scenario_cells(
     seed: Optional[int] = None,
     num_nodes: Optional[int] = None,
     message_count: Optional[int] = None,
-    topology: Optional[str] = None,
 ) -> List[Cell]:
     selected = list(names) if names else scenario_names()
     duplicates = {n for n in selected if selected.count(n) > 1}
@@ -180,8 +176,6 @@ def _scenario_cells(
             overrides["num_nodes"] = num_nodes
         if message_count is not None:
             overrides["message_count"] = message_count
-        if topology is not None:
-            overrides["topology"] = topology
         cells.append(
             make_cell(
                 "scenarios",
@@ -201,7 +195,6 @@ def _scenario_cell(cell: Cell) -> Dict[str, object]:
             num_nodes=cell.param("num_nodes"),
             message_count=cell.param("message_count"),
             seed=cell.seed,
-            topology=cell.param("topology"),
         )
     )
 

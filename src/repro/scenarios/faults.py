@@ -1,16 +1,14 @@
 """Fault injection: schedule a :class:`FaultSpec` list into a live run.
 
 The injector attaches through a fabric's ``topology_hook`` (see
-:class:`repro.topology.SubstrateTopology`): it receives the run's
-switches and links after wiring and schedules every fault through the
+:class:`repro.topology.SubstrateTopology`): it receives the run's host
+links after wiring and schedules every fault through the
 event kernel's ``post_at``, so faults replay deterministically in the
 same total event order as the workload itself.  Link faults schedule
 *one event per affected link, on that link's own simulator handle* — the
 lane of the component transmitting on it — so a fault event's
 ``(time, priority, seq)`` key depends only on that link's lane, not on
-how many other events the cluster scheduled first.  ``scope="core"``
-faults resolve against the topology's trunk key list
-(``SubstrateTopology.core_keys``) and act on both trunk halves.
+how many other events the cluster scheduled first.
 
 Fault mechanics:
 
@@ -73,53 +71,32 @@ class FaultInjector:
     def _note(self, sim, kind: str, detail: str) -> None:
         self.log.append({"t_ns": sim.now, "fault": kind, "detail": detail})
 
+    @staticmethod
     def _fault_links(
-        self, topo: SubstrateTopology, fault: FaultSpec
-    ) -> List[Tuple[object, Link]]:
-        """The (label, link) pairs a link-level fault touches.
+        topo: SubstrateTopology, fault: FaultSpec
+    ) -> Tuple[List[int], List[Link]]:
+        """The node ids a link-level fault strikes, and their links.
 
-        Host scope pairs each node with its access uplink + downlink;
-        core scope resolves ``nodes`` as indices into the sorted
-        ``(leaf, spine)`` trunk list and touches both trunk directions.
-        Ids beyond the (possibly scaled-down) shape clamp onto the
-        surviving range, so a catalog scenario keeps a valid schedule at
+        Each node contributes its uplink, then its downlink.  Ids beyond
+        the (possibly scaled-down) cluster clamp onto the surviving
+        range, so a catalog scenario keeps a valid schedule at
         smoke-test scale.
         """
-        pairs: List[Tuple[object, Link]] = []
-        if fault.scope == "core":
-            keys = topo.core_keys
-            if not keys:
-                return pairs
-            if fault.nodes is None:
-                chosen = list(keys)
-            else:
-                chosen = sorted({keys[n % len(keys)] for n in fault.nodes})
-            for key in chosen:
-                for link in topo.core_links[key]:
-                    pairs.append((f"core{key}", link))
-            return pairs
         if fault.nodes is None:
             nodes = sorted(topo.uplinks)
         else:
             nodes = sorted({n % topo.num_hosts for n in fault.nodes})
+        links: List[Link] = []
         for node in nodes:
-            pairs.append((node, topo.uplinks[node]))
-            pairs.append((node, topo.downlinks[node]))
-        return pairs
-
-    @staticmethod
-    def _labels(pairs: List[Tuple[object, Link]]) -> List[object]:
-        # Labels are homogeneous per fault (ints for host scope, strings
-        # for core scope), so plain sorting keeps the old log format.
-        return sorted({label for label, _ in pairs})
+            links += (topo.uplinks[node], topo.downlinks[node])
+        return nodes, links
 
     def _install_link_down(self, topo: SubstrateTopology, fault: FaultSpec) -> None:
-        pairs = self._fault_links(topo, fault)
-        nodes = self._labels(pairs)
+        nodes, links = self._fault_links(topo, fault)
         # One event per link, scheduled on the link's own simulator
         # handle (its sequence lane), so each event's key is fixed by its
         # link alone.  The note/stat rides the first link's event only.
-        for idx, (_, link) in enumerate(pairs):
+        for idx, link in enumerate(links):
             sim = link.sim
 
             def down(link=link, sim=sim, first=(idx == 0)) -> None:
@@ -134,15 +111,14 @@ class FaultInjector:
             sim.post_at(fault.at_ns, down)
 
     def _install_degraded(self, topo: SubstrateTopology, fault: FaultSpec) -> None:
-        pairs = self._fault_links(topo, fault)
-        nodes = self._labels(pairs)
+        nodes, links = self._fault_links(topo, fault)
         # Restore puts back the factor each link had when this window
         # opened (not a blanket 1.0), so windows that touch disjoint
         # state — or nest cleanly — cannot erase each other.  Overlapping
         # same-link windows are rejected at spec validation.
         prior: Dict[int, float] = {}
 
-        for idx, (_, link) in enumerate(pairs):
+        for idx, link in enumerate(links):
             sim = link.sim
 
             def degrade(link=link, sim=sim, first=(idx == 0)) -> None:

@@ -14,15 +14,11 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ScenarioError, TopologyError
+from repro.errors import ScenarioError
 from repro.fabrics import fabric_info
-from repro.topology.spec import parse_topology
 
 #: Fault kinds the injector understands.
 FAULT_KINDS = ("link_down", "degraded_bw", "failover")
-
-#: Where a link fault strikes: host access links or core trunks.
-FAULT_SCOPES = ("host", "core")
 
 #: Workload shapes the engine can generate.
 WORKLOAD_KINDS = ("synthetic", "incast", "shuffle", "trace")
@@ -42,12 +38,6 @@ class FaultSpec:
 
     ``nodes`` limits link faults to those node ids (None = every node).
 
-    ``scope`` picks the tier a link fault strikes: ``"host"`` (the
-    default — a node's access uplink + downlink) or ``"core"`` (a
-    leaf↔spine trunk pair on a multi-tier topology; ``nodes`` then
-    indexes into the sorted ``(leaf, spine)`` trunk list).  Core scope
-    requires a scenario with a multi-tier ``topology``.
-
     With ``relative=True`` the times are *fractions* of the offered
     workload's arrival span instead of nanoseconds — a failover at 0.3
     strikes 30% of the way into the arrival process no matter how the
@@ -63,21 +53,11 @@ class FaultSpec:
     factor: float = 0.25
     backup_extra_ns: float = 60.0
     relative: bool = False
-    scope: str = "host"
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ScenarioError(
                 f"unknown fault kind {self.kind!r} (known: {', '.join(FAULT_KINDS)})"
-            )
-        if self.scope not in FAULT_SCOPES:
-            raise ScenarioError(
-                f"unknown fault scope {self.scope!r} "
-                f"(known: {', '.join(FAULT_SCOPES)})"
-            )
-        if self.scope == "core" and self.kind not in ("link_down", "degraded_bw"):
-            raise ScenarioError(
-                f"core scope only applies to link faults, not {self.kind!r}"
             )
         if self.at_ns < 0:
             raise ScenarioError(f"fault time must be >= 0: {self.at_ns}")
@@ -120,17 +100,16 @@ class FaultSpec:
         )
 
     def describe(self) -> str:
-        """Compact one-token summary, e.g. ``core:degraded_bw@25-75%``."""
-        prefix = "core:" if self.scope == "core" else ""
+        """Compact one-token summary, e.g. ``degraded_bw@25-75%``."""
         if self.relative:
             span = f"@{self.at_ns * 100:g}"
             if self.until_ns is not None:
                 span += f"-{self.until_ns * 100:g}"
-            return f"{prefix}{self.kind}{span}%"
+            return f"{self.kind}{span}%"
         span = f"@{self.at_ns:g}"
         if self.until_ns is not None:
             span += f"-{self.until_ns:g}"
-        return f"{prefix}{self.kind}{span}"
+        return f"{self.kind}{span}"
 
     def to_dict(self) -> Dict[str, object]:
         out = asdict(self)
@@ -145,9 +124,7 @@ class WorkloadSpec:
     Fields are a union over the shapes; each shape reads the ones it
     understands (``degree`` is incast-only, ``rounds`` shuffle-only,
     ``app`` trace-only).  ``rounds=0`` lets shuffle derive its round
-    count from ``message_count``.  ``victim`` pins incast onto one fixed
-    target node (cross-tier incast scenarios aim it at a specific leaf);
-    -1 keeps the default rotating-victim behaviour.
+    count from ``message_count``.
     """
 
     kind: str = "synthetic"
@@ -158,13 +135,8 @@ class WorkloadSpec:
     degree: int = 8
     rounds: int = 0
     app: str = ""
-    victim: int = -1
 
     def __post_init__(self) -> None:
-        if self.victim < -1:
-            raise ScenarioError(
-                f"victim must be -1 (rotating) or a node id: {self.victim}"
-            )
         if self.kind not in WORKLOAD_KINDS:
             raise ScenarioError(
                 f"unknown workload kind {self.kind!r} "
@@ -196,24 +168,11 @@ class ScenarioSpec:
     link_gbps: float = 100.0
     seed: int = 0
     deadline_ns: Optional[float] = None
-    #: Switching topology in ``parse_topology`` string form (``"single"``
-    #: or ``"leaf-spine:leaves=L,spines=S[,oversub=R]"``); multi-tier
-    #: shapes need a fabric tagged ``multitier`` (docs/TOPOLOGY.md).
-    topology: str = "single"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ScenarioError("scenario needs a name")
         info = fabric_info(self.fabric)  # raises FabricError on unknown
-        try:
-            topo = parse_topology(self.topology)
-        except TopologyError as exc:
-            raise ScenarioError(f"bad scenario topology: {exc}") from exc
-        if not topo.is_single and not info.has("multitier"):
-            raise ScenarioError(
-                f"fabric {info.name!r} does not support multi-tier "
-                f"topologies (tags: {', '.join(sorted(info.tags))})"
-            )
         for fault in self.faults:
             if fault.kind == "failover":
                 if not info.has("faultable"):
@@ -227,11 +186,6 @@ class ScenarioSpec:
                     f"fabric {info.name!r} does not support fault injection "
                     f"(tags: {', '.join(sorted(info.tags))}); faultable "
                     f"fabrics ride the queueing substrate"
-                )
-            if fault.scope == "core" and topo.is_single:
-                raise ScenarioError(
-                    f"core-scope fault {fault.describe()} needs a "
-                    f"multi-tier topology (have {self.topology!r})"
                 )
         if self.num_nodes < 2:
             raise ScenarioError(f"cluster needs >= 2 nodes: {self.num_nodes}")
@@ -256,7 +210,7 @@ class ScenarioSpec:
         degraded = [f for f in self.faults if f.kind == "degraded_bw"]
         for i, a in enumerate(degraded):
             for b in degraded[i + 1:]:
-                shares_links = a.scope == b.scope and (
+                shares_links = (
                     a.nodes is None
                     or b.nodes is None
                     or set(a.nodes) & set(b.nodes)
@@ -287,7 +241,6 @@ class ScenarioSpec:
         num_nodes: Optional[int] = None,
         message_count: Optional[int] = None,
         seed: Optional[int] = None,
-        topology: Optional[str] = None,
     ) -> "ScenarioSpec":
         """A copy with overridden scale knobs (None keeps the spec value).
 
@@ -303,7 +256,6 @@ class ScenarioSpec:
             workload=workload,
             num_nodes=num_nodes if num_nodes is not None else self.num_nodes,
             seed=seed if seed is not None else self.seed,
-            topology=topology if topology is not None else self.topology,
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -317,13 +269,11 @@ class ScenarioSpec:
             "link_gbps": self.link_gbps,
             "seed": self.seed,
             "deadline_ns": self.deadline_ns,
-            "topology": self.topology,
         }
 
 
 __all__ = [
     "FAULT_KINDS",
-    "FAULT_SCOPES",
     "FaultSpec",
     "ScenarioSpec",
     "WORKLOAD_KINDS",

@@ -1,30 +1,44 @@
-"""Composable switching topologies: specs, deterministic routing, substrate.
+"""The live-run topology surface: the host links faults can reach.
 
-The ``topology`` package owns the *shape* of the network between hosts,
-decoupled from any one fabric's switch model:
-
-* :mod:`repro.topology.spec` — frozen :class:`TopologySpec` shapes
-  (``single``, ``leaf-spine``), the ``parse_topology`` string form, and
-  the shared leaf/trunk arithmetic.
-* :mod:`repro.topology.routing` — :class:`EcmpHasher`, seed-stable
-  per-(src, dst)-pair spine selection with no RNG draws.
-* :mod:`repro.topology.substrate` — :class:`SubstrateTopology`, the
-  live-run link/switch surface handed to ``topology_hook`` consumers
-  (fault injection, instrumentation) on every tier.
-
-The full contract — determinism, oversubscription semantics, fault
-visibility — is documented in docs/TOPOLOGY.md.
+Every fabric wires one switch (§3: EDM's scheduler lives in a single
+switch's PHY at rack scale).  A :class:`SubstrateTopology` is the handle
+a fabric passes to its ``topology_hook`` after wiring and before the
+event loop starts: the run's context and the host access links keyed by
+node id.  Fault schedules clamp node ids against ``num_hosts``
+(docs/TOPOLOGY.md).
 """
 
-from repro.topology.routing import EcmpHasher
-from repro.topology.spec import SINGLE, TOPOLOGY_KINDS, TopologySpec, parse_topology
-from repro.topology.substrate import SubstrateTopology
+from __future__ import annotations
 
-__all__ = [
-    "SINGLE",
-    "TOPOLOGY_KINDS",
-    "TopologySpec",
-    "parse_topology",
-    "EcmpHasher",
-    "SubstrateTopology",
-]
+from dataclasses import dataclass, field
+from typing import Dict
+
+from repro.sim.link import Link
+
+
+@dataclass
+class SubstrateTopology:
+    """One run's wired substrate, passed to ``topology_hook``.
+
+    * ``ctx`` — a SimContext scheduling on the run's clock (fabrics may
+      hand a private lane/stats sink here; fault *events* schedule on
+      each link's own lane via ``link.sim`` regardless).
+    * ``uplinks`` / ``downlinks`` — host access links by node id
+      (host→switch and switch→host respectively).
+    * ``num_hosts`` — the cluster size, derived from ``uplinks``.
+    """
+
+    ctx: object
+    uplinks: Dict[int, Link] = field(default_factory=dict)
+    downlinks: Dict[int, Link] = field(default_factory=dict)
+
+    @property
+    def num_hosts(self) -> int:
+        return len(self.uplinks)
+
+    @property
+    def sim(self):
+        return self.ctx.sim
+
+
+__all__ = ["SubstrateTopology"]

@@ -35,11 +35,7 @@ class IncastSpec:
     one event delivers ``degree`` messages that serialize back-to-back,
     so the gap is their combined drain time divided by the load.  With
     ``rotate_victims`` the victim walks round-robin over the nodes
-    (spreading the pain); otherwise node 0 absorbs every event.  An
-    explicit ``victim`` pins every event onto that node instead — the
-    cross-tier incast scenarios use it to aim all fan-in at one leaf —
-    without perturbing the RNG draw sequence (source selection draws
-    exactly as before).
+    (spreading the pain); otherwise node 0 absorbs every event.
     """
 
     num_nodes: int
@@ -51,14 +47,8 @@ class IncastSpec:
     write_fraction: float = 1.0
     seed: Optional[int] = 0
     rotate_victims: bool = True
-    victim: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.victim is not None and not 0 <= self.victim < self.num_nodes:
-            raise WorkloadError(
-                f"victim must be a node id in [0, {self.num_nodes}): "
-                f"{self.victim}"
-            )
         if self.num_nodes < 3:
             raise WorkloadError(f"incast needs >= 3 nodes: {self.num_nodes}")
         if not 0 < self.load <= 1:

@@ -174,10 +174,7 @@ class IncastWorkload(Workload):
         t = 0.0
         for event in range(events):
             t += float(rng.exponential(event_gap_ns))
-            if spec.victim is not None:
-                victim = spec.victim
-            else:
-                victim = event % spec.num_nodes if spec.rotate_victims else 0
+            victim = event % spec.num_nodes if spec.rotate_victims else 0
             peers = rng.choice(
                 [n for n in range(spec.num_nodes) if n != victim],
                 size=degree, replace=False,

@@ -9,7 +9,7 @@ IRD and Fastpass — every completion time, the incomplete count and every
 stats counter, seed for seed — so performance work on the queueing
 substrate can prove it changed nothing observable.  The cases are chosen
 to drive each baseline's defining mechanism: DCTCP/pFabric buffer drops,
-PFC pauses and CXL credit stalls under incast, and the leaf-spine wiring.
+and PFC pauses and CXL credit stalls under incast.
 The matching test (``tests/test_baseline_golden.py``) replays each case
 on the heap kernel and on the sorted-list reference and compares against
 this file.
@@ -34,43 +34,26 @@ FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "baseline_golden.json")
 #: Every non-EDM fabric of Figure 8, in the legend's order.
 BASELINES = ("IRD", "pFabric", "PFC", "DCTCP", "CXL", "Fastpass")
 
-#: The baselines that wire a multi-tier topology.
-MULTITIER = ("pFabric", "PFC", "DCTCP", "CXL")
-
 CASES = [
     {
         "name": "fig8a_64B_load09",
         "num_nodes": 16, "size": 64, "load": 0.9, "seed": 1,
         "count": 800, "write_fraction": 0.5,
         "incast_fraction": 0.0, "incast_degree": 8,
-        "topology": "single",
     },
     {
         "name": "incast15_1500B",
         "num_nodes": 16, "size": 1500, "load": 0.8, "seed": 2,
         "count": 700, "write_fraction": 0.5,
         "incast_fraction": 0.5, "incast_degree": 15,
-        "topology": "single",
     },
     {
         "name": "incast12_4KB_writes",
         "num_nodes": 16, "size": 4096, "load": 0.9, "seed": 2,
         "count": 600, "write_fraction": 0.5,
         "incast_fraction": 0.5, "incast_degree": 12,
-        "topology": "single",
-    },
-    {
-        "name": "leafspine_1500B",
-        "num_nodes": 16, "size": 1500, "load": 0.7, "seed": 4,
-        "count": 700, "write_fraction": 0.5,
-        "incast_fraction": 0.25, "incast_degree": 8,
-        "topology": "leaf-spine:leaves=4,spines=2,oversub=2",
     },
 ]
-
-
-def fabrics_for(case: dict):
-    return BASELINES if case["topology"] == "single" else MULTITIER
 
 
 def messages_for(case: dict):
@@ -90,8 +73,7 @@ def messages_for(case: dict):
 
 def run_case(case: dict, fabric: str):
     config = ClusterConfig(
-        num_nodes=case["num_nodes"], link_gbps=100.0,
-        seed=case["seed"], topology=case["topology"],
+        num_nodes=case["num_nodes"], link_gbps=100.0, seed=case["seed"]
     )
     return fabric_by_name(fabric, config).run(messages_for(case))
 
@@ -111,7 +93,7 @@ def main() -> None:
     payload = {"cases": {}}
     for case in CASES:
         runs = {}
-        for fabric in fabrics_for(case):
+        for fabric in BASELINES:
             result = run_case(case, fabric)
             runs[fabric] = snapshot(result)
             print(

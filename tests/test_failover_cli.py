@@ -186,7 +186,12 @@ class TestCli:
         assert "Scenario sweep — 1 scenarios" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv", [["run", "figure8a", "stray"], ["figure6", "--bogus"]]
+        "argv",
+        [
+            ["run", "figure8a", "stray"],
+            ["figure6", "--bogus"],
+            ["run", "figure8a", "--topology", "single"],
+        ],
     )
     def test_unused_positional_or_flag_is_a_usage_error(self, argv, tmp_path):
         from repro.cli import main

@@ -7,11 +7,15 @@ offered messages, mid-run switch failover draining cleanly, and fault
 windows actually changing observed behaviour.
 """
 
+from dataclasses import replace
+
 import pytest
+from reference_kernel import replay_on
 
 from repro.errors import SimulationError
 from repro.fabrics import (
     ClusterConfig,
+    EdmFabric,
     fabric_by_name,
     fabric_info,
     fabrics_with_tag,
@@ -39,6 +43,10 @@ def _incast(count=150, seed=3):
             load=0.6, message_count=count, degree=4, seed=seed,
         )
     ).materialize()
+
+
+def _completions(result):
+    return sorted((r.message.uid, r.completed_at) for r in result.records)
 
 
 class TestRegistryTags:
@@ -126,6 +134,58 @@ class TestOrphanFabrics:
             max(r.completed_at for r in result.records)
             >= max(r.completed_at for r in clean.records)
         )
+
+
+def test_lossless_switch_conserves_bytes():
+    """Every byte sent up to a lossless switch comes back down."""
+    captured = []
+    fabric = fabric_by_name("PFC", CONFIG)
+    fabric.topology_hook = captured.append
+    messages = _incast()
+    result = fabric.run(messages)
+    assert result.incomplete == 0
+    [topo] = captured
+    up = sum(link.bytes_sent for link in topo.uplinks.values())
+    down = sum(link.bytes_sent for link in topo.downlinks.values())
+    assert up == down >= sum(m.size_bytes for m in messages)
+
+
+class TestEdmLinkFaults:
+    """EDM's host-link faults, keyed on its fault lane (2 + N)."""
+
+    def _run(self, messages, faults=()):
+        fabric = EdmFabric(CONFIG)
+        if faults:
+            span = max(m.arrival_ns for m in messages)
+            injector = FaultInjector(tuple(f.resolved(span) for f in faults))
+            fabric.topology_hook = injector.install
+        return fabric.run(messages)
+
+    def test_reference_kernel_replays_link_fault(self):
+        messages = _incast()
+        faults = (FaultSpec(kind="link_down", at_ns=0.3, until_ns=0.6,
+                            nodes=(1,), relative=True),)
+        faulted = self._run(messages, faults)
+        reference = replay_on("reference", lambda: self._run(messages, faults))
+        assert faulted.incomplete == 0
+        # The fault has teeth, and the reference kernel replays it.
+        assert _completions(faulted) != _completions(self._run(messages))
+        assert _completions(faulted) == _completions(reference)
+        assert faulted.stats == reference.stats
+
+    def test_scenario_row_is_deterministic(self):
+        spec = replace(
+            scenario_by_name("edm_incast_baseline"),
+            faults=(FaultSpec(kind="link_down", at_ns=0.3, until_ns=0.55,
+                              nodes=(1,), relative=True),),
+        ).scaled(num_nodes=8, message_count=160)
+        row = run_scenario(spec)
+        # The row reports the fault events that actually fired.
+        summary = row["fault_summary"]
+        assert summary["faults_fired"] == len(summary["log"]) >= 1
+        assert "planned" not in summary
+        assert row == run_scenario(spec)
+        assert row == replay_on("reference", lambda: run_scenario(spec))
 
 
 class TestLinkFaultPrimitives:

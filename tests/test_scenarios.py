@@ -230,10 +230,6 @@ EXPECTED_LIST = """\
   pfabric_incast_baseline          pFabric  incast    -                                    pFabric pure incast, fault-free reference point
   edm_incast_baseline              EDM      incast    -                                    EDM pure incast: scheduled fabric absorbing the storm
   edm_shuffle_baseline             EDM      shuffle   -                                    EDM all-to-all shuffle, fault-free reference point
-  dctcp_leafspine_corelink         DCTCP    synthetic core:link_down@30-60%                DCTCP on a 4x2 leaf-spine; one core trunk dark mid-run
-  pfc_leafspine_cross_incast       PFC      incast    -                                    PFC cross-tier incast: every source aims at one leaf
-  cxl_oversub_shuffle              CXL      shuffle   -                                    CXL shuffle squeezed through 4:1 oversubscribed trunks
-  edm_leafspine_corelink           EDM      incast    core:link_down@30-55%                EDM leaf-spine incast with a leaf trunk dark mid-storm
 """
 
 
@@ -262,4 +258,4 @@ class TestCli:
 
     def test_scenario_names_listed_in_order(self):
         assert scenario_names()[0] == "pfc_incast_failover"
-        assert len(scenario_names()) == len(SCENARIOS) == 14
+        assert len(scenario_names()) == len(SCENARIOS) == 10
