@@ -8,8 +8,9 @@ exchanges, data moving as granted chunks through PHY virtual circuits.
 
 Every component schedules through a static sequence-number lane (the
 workload injector is lane 0, the switch lane 1, host ``h`` lane ``2+h``,
-fault events lane ``2+N``; see ``repro.sim.engine.LaneView``), so event tie order is a property of
-the component that scheduled the event — not of global scheduling order.
+the fault injector's context lane ``2+N``; see
+``repro.sim.engine.LaneView``), so event tie order is a property of the
+component that scheduled the event — not of global scheduling order.
 The golden fixtures (``tests/test_edm_golden.py``) pin the event order
 these lanes produce, and fault events keyed on a link's lane stay put
 when unrelated wiring or scheduling calls move.
@@ -39,7 +40,7 @@ from repro.sim.link import Link
 from repro.topology import SubstrateTopology
 
 #: Sequence lanes are static: injector 0, switch 1, host h at 2 + h,
-#: fault events at 2 + N.
+#: the fault injector's context at 2 + N.
 SWITCH_LANE = 1
 HOST_LANE_BASE = 2
 
