@@ -6,6 +6,7 @@ bit-identity of the streams against the legacy generator algorithms
 memory.
 """
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -18,7 +19,7 @@ from repro.fabrics.base import OfferedMessage
 from repro.mac.frame import message_wire_bytes
 from repro.sim.rng import make_rng
 from repro.workloads.api import RateShape, substream, workload_from_spec
-from repro.workloads.distributions import fixed_size
+from repro.workloads.distributions import app_cdf, fixed_size
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
 from repro.workloads.streaming import YcsbSpec
 from repro.workloads.synthetic import SyntheticSpec
@@ -252,6 +253,60 @@ class TestBitIdentity:
             )
         )
         assert list(w) == list(w)
+
+
+# --------------------------------------------------------------------------- #
+# Pinned output: the sha256 of every generator's stream at two seeds          #
+# --------------------------------------------------------------------------- #
+
+
+def _pinned_spec(name, seed):
+    if name == "synthetic_hadoop":
+        return SyntheticSpec(
+            num_nodes=8, link_gbps=100.0, load=0.6, message_count=600,
+            size_cdf=app_cdf("hadoop"), incast_fraction=0.25, seed=seed,
+        )
+    if name == "trace_memcached":
+        return TraceSpec(
+            app="memcached", num_nodes=8, link_gbps=100.0, load=0.5,
+            message_count=600, seed=seed,
+        )
+    if name.startswith("incast_"):
+        return IncastSpec(
+            num_nodes=8, link_gbps=100.0, load=0.6, message_count=300,
+            degree=4, write_fraction=0.5, seed=seed,
+            rotate_victims=name == "incast_rotating",
+        )
+    # Jitter (1.5 us) exceeds the round gap, so the lookahead heap reorders.
+    return ShuffleSpec(
+        num_nodes=6, link_gbps=100.0, load=0.5, rounds=40,
+        jitter_ns=1500.0, write_fraction=0.5, seed=seed,
+    )
+
+
+PINNED_DIGESTS = {
+    ("synthetic_hadoop", 1): "d2ed2bf7fc247ec65b94ff665d91f09e1b963edfe7272791ea45680b719f5f15",
+    ("trace_memcached", 1): "63e0bb4c2ab03e07a3bf7546269ddeda8bfbde12e84c9cba881bf1112c44b800",
+    ("incast_rotating", 1): "03bf51247962673fa0cfd6862f47eb0bae0a903a76f8e272bb41acd3e98e86f8",
+    ("incast_fixed", 1): "8a4910603babd7986529a9457a92b5962757871cc7938f067cb487e64a5e11f5",
+    ("shuffle_jitter", 1): "98e0f265e56e29d0c1f885b5170d5fb9a56df214da3f7743c8156fb34b4e7f55",
+    ("synthetic_hadoop", 2): "a5213ce09f2ccf2232a006b75da83623817131a78ce93b30862ce6d22440857e",
+    ("trace_memcached", 2): "d9662f0c39ed5b3ffd7bb4bd83f2e6ff039cca698cced65cfa84c82bfc8b4f70",
+    ("incast_rotating", 2): "eb9b5aef1ecedc457716f0161d3500f5c5605fca46a79e8492a1c4deea237c2c",
+    ("incast_fixed", 2): "958cc32689c982fd86562f2391b7a81a9bb9b108fb99c098fdfc6bda9da7a3f4",
+    ("shuffle_jitter", 2): "b749b003546a00e4641ae7b4e613334ab530c598b4e9913d13711f734faf3d2d",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_DIGESTS))
+def test_stream_matches_pinned_digest(name, seed):
+    messages = workload_from_spec(_pinned_spec(name, seed)).materialize()
+    rows = [
+        (m.src, m.dst, m.size_bytes, repr(m.arrival_ns), m.is_read, m.uid)
+        for m in messages
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[(name, seed)]
 
 
 # --------------------------------------------------------------------------- #
