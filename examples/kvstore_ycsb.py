@@ -13,9 +13,8 @@ from repro.experiments import run_experiment
 from repro.fabrics.base import ClusterConfig
 from repro.fabrics.edm import EdmCluster
 from repro.memctrl.dram import DramTiming
-from repro.workloads.api import workload_from_spec
-from repro.workloads.streaming import YcsbSpec
-from repro.workloads.ycsb import OpType
+from repro.sim.rng import make_rng
+from repro.workloads.ycsb import WORKLOAD_A, OpType, ZipfianKeyChooser
 
 
 def main() -> None:
@@ -27,23 +26,24 @@ def main() -> None:
     )
     store = RemoteKvStore(cluster, compute_node=0, memory_node=1, capacity=256)
 
-    spec = YcsbSpec(workload="A", message_count=200, keyspace=256, seed=7)
-    ops = workload_from_spec(spec).materialize()
+    rng = make_rng(7)
+    chooser = ZipfianKeyChooser(256, seed=int(rng.integers(0, 2**31)))
+    ops = [(WORKLOAD_A.draw(rng.random()), chooser.next_key()) for _ in range(200)]
     latencies = []
 
     def issue(index: int = 0) -> None:
         if index >= len(ops):
             return
-        op = ops[index]
+        op, key = ops[index]
 
         def done(completion, i=index):
             latencies.append(completion.latency_ns)
             issue(i + 1)
 
-        if op.op == OpType.READ:
-            store.get(op.key, done)
+        if op is OpType.READ:
+            store.get(key, done)
         else:
-            store.put(op.key, done)
+            store.put(key, done)
 
     issue(0)
     cluster.sim.run()

@@ -321,13 +321,7 @@ class ClosedLoopClient:
     def _issue(self) -> None:
         self.remaining -= 1
         self.account.issued += 1
-        u = self.rng.random()
-        if u < self.mix.read_fraction:
-            op = OpType.READ
-        elif u < self.mix.read_fraction + self.mix.update_fraction:
-            op = OpType.UPDATE
-        else:
-            op = OpType.READ_MODIFY_WRITE
+        op = self.mix.draw(self.rng.random())
         key = self.chooser.next_key()
         store, slot = self.route(key)
         issued_at = self.sim.now

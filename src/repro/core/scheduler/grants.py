@@ -156,9 +156,6 @@ class CentralScheduler:
     def src_free_at(self, src: int) -> float:
         return self._src_busy_until[src] if self._busy_src >> src & 1 else 0.0
 
-    def dst_free_at(self, dst: int) -> float:
-        return self._dst_busy_until[dst] if self._busy_dst >> dst & 1 else 0.0
-
     def _expire(self, now: float) -> None:
         """Free every port whose busy window ended by ``now``."""
         if now < self._latest:

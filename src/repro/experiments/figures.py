@@ -38,8 +38,8 @@ from repro.latency.breakdown import (
 )
 from repro.latency.table1 import compute_table1, format_table1, latency_ratios
 from repro.experiments.runner import Cell, ExperimentSpec, make_cell, register
+from repro.workloads.api import Workload
 from repro.workloads.distributions import fixed_size
-from repro.workloads.api import workload_from_spec
 from repro.workloads.synthetic import SyntheticSpec
 from repro.workloads.traces import TraceSpec, all_apps
 from repro.workloads.ycsb import WORKLOADS
@@ -271,7 +271,7 @@ _memo_spec: Any = None
 _memo_messages: Tuple[OfferedMessage, ...] = ()
 
 
-def shared_workload(spec: Any) -> Tuple[OfferedMessage, ...]:
+def shared_workload(spec: Workload) -> Tuple[OfferedMessage, ...]:
     """The materialized workload of a frozen spec, memoized per process.
 
     Only the most recent spec is kept, and its entry is dropped *before*
@@ -282,7 +282,7 @@ def shared_workload(spec: Any) -> Tuple[OfferedMessage, ...]:
     global _memo_spec, _memo_messages
     if spec != _memo_spec:
         _memo_spec, _memo_messages = None, ()
-        _memo_messages = tuple(workload_from_spec(spec).materialize())
+        _memo_messages = tuple(spec.materialize())
         _memo_spec = spec
     return _memo_messages
 

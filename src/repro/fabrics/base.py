@@ -137,9 +137,6 @@ class FabricResult:
         baselines = np.where(reads, read_base or 1.0, write_base or 1.0)
         return latencies / baselines
 
-    def normalized_latencies(self, is_read: Optional[bool] = None) -> List[float]:
-        return self._normalized(is_read).tolist()
-
     def mean_normalized_latency(self, is_read: Optional[bool] = None) -> float:
         data = self._normalized(is_read)
         if data.size == 0:

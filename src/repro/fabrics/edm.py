@@ -7,9 +7,8 @@ RREQs as implicit notifications, WREQs behind explicit /N/ + /G/
 exchanges, data moving as granted chunks through PHY virtual circuits.
 
 Every component schedules through a static sequence-number lane (the
-workload injector is lane 0, the switch lane 1, host ``h`` lane ``2+h``,
-the fault injector's context lane ``2+N``; see
-``repro.sim.engine.LaneView``), so event tie order is a property of the
+workload injector is lane 0, the switch lane 1, host ``h`` lane ``2+h``;
+see ``repro.sim.engine.LaneView``), so event tie order is a property of the
 component that scheduled the event — not of global scheduling order.
 The golden fixtures (``tests/test_edm_golden.py``) pin the event order
 these lanes produce, and fault events keyed on a link's lane stay put
@@ -39,8 +38,7 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.topology import SubstrateTopology
 
-#: Sequence lanes are static: injector 0, switch 1, host h at 2 + h,
-#: the fault injector's context at 2 + N.
+#: Sequence lanes are static: injector 0, switch 1, host h at 2 + h.
 SWITCH_LANE = 1
 HOST_LANE_BASE = 2
 
@@ -91,7 +89,6 @@ class EdmCluster:
         # by node id on the SubstrateTopology surface.
         self.uplinks: Dict[int, Link] = {}
         self.downlinks: Dict[int, Link] = {}
-        self._substrate: Optional[SubstrateTopology] = None
         for node in range(config.num_nodes):
             # NIC and uplink share the host's lane.
             host_ctx = self.ctx.lane(HOST_LANE_BASE + node)
@@ -116,22 +113,17 @@ class EdmCluster:
     def substrate_topology(self) -> SubstrateTopology:
         """This cluster's fault/observability surface (docs/TOPOLOGY.md).
 
-        Built lazily and cached — the fault lane must be requested from
-        the simulator exactly once.  The returned context carries a
-        *private* StatsSink, so fault bookkeeping stays out of the run's
-        ``stats``; what fired is reported by the injector's summary.
+        Link faults schedule on each link's own lane (``link.sim``), and
+        EDM rejects failover, so the context schedules nothing of its own.
+        It carries a *private* StatsSink, so fault bookkeeping stays out of
+        the run's ``stats``; what fired is reported by the injector's
+        summary.
         """
-        if self._substrate is None:
-            lane_ctx = self.ctx.lane(HOST_LANE_BASE + self.config.num_nodes)
-            fault_ctx = SimContext(
-                sim=lane_ctx.sim, rng=lane_ctx.rng, stats=StatsSink()
-            )
-            self._substrate = SubstrateTopology(
-                ctx=fault_ctx,
-                uplinks=dict(self.uplinks),
-                downlinks=dict(self.downlinks),
-            )
-        return self._substrate
+        return SubstrateTopology(
+            ctx=SimContext(sim=self.sim, rng=self.ctx.rng, stats=StatsSink()),
+            uplinks=dict(self.uplinks),
+            downlinks=dict(self.downlinks),
+        )
 
     def nic(self, node: int) -> EdmHostNic:
         try:

@@ -168,11 +168,6 @@ class BaselineHost(Process):
         if not self._pump_armed:
             self._pump()
 
-    def inject_front(self, frame: Frame) -> None:
-        self._queue.appendleft(frame)
-        if not self._pump_armed:
-            self._pump()
-
     def _pump(self) -> None:
         """Arm the send of the queue's head at the paced time.
 
@@ -430,9 +425,6 @@ class BaselineSwitch(Process):
         for src in self.ingress:
             if self.ingress[src]:
                 self._advance_ingress(src)
-
-    def total_queued_bytes(self) -> int:
-        return sum(s.queued_bytes for s in self.egress.values())
 
 
 class QueueingFabric(Fabric):

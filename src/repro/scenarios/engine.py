@@ -34,7 +34,6 @@ from repro.experiments.runner import (
     make_cell,
     register,
 )
-from repro.workloads.api import workload_from_spec
 from repro.workloads.distributions import fixed_size
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
 from repro.workloads.synthetic import SyntheticSpec
@@ -95,7 +94,7 @@ def build_messages(spec: ScenarioSpec):
     times resolve against the offered arrival span, which needs the full
     list up front.
     """
-    messages = workload_from_spec(_workload_spec(spec)).materialize()
+    messages = _workload_spec(spec).materialize()
     # Shuffle rounds are derived, so over-generation is possible; clamp
     # to the scenario's requested count.
     return messages[: spec.workload.message_count]

@@ -1,26 +1,19 @@
 """Workload generators behind one streaming :class:`Workload` protocol.
 
-Build any workload from its spec with :func:`workload_from_spec` and
-consume ``.arrivals()`` lazily::
+Each spec is its own workload: build it and consume ``.arrivals()``
+lazily::
 
-    from repro.workloads import SyntheticSpec, workload_from_spec
+    from repro.workloads import SyntheticSpec
 
-    stream = workload_from_spec(SyntheticSpec(...))
-    for message in stream.arrivals():
+    for message in SyntheticSpec(...).arrivals():
         ...
 
 ``.materialize()`` returns the whole stream as a list when one is
 genuinely needed.
 """
 
-# The streaming protocol and its spec lookup (the supported API).
-from repro.workloads.api import (
-    RATE_SHAPES,
-    RateShape,
-    Workload,
-    substream,
-    workload_from_spec,
-)
+# The streaming protocol (the supported API).
+from repro.workloads.api import RATE_SHAPES, RateShape, Workload, substream
 from repro.workloads.distributions import (
     APP_CDFS,
     GRAPHLAB,
@@ -33,14 +26,6 @@ from repro.workloads.distributions import (
     fixed_size,
 )
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
-from repro.workloads.streaming import (
-    IncastWorkload,
-    ShuffleWorkload,
-    SyntheticWorkload,
-    TraceWorkload,
-    YcsbOpsWorkload,
-    YcsbSpec,
-)
 from repro.workloads.synthetic import (
     SyntheticSpec,
     mean_wire_bytes,
@@ -55,31 +40,22 @@ from repro.workloads.ycsb import (
     WORKLOADS,
     WRITE_VALUE_BYTES,
     OpType,
-    YcsbOp,
     YcsbWorkload,
     ZipfianKeyChooser,
     workload_by_name,
 )
 
 __all__ = [
-    # Streaming protocol + spec lookup
+    # Streaming protocol
     "RATE_SHAPES",
     "RateShape",
     "Workload",
     "substream",
-    "workload_from_spec",
-    # Specs
+    # Specs, each its own workload
     "IncastSpec",
     "ShuffleSpec",
     "SyntheticSpec",
     "TraceSpec",
-    "YcsbSpec",
-    # Streaming workload families
-    "IncastWorkload",
-    "ShuffleWorkload",
-    "SyntheticWorkload",
-    "TraceWorkload",
-    "YcsbOpsWorkload",
     # Size distributions
     "APP_CDFS",
     "GRAPHLAB",
@@ -99,7 +75,6 @@ __all__ = [
     "WORKLOAD_B",
     "WORKLOAD_F",
     "WRITE_VALUE_BYTES",
-    "YcsbOp",
     "YcsbWorkload",
     "ZipfianKeyChooser",
     "workload_by_name",

@@ -1,22 +1,17 @@
 """The unified streaming workload API.
 
-Every workload — synthetic all-to-all, pure shapes, app traces, YCSB op
-streams — implements one protocol: a :class:`Workload` built from a
-frozen spec whose :meth:`~Workload.arrivals` lazily yields items in
-arrival order.  Nothing is materialized up front, so peak memory is O(1)
-in the message count (streams hold one pending item per merge source,
-never the whole workload), and a million-message arrival process costs
-the same resident memory as a thousand-message one.
+Every fabric workload — synthetic all-to-all, pure shapes, app traces —
+is a frozen spec that subclasses :class:`Workload`: its
+:meth:`~Workload.arrivals` lazily yields messages in arrival order.
+Nothing is materialized up front, so peak memory is O(1) in the message
+count (streams hold one pending item per merge source, never the whole
+workload), and a million-message arrival process costs the same resident
+memory as a thousand-message one.
 
-Two layers:
-
-* :class:`RateShape` — (optionally diurnal- or bursty-) rate modulation
-  over simulated time, which the closed-loop serving subsystem applies
-  to its think times; :func:`substream` — the per-key child RNGs every
-  stream draws from.
-* :class:`Workload` + :func:`workload_from_spec` — turns a spec
-  dataclass into its streaming workload through one fixed
-  ``spec type -> workload class`` lookup.
+Alongside the protocol live :class:`RateShape` — (optionally diurnal- or
+bursty-) rate modulation over simulated time, which the closed-loop
+serving subsystem applies to its think times — and :func:`substream`,
+the per-key child RNGs every stream draws from.
 """
 
 from __future__ import annotations
@@ -109,25 +104,17 @@ class RateShape:
 
 
 class Workload(abc.ABC):
-    """One workload: a frozen spec plus a lazy arrival stream.
+    """A lazy arrival stream; each spec dataclass subclasses it.
 
-    ``arrivals()`` yields the workload's items in arrival order —
-    :class:`~repro.fabrics.base.OfferedMessage` for fabric workloads,
-    :class:`~repro.workloads.ycsb.YcsbOp` for closed-loop op streams —
-    producing each item on demand.  Iterating a workload twice yields the
-    same sequence (each call builds fresh substream RNGs from the spec's
-    seed).
+    ``arrivals()`` yields the workload's
+    :class:`~repro.fabrics.base.OfferedMessage` items in arrival order,
+    producing each on demand.  Iterating a workload twice yields the same
+    sequence (each call builds fresh substream RNGs from the spec's seed).
     """
-
-    def __init__(self, spec: Any) -> None:
-        self.spec = spec
 
     @abc.abstractmethod
     def arrivals(self) -> Iterator[Any]:
         """Lazily yield the workload's items in arrival order."""
-
-    def __iter__(self) -> Iterator[Any]:
-        return self.arrivals()
 
     def materialize(self) -> List[Any]:
         """The whole stream as a list: O(n) memory, for callers that share
@@ -135,25 +122,9 @@ class Workload(abc.ABC):
         return list(self.arrivals())
 
 
-def workload_from_spec(spec: Any) -> Workload:
-    """Build the streaming workload for a spec dataclass (``SyntheticSpec``,
-    ``IncastSpec``, ``ShuffleSpec``, ``TraceSpec`` or ``YcsbSpec``)."""
-    # Imported here: the streaming module subclasses Workload from this one.
-    from repro.workloads.streaming import WORKLOAD_FOR_SPEC
-
-    workload_type = WORKLOAD_FOR_SPEC.get(type(spec))
-    if workload_type is None:
-        known = ", ".join(t.__name__ for t in WORKLOAD_FOR_SPEC)
-        raise WorkloadError(
-            f"no workload for spec type {type(spec).__name__!r} (known: {known})"
-        )
-    return workload_type(spec)
-
-
 __all__ = [
     "RATE_SHAPES",
     "RateShape",
     "Workload",
     "substream",
-    "workload_from_spec",
 ]

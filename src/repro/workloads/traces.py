@@ -8,14 +8,18 @@ write mix with heavy-tailed sizes drawn from the per-application CDFs in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import WorkloadError
+from repro.fabrics.base import OfferedMessage
+from repro.workloads.api import Workload
+from repro.workloads.distributions import app_cdf
+from repro.workloads.synthetic import SyntheticSpec
 
 
 @dataclass(frozen=True)
-class TraceSpec:
-    """Parameters for one application trace."""
+class TraceSpec(Workload):
+    """One application trace: synthetic traffic under the app's size CDF."""
 
     app: str
     num_nodes: int
@@ -23,6 +27,17 @@ class TraceSpec:
     load: float
     message_count: int
     seed: Optional[int] = 0
+
+    def arrivals(self) -> Iterator[OfferedMessage]:
+        return SyntheticSpec(
+            num_nodes=self.num_nodes,
+            link_gbps=self.link_gbps,
+            load=self.load,
+            message_count=self.message_count,
+            size_cdf=app_cdf(self.app),
+            write_fraction=0.5,  # §4.3.2: reads and writes in equal proportion
+            seed=self.seed,
+        ).arrivals()
 
 
 def all_apps() -> List[str]:

@@ -33,22 +33,6 @@ class OpType(enum.Enum):
 
 
 @dataclass(frozen=True)
-class YcsbOp:
-    """One key-value operation."""
-
-    op: OpType
-    key: int
-
-    @property
-    def is_write(self) -> bool:
-        return self.op in (OpType.UPDATE, OpType.READ_MODIFY_WRITE)
-
-    @property
-    def value_bytes(self) -> int:
-        return WRITE_VALUE_BYTES if self.is_write else READ_VALUE_BYTES
-
-
-@dataclass(frozen=True)
 class YcsbWorkload:
     """A named YCSB mix."""
 
@@ -61,6 +45,14 @@ class YcsbWorkload:
         total = self.read_fraction + self.update_fraction + self.rmw_fraction
         if abs(total - 1.0) > 1e-9:
             raise WorkloadError(f"op fractions must sum to 1, got {total}")
+
+    def draw(self, u: float) -> OpType:
+        """The op a uniform draw ``u`` in [0, 1) selects from this mix."""
+        if u < self.read_fraction:
+            return OpType.READ
+        if u < self.read_fraction + self.update_fraction:
+            return OpType.UPDATE
+        return OpType.READ_MODIFY_WRITE
 
 
 #: Workload A: update heavy — 50% reads, 50% updates.

@@ -26,7 +26,7 @@ import sys
 
 from repro.fabrics import fabric_by_name
 from repro.fabrics.base import ClusterConfig
-from repro.workloads import SyntheticSpec, workload_from_spec
+from repro.workloads import SyntheticSpec
 from repro.workloads.distributions import fixed_size
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "baseline_golden.json")
@@ -68,7 +68,7 @@ def messages_for(case: dict):
         incast_fraction=case["incast_fraction"],
         incast_degree=case["incast_degree"],
     )
-    return workload_from_spec(spec).materialize()
+    return spec.materialize()
 
 
 def run_case(case: dict, fabric: str):

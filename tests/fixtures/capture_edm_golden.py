@@ -24,7 +24,7 @@ import sys
 from repro.core.scheduler import Policy
 from repro.fabrics.base import ClusterConfig
 from repro.fabrics.edm import EdmFabric
-from repro.workloads import SyntheticSpec, workload_from_spec
+from repro.workloads import SyntheticSpec
 from repro.workloads.distributions import fixed_size
 
 FIXTURE_PATH = os.path.join(os.path.dirname(__file__), "edm_golden.json")
@@ -73,7 +73,7 @@ def messages_for(case: dict):
         seed=case["seed"],
         incast_fraction=0.0,
     )
-    return workload_from_spec(spec).materialize()
+    return spec.materialize()
 
 
 def run_case(case: dict):

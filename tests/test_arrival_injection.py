@@ -21,7 +21,7 @@ from repro.errors import SimulationError
 from repro.fabrics import fabric_by_name
 from repro.fabrics.base import ClusterConfig
 from repro.sim.engine import Simulator
-from repro.workloads import SyntheticSpec, workload_from_spec
+from repro.workloads import SyntheticSpec
 from repro.workloads.distributions import fixed_size
 
 
@@ -102,7 +102,7 @@ def _messages(seed):
         incast_fraction=0.25,
         incast_degree=8,
     )
-    return workload_from_spec(spec).materialize()
+    return spec.materialize()
 
 
 def _run(fabric, messages, deadline_ns):

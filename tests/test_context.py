@@ -7,7 +7,6 @@ from repro.experiments.figures import Figure8aScale
 from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
 from repro.fabrics.edm import EdmCluster
 from repro.sim import Process, SimContext, Simulator, StatsSink
-from repro.workloads.api import workload_from_spec
 from repro.workloads.synthetic import SyntheticSpec
 from repro.workloads.distributions import fixed_size
 
@@ -55,12 +54,10 @@ class TestSimContext:
     def test_fabric_run_attaches_stats(self):
         config = ClusterConfig(num_nodes=4, seed=0)
         fabric = fabric_by_name("DCTCP", config)
-        messages = workload_from_spec(
-            SyntheticSpec(
-                num_nodes=4, link_gbps=100.0, load=0.5,
-                message_count=50, size_cdf=fixed_size(64), seed=1,
-                incast_fraction=0.0,
-            )
+        messages = SyntheticSpec(
+            num_nodes=4, link_gbps=100.0, load=0.5,
+            message_count=50, size_cdf=fixed_size(64), seed=1,
+            incast_fraction=0.0,
         ).materialize()
         result = fabric.run(messages, deadline_ns=1e9)
         assert result.stats["messages_offered"] == 50
@@ -74,17 +71,17 @@ class TestUidDeterminism:
     )
 
     def test_uids_are_zero_based_and_stable_across_runs(self):
-        first = workload_from_spec(SyntheticSpec(**self.SPEC)).materialize()
+        first = SyntheticSpec(**self.SPEC).materialize()
         # Interleave an unrelated workload to pollute any global state.
-        workload_from_spec(SyntheticSpec(**{**self.SPEC, "seed": 99})).materialize()
-        second = workload_from_spec(SyntheticSpec(**self.SPEC)).materialize()
+        SyntheticSpec(**{**self.SPEC, "seed": 99}).materialize()
+        second = SyntheticSpec(**self.SPEC).materialize()
         assert [m.uid for m in first] == [m.uid for m in second]
         assert min(m.uid for m in first) == 0
         assert len({m.uid for m in first}) == len(first)
 
     def test_distinct_specs_each_start_at_zero(self):
-        a = workload_from_spec(SyntheticSpec(**self.SPEC)).materialize()
-        b = workload_from_spec(SyntheticSpec(**{**self.SPEC, "seed": 123})).materialize()
+        a = SyntheticSpec(**self.SPEC).materialize()
+        b = SyntheticSpec(**{**self.SPEC, "seed": 123}).materialize()
         assert min(m.uid for m in a) == 0
         assert min(m.uid for m in b) == 0
 

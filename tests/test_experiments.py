@@ -21,7 +21,7 @@ from repro.experiments.figures import (
     shared_workload,
 )
 from repro.fabrics import ClusterConfig, fabric_by_name, fabric_names
-from repro.workloads import SyntheticSpec, workload_from_spec
+from repro.workloads import SyntheticSpec
 from repro.workloads.distributions import fixed_size
 
 SMALL_8A = Figure8aScale(num_nodes=8, message_count=1200,
@@ -106,20 +106,20 @@ class TestSharedWorkload:
         first = shared_workload(_spec())
         assert isinstance(first, tuple)
         assert shared_workload(_spec()) is first
-        assert list(first) == workload_from_spec(_spec()).materialize()
+        assert list(first) == _spec().materialize()
 
     def test_different_seed_or_load_misses(self):
         base = shared_workload(_spec())
         other_seed = shared_workload(_spec(seed=2))
         assert other_seed is not base
-        assert list(other_seed) == workload_from_spec(_spec(seed=2)).materialize()
+        assert list(other_seed) == _spec(seed=2).materialize()
         other_load = shared_workload(_spec(load=0.9))
         assert other_load is not other_seed
-        assert list(other_load) == workload_from_spec(_spec(load=0.9)).materialize()
+        assert list(other_load) == _spec(load=0.9).materialize()
 
     def test_fabric_runs_leave_the_shared_tuple_intact(self):
         messages = shared_workload(_spec())
-        fresh = workload_from_spec(_spec()).materialize()
+        fresh = _spec().materialize()
         config = ClusterConfig(num_nodes=6, seed=1)
         for name in fabric_names():
             fabric_by_name(name, config).run_with_baselines(messages)

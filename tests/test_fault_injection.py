@@ -28,7 +28,6 @@ from repro.scenarios import (
 )
 from repro.sim.context import SimContext
 from repro.sim.link import Link
-from repro.workloads.api import workload_from_spec
 from repro.workloads.shapes import IncastSpec
 
 ORPHANS = ("PFC", "DCTCP", "pFabric", "CXL")
@@ -37,11 +36,9 @@ CONFIG = ClusterConfig(num_nodes=6, seed=3)
 
 
 def _incast(count=150, seed=3):
-    return workload_from_spec(
-        IncastSpec(
-            num_nodes=CONFIG.num_nodes, link_gbps=CONFIG.link_gbps,
-            load=0.6, message_count=count, degree=4, seed=seed,
-        )
+    return IncastSpec(
+        num_nodes=CONFIG.num_nodes, link_gbps=CONFIG.link_gbps,
+        load=0.6, message_count=count, degree=4, seed=seed,
     ).materialize()
 
 
@@ -151,7 +148,7 @@ def test_lossless_switch_conserves_bytes():
 
 
 class TestEdmLinkFaults:
-    """EDM's host-link faults, keyed on its fault lane (2 + N)."""
+    """EDM's host-link faults, each keyed on its link's own lane."""
 
     def _run(self, messages, faults=()):
         fabric = EdmFabric(CONFIG)

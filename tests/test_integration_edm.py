@@ -19,7 +19,6 @@ from repro.host.nic import HostConfig
 from repro.host.state import MessageIdAllocator
 from repro.host.wire import TransferKind
 from repro.memctrl.dram import DramTiming
-from repro.workloads.api import workload_from_spec
 from repro.workloads.distributions import fixed_size
 from repro.workloads.synthetic import SyntheticSpec
 
@@ -293,11 +292,11 @@ class TestDeadlineCut:
         """A deadline strands exactly the messages the full run finishes
         after it, and the heap and the reference kernel strand the same
         ones."""
-        messages = workload_from_spec(SyntheticSpec(
+        messages = SyntheticSpec(
             num_nodes=6, link_gbps=100.0, load=0.8, message_count=80,
             size_cdf=fixed_size(64), write_fraction=0.5, seed=seed,
             incast_fraction=0.25, incast_degree=5,
-        )).materialize()
+        ).materialize()
 
         def run(kernel="reference", **kwargs):
             config = ClusterConfig(num_nodes=6, seed=seed)

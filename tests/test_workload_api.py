@@ -1,9 +1,9 @@
-"""The unified streaming workload API (repro.workloads.api/streaming).
+"""The unified streaming workload API (repro.workloads.api and the specs).
 
-Covers the protocol surface (RateShape, substreams, the spec lookup),
-bit-identity of the streams against the legacy generator algorithms
-(copied here verbatim as reference implementations), and O(1) streaming
-memory.
+Covers the protocol surface (RateShape, substreams), each generator's
+pinned output, bit-identity of the streams against the legacy generator
+algorithms (copied here verbatim as reference implementations), and O(1)
+streaming memory.
 """
 
 import hashlib
@@ -18,13 +18,11 @@ from repro.errors import WorkloadError
 from repro.fabrics.base import OfferedMessage
 from repro.mac.frame import message_wire_bytes
 from repro.sim.rng import make_rng
-from repro.workloads.api import RateShape, substream, workload_from_spec
+from repro.workloads.api import RateShape, substream
 from repro.workloads.distributions import app_cdf, fixed_size
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
-from repro.workloads.streaming import YcsbSpec
 from repro.workloads.synthetic import SyntheticSpec
 from repro.workloads.traces import TraceSpec
-from repro.workloads.ycsb import OpType, YcsbOp, ZipfianKeyChooser, workload_by_name
 
 
 # --------------------------------------------------------------------------- #
@@ -93,25 +91,6 @@ def _ref_shuffle(spec):
     return messages
 
 
-def _ref_ycsb(spec):
-    mix = workload_by_name(spec.workload)
-    rng = make_rng(spec.seed)
-    chooser = ZipfianKeyChooser(
-        spec.keyspace, spec.theta, seed=int(rng.integers(0, 2**31))
-    )
-    ops = []
-    for _ in range(spec.message_count):
-        u = rng.random()
-        if u < mix.read_fraction:
-            op = OpType.READ
-        elif u < mix.read_fraction + mix.update_fraction:
-            op = OpType.UPDATE
-        else:
-            op = OpType.READ_MODIFY_WRITE
-        ops.append(YcsbOp(op=op, key=chooser.next_key()))
-    return ops
-
-
 # --------------------------------------------------------------------------- #
 # RateShape / substreams                                                      #
 # --------------------------------------------------------------------------- #
@@ -168,17 +147,6 @@ class TestSubstream:
 
 
 # --------------------------------------------------------------------------- #
-# Spec registry                                                               #
-# --------------------------------------------------------------------------- #
-
-
-class TestRegistry:
-    def test_unregistered_spec_type_rejected(self):
-        with pytest.raises(WorkloadError, match="no workload for spec type"):
-            workload_from_spec(object())
-
-
-# --------------------------------------------------------------------------- #
 # Bit-identity against the legacy algorithms                                  #
 # --------------------------------------------------------------------------- #
 
@@ -199,7 +167,7 @@ class TestBitIdentity:
             message_count=90, degree=degree,
             write_fraction=write_fraction, seed=seed,
         )
-        assert workload_from_spec(spec).materialize() == _ref_incast(spec)
+        assert spec.materialize() == _ref_incast(spec)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -215,16 +183,7 @@ class TestBitIdentity:
             num_nodes=num_nodes, link_gbps=100.0, load=0.5, rounds=rounds,
             jitter_ns=jitter_ns, write_fraction=0.5, seed=seed,
         )
-        assert workload_from_spec(spec).materialize() == _ref_shuffle(spec)
-
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        mix=st.sampled_from(["A", "B", "F"]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_ycsb_stream_matches_reference(self, seed, mix):
-        spec = YcsbSpec(workload=mix, message_count=300, keyspace=500, seed=seed)
-        assert workload_from_spec(spec).materialize() == _ref_ycsb(spec)
+        assert spec.materialize() == _ref_shuffle(spec)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -237,8 +196,8 @@ class TestBitIdentity:
             num_nodes=6, link_gbps=100.0, load=0.5, message_count=400,
             size_cdf=fixed_size(64), incast_fraction=0.25, seed=seed,
         )
-        msgs = workload_from_spec(spec).materialize()
-        assert msgs == workload_from_spec(spec).materialize()
+        msgs = spec.materialize()
+        assert msgs == spec.materialize()
         assert len(msgs) == 400
         arrivals = [m.arrival_ns for m in msgs]
         assert arrivals == sorted(arrivals)
@@ -246,13 +205,11 @@ class TestBitIdentity:
         assert all(m.src != m.dst for m in msgs)
 
     def test_iterating_twice_yields_same_sequence(self):
-        w = workload_from_spec(
-            TraceSpec(
-                app="hadoop", num_nodes=8, link_gbps=100.0, load=0.5,
-                message_count=200, seed=2,
-            )
+        w = TraceSpec(
+            app="hadoop", num_nodes=8, link_gbps=100.0, load=0.5,
+            message_count=200, seed=2,
         )
-        assert list(w) == list(w)
+        assert list(w.arrivals()) == list(w.arrivals())
 
 
 # --------------------------------------------------------------------------- #
@@ -300,7 +257,7 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("name,seed", sorted(PINNED_DIGESTS))
 def test_stream_matches_pinned_digest(name, seed):
-    messages = workload_from_spec(_pinned_spec(name, seed)).materialize()
+    messages = _pinned_spec(name, seed).materialize()
     rows = [
         (m.src, m.dst, m.size_bytes, repr(m.arrival_ns), m.is_read, m.uid)
         for m in messages
@@ -336,7 +293,7 @@ class TestStreamingMemory:
         def consume(count):
             def run():
                 n = 0
-                for _ in workload_from_spec(_spec_with_count(count)).arrivals():
+                for _ in _spec_with_count(count).arrivals():
                     n += 1
                 assert n == count
             return run
@@ -351,9 +308,9 @@ class TestStreamingMemory:
     def test_streaming_beats_materializing(self):
         count = 24_000
         streamed = _peak_during(
-            lambda: sum(1 for _ in workload_from_spec(_spec_with_count(count)))
+            lambda: sum(1 for _ in _spec_with_count(count).arrivals())
         )
         materialized = _peak_during(
-            lambda: workload_from_spec(_spec_with_count(count)).materialize()
+            lambda: _spec_with_count(count).materialize()
         )
         assert streamed < materialized / 4

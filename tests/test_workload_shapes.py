@@ -3,12 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.api import workload_from_spec
 from repro.workloads.shapes import IncastSpec, ShuffleSpec
-
-
-def _materialize(spec):
-    return workload_from_spec(spec).materialize()
 
 
 def _incast_spec(**overrides):
@@ -21,24 +16,24 @@ def _incast_spec(**overrides):
 
 class TestIncast:
     def test_count_and_sorted_arrivals(self):
-        messages = _materialize(_incast_spec())
+        messages = _incast_spec().materialize()
         assert len(messages) == 120
         arrivals = [m.arrival_ns for m in messages]
         assert arrivals == sorted(arrivals)
 
     def test_uids_are_zero_based_and_dense(self):
-        messages = _materialize(_incast_spec())
+        messages = _incast_spec().materialize()
         assert sorted(m.uid for m in messages) == list(range(len(messages)))
 
     def test_deterministic_under_seed(self):
-        a = _materialize(_incast_spec(seed=7))
-        b = _materialize(_incast_spec(seed=7))
+        a = _incast_spec(seed=7).materialize()
+        b = _incast_spec(seed=7).materialize()
         assert a == b
-        assert a != _materialize(_incast_spec(seed=8))
+        assert a != _incast_spec(seed=8).materialize()
 
     def test_write_incast_converges_on_victims(self):
         # Every event's messages share one destination (the victim).
-        messages = _materialize(_incast_spec(write_fraction=1.0))
+        messages = _incast_spec(write_fraction=1.0).materialize()
         by_arrival = {}
         for m in messages:
             by_arrival.setdefault(m.arrival_ns, set()).add(m.dst)
@@ -46,7 +41,7 @@ class TestIncast:
         assert all(len(dsts) == 1 for dsts in by_arrival.values())
 
     def test_read_incast_fans_out_from_victim(self):
-        messages = _materialize(_incast_spec(write_fraction=0.0))
+        messages = _incast_spec(write_fraction=0.0).materialize()
         by_arrival = {}
         for m in messages:
             by_arrival.setdefault(m.arrival_ns, set()).add(m.src)
@@ -54,17 +49,17 @@ class TestIncast:
         assert all(len(srcs) == 1 for srcs in by_arrival.values())
 
     def test_rotating_victims_spread_over_nodes(self):
-        messages = _materialize(_incast_spec(message_count=200))
+        messages = _incast_spec(message_count=200).materialize()
         assert len({m.dst for m in messages}) > 4
 
     def test_fixed_victim(self):
-        messages = _materialize(
-            _incast_spec(rotate_victims=False, write_fraction=1.0)
-        )
+        messages = _incast_spec(
+            rotate_victims=False, write_fraction=1.0
+        ).materialize()
         assert {m.dst for m in messages} == {0}
 
     def test_degree_clamped_to_cluster(self):
-        messages = _materialize(_incast_spec(num_nodes=3, degree=10))
+        messages = _incast_spec(num_nodes=3, degree=10).materialize()
         assert messages  # degree clamps to n-1 instead of raising
 
     @pytest.mark.parametrize(
@@ -93,7 +88,7 @@ def _shuffle_spec(**overrides):
 class TestShuffle:
     def test_every_round_is_a_permutation(self):
         spec = _shuffle_spec()
-        messages = _materialize(spec)
+        messages = spec.materialize()
         assert len(messages) == spec.message_count == 60
         rounds = {}
         for m in messages:
@@ -104,24 +99,25 @@ class TestShuffle:
             assert all(m.src != m.dst for m in batch)
 
     def test_strides_cycle_across_rounds(self):
-        messages = _materialize(_shuffle_spec())
+        messages = _shuffle_spec().materialize()
         strides = set()
         for m in messages:
             strides.add((m.dst - m.src) % 6)
         assert strides == {1, 2, 3, 4, 5}
 
     def test_deterministic_under_seed(self):
-        assert _materialize(_shuffle_spec(seed=3)) == _materialize(
-            _shuffle_spec(seed=3)
+        assert (
+            _shuffle_spec(seed=3).materialize()
+            == _shuffle_spec(seed=3).materialize()
         )
 
     def test_jitter_desynchronizes_rounds(self):
         spec = _shuffle_spec(jitter_ns=5.0, seed=1)
-        messages = _materialize(spec)
+        messages = spec.materialize()
         assert len({m.arrival_ns for m in messages}) > spec.rounds
 
     def test_uids_zero_based(self):
-        messages = _materialize(_shuffle_spec())
+        messages = _shuffle_spec().materialize()
         assert sorted(m.uid for m in messages) == list(range(len(messages)))
 
     @pytest.mark.parametrize(

@@ -12,8 +12,6 @@ from repro.workloads.distributions import (
     app_cdf,
     fixed_size,
 )
-from repro.workloads.api import workload_from_spec
-from repro.workloads.streaming import YcsbSpec
 from repro.workloads.synthetic import SyntheticSpec, mean_wire_bytes, microbenchmark
 from repro.workloads.traces import TraceSpec, all_apps
 from repro.workloads.ycsb import (
@@ -27,8 +25,8 @@ from repro.workloads.ycsb import (
 
 
 def _ycsb_ops(workload, count, seed):
-    spec = YcsbSpec(workload=workload.name, message_count=count, seed=seed)
-    return workload_from_spec(spec).materialize()
+    rng = np.random.default_rng(seed)
+    return [workload.draw(rng.random()) for _ in range(count)]
 
 
 class TestSizeCdf:
@@ -128,7 +126,7 @@ class TestSynthetic:
             size_cdf=fixed_size(64), incast_fraction=0.5, incast_degree=8,
             seed=0,
         )
-        msgs = workload_from_spec(spec).materialize()
+        msgs = spec.materialize()
         # Incast events create groups of simultaneous arrivals.
         from collections import Counter
         counts = Counter(m.arrival_ns for m in msgs)
@@ -148,18 +146,21 @@ class TestYcsb:
         # A: 50% writes, B: 5% writes, F: 33% writes (§4.2.2).
         for wl, expected in ((WORKLOAD_A, 0.5), (WORKLOAD_B, 0.05), (WORKLOAD_F, 0.33)):
             ops = _ycsb_ops(wl, count=6000, seed=1)
-            writes = sum(1 for op in ops if op.is_write)
+            writes = sum(1 for op in ops if op is not OpType.READ)
             assert writes / len(ops) == pytest.approx(expected, abs=0.03)
 
     def test_f_uses_rmw(self):
         ops = _ycsb_ops(WORKLOAD_F, count=2000, seed=1)
-        assert any(op.op == OpType.READ_MODIFY_WRITE for op in ops)
-        assert not any(op.op == OpType.UPDATE for op in ops)
+        assert OpType.READ_MODIFY_WRITE in ops
+        assert OpType.UPDATE not in ops
 
-    def test_value_sizes(self):
-        ops = _ycsb_ops(WORKLOAD_A, count=100, seed=1)
-        for op in ops:
-            assert op.value_bytes == (100 if op.is_write else 1024)
+    def test_draw_splits_the_unit_interval_by_mix(self):
+        assert WORKLOAD_A.draw(0.0) is OpType.READ
+        assert WORKLOAD_A.draw(0.5) is OpType.UPDATE
+        assert WORKLOAD_B.draw(0.949) is OpType.READ
+        assert WORKLOAD_B.draw(0.95) is OpType.UPDATE
+        assert WORKLOAD_F.draw(0.669) is OpType.READ
+        assert WORKLOAD_F.draw(0.67) is OpType.READ_MODIFY_WRITE
 
     def test_zipfian_skew(self):
         chooser = ZipfianKeyChooser(keyspace=1000, seed=0)
@@ -183,17 +184,17 @@ class TestTraces:
         assert all_apps() == ["hadoop", "spark", "spark_sql", "graphlab", "memcached"]
 
     def test_trace_has_equal_read_write_mix(self):
-        trace = workload_from_spec(TraceSpec(
-            app="spark", num_nodes=8, link_gbps=100.0, load=0.5,
-            message_count=4000, seed=0,
-        )).materialize()
+        trace = TraceSpec(
+        app="spark", num_nodes=8, link_gbps=100.0, load=0.5,
+        message_count=4000, seed=0,
+    ).materialize()
         reads = sum(1 for m in trace if m.is_read)
         assert 0.45 < reads / len(trace) < 0.55
 
     def test_trace_sizes_follow_app_cdf(self):
-        trace = workload_from_spec(TraceSpec(
-            app="graphlab", num_nodes=8, link_gbps=100.0, load=0.5,
-            message_count=2000, seed=0,
-        )).materialize()
+        trace = TraceSpec(
+        app="graphlab", num_nodes=8, link_gbps=100.0, load=0.5,
+        message_count=2000, seed=0,
+    ).materialize()
         support = set(app_cdf("graphlab").sizes)
         assert all(m.size_bytes in support for m in trace)
