@@ -157,7 +157,10 @@ class CentralScheduler:
         return self._src_busy_until[src] if self._busy_src >> src & 1 else 0.0
 
     def _expire(self, now: float) -> None:
-        """Free every port whose busy window ended by ``now``."""
+        """Free every port whose busy window ended by ``now``.
+
+        Raises if ``now`` is before the latest round or expiry.
+        """
         if now < self._latest:
             raise SchedulerError(
                 f"scheduler time moved backwards: {now} < {self._latest}"
@@ -185,16 +188,12 @@ class CentralScheduler:
         self._dirty = dirty
 
     def next_release_after(self, now: float) -> Optional[float]:
-        """Earliest future time a busy port frees up (for re-scheduling)."""
-        self._expire(now)
-        return self.next_release()
+        """Earliest future time a busy port frees up (for re-scheduling).
 
-    def next_release(self) -> Optional[float]:
-        """Earliest pending release, as of the last round or expiry.
-
-        Right after :meth:`schedule` this equals ``next_release_after`` at
-        the round's time: the round expired everything due by then.
+        Right after :meth:`schedule` at ``now`` this is the head of the
+        release heap: the round expired everything due by then.
         """
+        self._expire(now)
         releases = self._releases
         return releases[0][0] if releases else None
 
@@ -205,13 +204,17 @@ class CentralScheduler:
     def schedule(self, now: float) -> List[Issued]:
         """Run one matching round at time ``now`` and issue chunk grants.
 
-        One pass: expire due releases, match once, then issue each match's
-        chunk inline (remaining bytes, SRPT re-key, busy windows,
-        first-grant bookkeeping) in match order.  Each match yields its
-        :class:`Grant`, or for an RRES's first chunk the carried request
-        (:data:`Issued`).
+        One pass: expire due releases (if the heap's head is due), match
+        once, then issue each match's chunk inline (remaining bytes, SRPT
+        re-key, busy windows, first-grant bookkeeping) in match order.
+        Each match yields its :class:`Grant`, or for an RRES's first chunk
+        the carried request (:data:`Issued`).
         """
-        self._expire(now)
+        releases = self._releases
+        if now < self._latest or (releases and releases[0][0] <= now):
+            self._expire(now)  # raises if time moved backwards
+        else:
+            self._latest = now
         bank = self.bank
         if not bank._total:
             self._dirty = 0
@@ -225,18 +228,20 @@ class CentralScheduler:
         busy_dst = self._busy_dst
         result = self.matcher.run(busy_src, busy_dst, candidates)
         self.rounds_run += 1
+        matches = result.matches
+        if not matches:
+            return []
         self.total_iterations += result.iterations
 
         chunk_bytes = self.config.chunk_bytes
         hold_cache = self._hold_ns_cache
         src_busy_until = self._src_busy_until
         dst_busy_until = self._dst_busy_until
-        releases = self._releases
         first_granted = self._first_granted
         queues = bank._queues
         rekey = bank._priority_of
         issued: List[Issued] = []
-        for demand in result.matches:
+        for demand in matches:
             remaining = demand.remaining_bytes
             chunk = chunk_bytes if chunk_bytes < remaining else remaining
             if chunk <= 0:  # pragma: no cover - defensive

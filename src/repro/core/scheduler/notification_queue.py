@@ -159,8 +159,12 @@ class NotificationQueueBank:
 
     def add(self, demand: Demand) -> None:
         """Insert a demand into its destination's queue."""
-        self._check_port(demand.src)
-        self._check_port(demand.dst)
+        src = demand.src
+        dst = demand.dst
+        ports = self.num_ports
+        if not (0 <= src < ports and 0 <= dst < ports):
+            self._check_port(src)
+            self._check_port(dst)
         pair = demand.pair
         count = self._pair_counts.get(pair, 0)
         if count >= self.max_active_per_pair:
@@ -168,8 +172,6 @@ class NotificationQueueBank:
                 f"pair {pair} exceeded X={self.max_active_per_pair} active "
                 f"notifications; the sender's rate limiter must hold this demand"
             )
-        src = demand.src
-        dst = demand.dst
         self._queues[dst].insert(self._priority_of(demand), demand)
         self._pair_counts[pair] = count + 1
         self._total += 1
@@ -183,7 +185,7 @@ class NotificationQueueBank:
         queue = self._queues[dst]
         queue.remove(demand)
         self._total -= 1
-        if not queue:
+        if not queue._keys:
             self._nonempty ^= 1 << dst
         pair_counts = self._pair_counts
         pair = demand.pair

@@ -15,8 +15,8 @@ operations, so the Python implementation need not be O(1).
 
 from __future__ import annotations
 
-import bisect
 import itertools
+from bisect import bisect_right
 from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import SchedulerError
@@ -59,14 +59,16 @@ class OrderedList(Generic[T]):
 
     def insert(self, priority: float, value: T) -> None:
         """Insert ``value`` with ``priority``; 2 hardware cycles, pipelined."""
-        if self.is_full:
+        keys = self._keys
+        capacity = self.capacity
+        if capacity is not None and len(keys) >= capacity:
             raise SchedulerError(
-                f"ordered list full (capacity={self.capacity}); the sender-side "
+                f"ordered list full (capacity={capacity}); the sender-side "
                 f"rate limiter should have prevented this insert"
             )
         key = (priority, next(self._seq))
-        idx = bisect.bisect_right(self._keys, key)
-        self._keys.insert(idx, key)
+        idx = bisect_right(keys, key)
+        keys.insert(idx, key)
         self._values.insert(idx, value)
 
     def peek(self) -> T:
@@ -100,21 +102,28 @@ class OrderedList(Generic[T]):
 
     def remove(self, value: T) -> None:
         """Remove a specific entry."""
-        i = self._index(value)
+        values = self._values
+        try:
+            i = values.index(value)
+        except ValueError:
+            self._index(value)  # raises: not present
         del self._keys[i]
-        del self._values[i]
+        del values[i]
 
     def reprioritize(self, value: T, new_priority: float) -> None:
         """Update an entry's priority: one delete + insert, so the entry
         moves behind the ties of its new priority (used when SRPT's
         remaining-bytes state changes, §3.1.2)."""
-        i = self._index(value)
-        keys = self._keys
         values = self._values
+        try:
+            i = values.index(value)
+        except ValueError:
+            self._index(value)  # raises: not present
+        keys = self._keys
         del keys[i]
         del values[i]
         key = (new_priority, next(self._seq))
-        idx = bisect.bisect_right(keys, key)
+        idx = bisect_right(keys, key)
         keys.insert(idx, key)
         values.insert(idx, value)
 

@@ -32,6 +32,16 @@ next round can match nothing new there.  The grant engine therefore passes
 :meth:`PimMatcher.run` only its *dirty* destinations as candidates, and
 the matches, their order and the iteration count are the same as a scan
 over every non-empty queue.  The grant engine's docstring states the rule.
+
+**The uncontested round.**  Most rounds have at most one free destination
+in play: one new demand, or one port pair released.  A single proposer
+cannot be contested and matches in the first iteration, after which its
+destination is busy and nothing is left to propose.  So when
+``candidates & ~busy_dst`` has at most one bit set, :meth:`PimMatcher.run`
+returns that destination's first queued demand from a free source as a
+one-iteration match (no match and 0 iterations if it has none), without
+building the general loop's per-source tables.  The matches and
+iteration count are those of the general loop.
 """
 
 from __future__ import annotations
@@ -108,7 +118,9 @@ class PimMatcher:
         is in ascending port order, so ties go to the lower port.  Cycle
         3: winners' ports turn busy.
 
-        Only the destinations that proposed and lost are revisited.  Busy
+        A round with at most one free candidate is answered without the
+        loop (the uncontested round, module docstring).  Otherwise only
+        the destinations that proposed and lost are revisited.  Busy
         words only grow inside a round and queues do not change, so a
         destination that found no eligible demand never finds one later,
         and a winner is busy.  Matches, their order (by each source's first
@@ -120,20 +132,31 @@ class PimMatcher:
             candidates = bank._nonempty
         queues = bank._queues
         req = bank._req
+        pending = candidates & ~busy_dst
+        if not pending & (pending - 1):
+            # At most one destination in play: the uncontested round
+            # (module docstring).  The cap is at least one iteration.
+            if pending:
+                dst = pending.bit_length() - 1
+                if req[dst] & ~busy_src:
+                    for demand in queues[dst]._values:
+                        if not busy_src >> demand.src & 1:
+                            return MatchResult([demand], 1)
+            return MatchResult([], 0)
         priority = bank._priority_of
         cap = self.max_iterations
         matches: List[Demand] = []
         iterations = 0
-        pending = candidates & ~busy_dst
         while pending and (cap is None or iterations < cap):
             winners: Dict[int, Demand] = {}
             contested: Dict[int, float] = {}
             proposers = 0
+            free_src = ~busy_src
             while pending:
                 bit = pending & -pending
                 pending ^= bit
                 dst = bit.bit_length() - 1
-                if not req[dst] & ~busy_src:
+                if not req[dst] & free_src:
                     continue
                 for demand in queues[dst]._values:
                     src = demand.src

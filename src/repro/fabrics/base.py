@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -174,8 +175,20 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
             raise FabricError(f"cluster needs >= 2 nodes: {self.num_nodes}")
-        if self.link_gbps <= 0:
-            raise FabricError(f"link rate must be positive: {self.link_gbps}")
+        if not 0 < self.link_gbps < math.inf:
+            raise FabricError(
+                f"link rate must be finite and positive: {self.link_gbps}"
+            )
+        if not 0 <= self.propagation_ns < math.inf:
+            raise FabricError(
+                f"propagation must be finite and >= 0: {self.propagation_ns}"
+            )
+        if self.chunk_bytes <= 0:
+            raise FabricError(f"chunk size must be positive: {self.chunk_bytes}")
+        if self.max_active_per_pair <= 0:
+            raise FabricError(
+                f"max active per pair must be positive: {self.max_active_per_pair}"
+            )
         if self.seed < 0:
             raise FabricError(f"seed must be non-negative: {self.seed}")
 

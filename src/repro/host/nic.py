@@ -16,11 +16,15 @@ simulation needs for the latter.
 
 This module is the single hottest model layer in the EDM fabric — every
 granted chunk crosses it three times (grant RX, chunk TX, chunk RX) — so
-the RX/TX pipeline stages precompute their cycle delays, push
-fire-and-forget entries straight onto the host's lane (no cancellation
-handles, no scheduling frame; see :mod:`repro.sim.engine`), read the
-clock from the root simulator, and recycle the pooled wire transfers they
-consume.
+each crossing is one event callback with as few further Python frames as
+the model allows.  The RX/TX pipeline stages precompute their cycle
+delays, push fire-and-forget entries straight onto the host's lane (no
+cancellation handles, no scheduling frame; see :mod:`repro.sim.engine`),
+and read the clock from the root simulator.  The state tables are read
+and written as their dicts, one dict operation per lookup; their methods
+run only to raise.  A landing chunk is absorbed in the event's own frame,
+and the pooled wire transfers a NIC consumes go back to the pool without
+a helper call.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.host.wire import (
     WireTransfer,
     chunk_transfer,
     notify_transfer,
-    release_transfer,
+    recycle,
     request_transfer,
 )
 from repro.memctrl.controller import MemoryController
@@ -183,6 +187,10 @@ class EdmHostNic(Process):
         # Serving: RRES messages this node generates for peers' requests,
         # keyed by (requester, requester's id) — a separate id namespace.
         self.serving_table = MessageStateTable()
+        # The two tables' dicts, read with one dict operation per lookup
+        # on the per-chunk path; the tables' methods only raise.
+        self._states = self.state_table._entries
+        self._serving = self.serving_table._entries
         # RRES grants that reached this node before their forwarded
         # request, keyed like the serving table (see _hold_early_grant).
         self._early_grants: Dict[Tuple[int, int], List[Grant]] = {}
@@ -230,7 +238,7 @@ class EdmHostNic(Process):
         self.controller = controller
 
     def _cycles(self, count: int) -> float:
-        return count * self.config.cycle_ns
+        return count * self._config.cycle_ns
 
     def _send(self, transfer: WireTransfer, after_ns: float) -> None:
         if self.uplink is None:
@@ -299,10 +307,10 @@ class EdmHostNic(Process):
             message_id=message_id, created_at=now,
         )
         self.router.register(message.uid, on_complete, now)
-        self.state_table.add(
-            dst, message_id,
-            MessageState(message=message, completion_callback=on_complete),
-        )
+        state = MessageState(message=message, completion_callback=on_complete)
+        key = (dst, message_id)
+        if self._states.setdefault(key, state) is not state:
+            self.state_table.add(*key, state)  # raises: duplicate
         if self.limiter.admit(message):
             self._send_notification(message)
         self.messages_sent += 1
@@ -312,14 +320,14 @@ class EdmHostNic(Process):
         self, message: MemoryMessage, on_complete: CompletionCallback
     ) -> None:
         self.router.register(message.uid, on_complete, self._clock._now)
-        self.state_table.add(
-            message.dst, message.message_id,
-            MessageState(message=message, completion_callback=on_complete),
-        )
+        state = MessageState(message=message, completion_callback=on_complete)
+        key = (message.dst, message.message_id)
+        if self._states.setdefault(key, state) is not state:
+            self.state_table.add(*key, state)  # raises: duplicate
         if self.limiter.admit(message):
             self._send_request(message)
         self.messages_sent += 1
-        timeout = self.config.read_timeout_ns
+        timeout = self._config.read_timeout_ns
         if timeout is not None:
             # Finite and non-negative (HostConfig checks), so the timer is
             # pushed straight onto the lane.
@@ -350,11 +358,12 @@ class EdmHostNic(Process):
         ``(dst, message_id)`` may by then belong to a later message (ids
         are recycled), so only a state holding this very read is live.
         """
-        state = self.state_table.find(message.dst, message.message_id)
+        key = (message.dst, message.message_id)
+        state = self._states.get(key)
         if state is None or state.message.uid != message.uid:
             self._clock.discard()  # a stale timer: the read completed
             return
-        self.state_table.remove(message.dst, message.message_id)
+        del self._states[key]
         self.ids.release(message.dst, message.message_id)
         self._release_limiter_slot(message.dst)
         self.router.fire(message.uid, message, self._clock._now, data=b"", timed_out=True)
@@ -371,7 +380,8 @@ class EdmHostNic(Process):
             # RRES after RX + grant-queue-read + TX cycles.  The transfer
             # envelope is exhausted here; only the grant payload lives on.
             grant = transfer.grant
-            release_transfer(transfer)
+            transfer.grant = None
+            recycle(transfer)
             self._push((
                 self._clock._now + self._d_rx_grant, 0, next(self._seq),
                 self._emit_chunk, grant,
@@ -399,8 +409,9 @@ class EdmHostNic(Process):
     # -- grants --------------------------------------------------------- #
 
     def _emit_chunk(self, grant: Grant) -> None:
-        table = self.serving_table if grant.for_response else self.state_table
-        state = table.find(grant.dst, grant.message_id)
+        table = self._serving if grant.for_response else self._states
+        key = (grant.dst, grant.message_id)
+        state = table.get(key)
         if state is None:
             self._hold_early_grant(grant)
             return
@@ -420,7 +431,7 @@ class EdmHostNic(Process):
         if final:
             # Sender-side state is done; receiver-side completion fires when
             # the last chunk lands.
-            table.remove(grant.dst, grant.message_id)
+            del table[key]
             if message.mtype is MessageType.WREQ:
                 self.ids.release(grant.dst, grant.message_id)
                 # Writes are one-sided (§2.3): once the final chunk is on
@@ -457,9 +468,11 @@ class EdmHostNic(Process):
         result, done_at = controller.execute_message(message, now)
         rres = make_rres(message, created_at=now)
         state = MessageState(message=rres, data_ready=False)
-        self.serving_table.add(rres.dst, rres.message_id, state)
+        key = (rres.dst, rres.message_id)
+        if self._serving.setdefault(key, state) is not state:
+            self.serving_table.add(*key, state)  # raises: duplicate
         if self._early_grants:
-            early = self._early_grants.pop((rres.dst, rres.message_id), None)
+            early = self._early_grants.pop(key, None)
             if early is not None:
                 state.pending_grants.extend(early)
         wait = max(0.0, done_at - now)
@@ -472,7 +485,7 @@ class EdmHostNic(Process):
         # The forwarded request acted as the grant for the first chunk
         # (§3.1.1 step 4): emit it now.  4 grant-queue cycles + 3 TX cycles.
         size = rres.size_bytes
-        chunk = self.config.chunk_bytes
+        chunk = self._config.chunk_bytes
         grant = Grant(
             src=rres.src,
             dst=rres.dst,
@@ -499,45 +512,42 @@ class EdmHostNic(Process):
     def _absorb_chunk(self, transfer: WireTransfer) -> None:
         message = transfer.message
         mtype = message.mtype
-        if mtype is MessageType.WREQ:
-            self._absorb_write_chunk(transfer)
-        elif mtype is MessageType.RRES:
-            self._absorb_response_chunk(transfer)
+        if mtype is MessageType.RRES:
+            # RRES data landing back at the compute node.
+            peer = message.src  # the memory node
+            key = (peer, message.message_id)
+            state = self._states.get(key)
+            # No state: the request already timed out.
+            if state is not None:
+                received = state.bytes_received = (
+                    state.bytes_received + transfer.chunk_bytes
+                )
+                if received >= message.size_bytes:
+                    original = state.message
+                    del self._states[key]
+                    self.ids.release(peer, message.message_id)
+                    self._release_limiter_slot(peer)
+                    self.messages_completed += 1
+                    self.router.fire(
+                        original.uid, original, self._clock._now,
+                        data=_zeros(transfer.chunk_bytes),
+                    )
+        elif mtype is MessageType.WREQ:
+            # WREQ data landing at the memory node.
+            controller = self.controller
+            if controller is None:
+                raise HostError(
+                    f"node {self.node_id} received WREQ data but has no memory"
+                )
+            if transfer.is_final_chunk:
+                now = self._clock._now
+                controller.write(message.address, _zeros(message.size_bytes), now)
+                self.messages_completed += 1
+                self.router.fire(message.uid, message, now)
         else:
             raise HostError(f"unexpected data chunk of type {message.mtype.value}")
-        release_transfer(transfer)
-
-    def _absorb_write_chunk(self, transfer: WireTransfer) -> None:
-        """WREQ data landing at the memory node."""
-        if self.controller is None:
-            raise HostError(
-                f"node {self.node_id} received WREQ data but has no memory"
-            )
-        if transfer.is_final_chunk:
-            message = transfer.message
-            now = self._clock._now
-            self.controller.write(message.address, _zeros(message.size_bytes), now)
-            self.messages_completed += 1
-            self.router.fire(message.uid, message, now)
-
-    def _absorb_response_chunk(self, transfer: WireTransfer) -> None:
-        """RRES data landing back at the compute node."""
-        message = transfer.message
-        peer = message.src  # the memory node
-        state = self.state_table.find(peer, message.message_id)
-        if state is None:
-            return  # request already timed out
-        received = state.bytes_received = state.bytes_received + transfer.chunk_bytes
-        if received >= message.size_bytes:
-            original = state.message
-            self.state_table.remove(peer, message.message_id)
-            self.ids.release(peer, message.message_id)
-            self._release_limiter_slot(peer)
-            self.messages_completed += 1
-            self.router.fire(
-                original.uid, original, self._clock._now,
-                data=_zeros(transfer.chunk_bytes),
-            )
+        transfer.message = None
+        recycle(transfer)
 
     # -- rate limiter plumbing ------------------------------------------- #
 

@@ -151,10 +151,12 @@ class NotificationRateLimiter:
 
     def admit(self, message: MemoryMessage) -> bool:
         """Try to admit a message; False means it was backlogged."""
-        if self.active_toward(message.dst) < self.max_active:
-            self._active[message.dst] = self.active_toward(message.dst) + 1
+        dst = message.dst
+        active = self._active.get(dst, 0)
+        if active < self.max_active:
+            self._active[dst] = active + 1
             return True
-        self._backlog.setdefault(message.dst, deque()).append(message)
+        self._backlog.setdefault(dst, deque()).append(message)
         return False
 
     def complete(self, dst: int) -> Optional[MemoryMessage]:
@@ -163,7 +165,7 @@ class NotificationRateLimiter:
         Returns a backlogged message that may now be admitted (already
         counted as active), or None.
         """
-        active = self.active_toward(dst)
+        active = self._active.get(dst, 0)
         if active <= 0:
             raise HostError(f"no active notifications toward {dst} to complete")
         backlog = self._backlog.get(dst)

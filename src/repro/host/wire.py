@@ -8,9 +8,9 @@ and serializes in one 2.56 ns PCS cycle at 25 GbE).
 
 Grant and data-chunk transfers are the hot kinds — one of each per
 granted chunk — so the factories here draw them from a freelist pool;
-the consuming NIC hands exhausted transfers back via
-:func:`release_transfer`.  A transfer must not be released while any
-scheduled event still references it.
+the consuming NIC hands exhausted transfers back via :data:`recycle`.
+A transfer must not be recycled while any scheduled event still
+references it.
 """
 
 from __future__ import annotations
@@ -102,18 +102,12 @@ def _blocks_for(size_bytes: int) -> int:
 _pool: List[WireTransfer] = []
 _new_transfer = WireTransfer.__new__
 
-
-def release_transfer(transfer: WireTransfer) -> None:
-    """Return an exhausted grant/chunk transfer to the pool.
-
-    Only call once the transfer can no longer be referenced by any pending
-    event; the payload references are dropped here so pooled transfers do
-    not pin messages alive.
-    """
-    transfer.message = None
-    transfer.grant = None
-    transfer.notification = None
-    _pool.append(transfer)
+#: Returns an exhausted grant/chunk transfer to the pool: the pool's own
+#: push, so recycling costs no Python frame.  The consumer first drops the
+#: transfer's payload reference (``grant`` or ``message``), so that pooled
+#: transfers do not pin messages alive; the factories re-initialize every
+#: field on reuse.
+recycle = _pool.append
 
 
 def request_transfer(message: MemoryMessage) -> WireTransfer:
@@ -173,7 +167,8 @@ def chunk_transfer(
     t.kind = KIND_DATA_CHUNK
     t.src = message.src
     t.dst = message.dst
-    t.blocks = _blocks_for(chunk_bytes)
+    blocks = _block_cache.get(chunk_bytes)
+    t.blocks = _blocks_for(chunk_bytes) if blocks is None else blocks
     t.message = message
     t.grant = None
     t.notification = None

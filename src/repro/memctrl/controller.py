@@ -60,7 +60,8 @@ class MemoryController:
 
     def read(self, address: int, length: int, now: float = 0.0) -> Tuple[MemoryOperationResult, float]:
         """Read; returns (result, completion_time)."""
-        start = self._start_time(now)
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
         data, latency = self.dram.read(address, length)
         completion = start + latency
         self.busy_until = completion
@@ -69,7 +70,8 @@ class MemoryController:
 
     def write(self, address: int, data: bytes, now: float = 0.0) -> Tuple[MemoryOperationResult, float]:
         """Write; returns (result, completion_time)."""
-        start = self._start_time(now)
+        busy_until = self.busy_until
+        start = busy_until if busy_until > now else now
         latency = self.dram.write(address, data)
         completion = start + latency
         self.busy_until = completion

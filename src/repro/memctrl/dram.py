@@ -85,7 +85,8 @@ class Dram:
 
     def read(self, address: int, length: int) -> "tuple[bytes, float]":
         """Read ``length`` bytes; returns (data, latency_ns)."""
-        self._check_range(address, length)
+        if address < 0 or length < 0 or address + length > self.size_bytes:
+            self._check_range(address, length)  # raises
         arr = self._arr
         if arr is None:
             # Nothing ever written (fabric runs carry sizes, not payloads):
@@ -100,7 +101,8 @@ class Dram:
     def write(self, address: int, data: bytes) -> float:
         """Write ``data``; returns latency_ns."""
         length = len(data)
-        self._check_range(address, length)
+        if address < 0 or address + length > self.size_bytes:
+            self._check_range(address, length)  # raises
         arr = self._arr
         if arr is None and any(data):
             # First real payload: materialize the backing array (zero

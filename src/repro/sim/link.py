@@ -17,6 +17,7 @@ cluster is wired.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.core.clock import gbps_to_bits_per_ns
@@ -43,9 +44,13 @@ class Link(Process):
         name: str = "",
     ) -> None:
         super().__init__(sim, name or "link")
+        if not math.isfinite(bandwidth_gbps):
+            raise SimulationError(f"bandwidth must be finite, got {bandwidth_gbps}")
         self.bandwidth = gbps_to_bits_per_ns(bandwidth_gbps)
-        if propagation_ns < 0:
-            raise SimulationError(f"propagation must be >= 0, got {propagation_ns}")
+        if not 0 <= propagation_ns < math.inf:
+            raise SimulationError(
+                f"propagation must be finite and >= 0, got {propagation_ns}"
+            )
         self.propagation_ns = propagation_ns
         self.receiver = receiver
         #: When the transmitter frees up: the end of the last accepted

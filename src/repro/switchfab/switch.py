@@ -155,16 +155,17 @@ class EdmSwitch(Process):
     # scheduling rounds                                                  #
     # ------------------------------------------------------------------ #
 
-    def _arm_round(self, at: Optional[float] = None) -> None:
-        """Arm a matching round.
+    def _arm_round(self) -> None:
+        """Arm a matching round for a fresh demand.
 
         A fresh demand pays the matching latency (``3 log2(N) / R`` ns)
-        before its first grant.  Rounds chained off port releases fire *at*
-        the release instant: the hardware pipelines the next matching with
-        the current chunk's reception (§3.1.3 sizes the chunk so the link
-        stays busy while the next maximal matching forms).
+        before its first grant.  Rounds chained off port releases are
+        armed by :meth:`_run_round` itself and fire *at* the release
+        instant: the hardware pipelines the next matching with the current
+        chunk's reception (§3.1.3 sizes the chunk so the link stays busy
+        while the next maximal matching forms).
         """
-        fire_at = self._clock._now + self._d_matching if at is None else at
+        fire_at = self._clock._now + self._d_matching
         if self._round_armed_at is not None and self._round_armed_at <= fire_at:
             return  # a round is already armed at least as early
         # A later round already queued is superseded, not removed: the new
@@ -172,8 +173,7 @@ class EdmSwitch(Process):
         self._round_armed_at = fire_at
         self._round_gen += 1
         # Pushed straight onto the lane: fire_at is now plus a positive
-        # latency, or a pending port release, which the round that read it
-        # left strictly in the future.
+        # latency.
         self._push((
             fire_at, 1, next(self._seq), self._run_round, self._round_gen,
         ))
@@ -198,16 +198,21 @@ class EdmSwitch(Process):
                 # step 4): forward it to the memory node through the new
                 # circuit.
                 push((now + self._d_forward, 0, next(seq), self._forward, item))
-        if scheduler.pending_demands:
+        if scheduler.bank._total:
             # schedule() already expired every release due by now, so the
             # heap's head is the next one, without a second expiry pass.
-            next_release = scheduler.next_release()
-            if next_release is not None:
-                self._arm_round(next_release)
-            elif not issued:
+            releases = scheduler._releases
+            if releases:
+                fire_at = releases[0][0]
+            elif issued:
+                fire_at = now + self._d_matching
+            else:
                 raise FabricError(
                     "scheduler has pending demands, no busy ports, and made "
                     "no matches — inconsistent state"
                 )
-            else:
-                self._arm_round()
+            # Arm the next round as _arm_round would: this round cleared
+            # the armed slot, so nothing armed can be earlier.
+            self._round_armed_at = fire_at
+            self._round_gen = gen = gen + 1
+            push((fire_at, 1, next(seq), self._run_round, gen))

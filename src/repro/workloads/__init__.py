@@ -31,7 +31,7 @@ from repro.workloads.synthetic import (
     mean_wire_bytes,
     microbenchmark,
 )
-from repro.workloads.traces import TraceSpec, all_apps, validate_app
+from repro.workloads.traces import TraceSpec, all_apps
 from repro.workloads.ycsb import (
     READ_VALUE_BYTES,
     WORKLOAD_A,
@@ -80,7 +80,6 @@ __all__ = [
     "workload_by_name",
     # Trace helpers
     "all_apps",
-    "validate_app",
     # Convenience
     "microbenchmark",
 ]

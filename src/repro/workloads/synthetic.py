@@ -13,6 +13,7 @@ own RNG substream, and the sources merge lazily in time order.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -59,6 +60,10 @@ class SyntheticSpec(Workload):
     def __post_init__(self) -> None:
         if self.num_nodes < 2:
             raise WorkloadError(f"need >= 2 nodes: {self.num_nodes}")
+        if not 0 < self.link_gbps < math.inf:
+            raise WorkloadError(
+                f"link rate must be finite and positive: {self.link_gbps}"
+            )
         if not 0 < self.load <= 1:
             raise WorkloadError(f"load must be in (0,1]: {self.load}")
         if self.message_count <= 0:

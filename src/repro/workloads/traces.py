@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from repro.errors import WorkloadError
 from repro.fabrics.base import OfferedMessage
 from repro.workloads.api import Workload
 from repro.workloads.distributions import app_cdf
@@ -28,7 +27,13 @@ class TraceSpec(Workload):
     message_count: int
     seed: Optional[int] = 0
 
-    def arrivals(self) -> Iterator[OfferedMessage]:
+    def __post_init__(self) -> None:
+        # Fail at construction like the other specs: an unknown app or a
+        # bad synthetic field raises here.  Building the synthetic spec
+        # draws nothing.
+        self._synthetic()
+
+    def _synthetic(self) -> SyntheticSpec:
         return SyntheticSpec(
             num_nodes=self.num_nodes,
             link_gbps=self.link_gbps,
@@ -37,15 +42,12 @@ class TraceSpec(Workload):
             size_cdf=app_cdf(self.app),
             write_fraction=0.5,  # §4.3.2: reads and writes in equal proportion
             seed=self.seed,
-        ).arrivals()
+        )
+
+    def arrivals(self) -> Iterator[OfferedMessage]:
+        return self._synthetic().arrivals()
 
 
 def all_apps() -> List[str]:
     """Figure 8b's x-axis, in order."""
     return ["hadoop", "spark", "spark_sql", "graphlab", "memcached"]
-
-
-def validate_app(app: str) -> str:
-    if app not in all_apps():
-        raise WorkloadError(f"unknown app {app!r}; choose from {all_apps()}")
-    return app

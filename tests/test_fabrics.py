@@ -1,6 +1,10 @@
 """Tests for the baseline fabrics and the Figure 8 harness (small scale)."""
 
+import math
+
 import pytest
+
+from repro.errors import FabricError
 
 from repro.fabrics import (
     ClusterConfig,
@@ -46,6 +50,31 @@ class TestHarness:
         )
         with pytest.raises(Exception):
             result.mean_normalized_latency()
+
+
+#: Cluster fields that once ran to NaN completion times (or ran at all
+#: with a negative propagation delay) instead of failing at config time.
+BAD_CLUSTER_FIELDS = [
+    {"propagation_ns": math.nan},
+    {"propagation_ns": math.inf},
+    {"propagation_ns": -1.0},
+    {"link_gbps": math.nan},
+    {"link_gbps": math.inf},
+    {"chunk_bytes": 0},
+    {"max_active_per_pair": 0},
+]
+
+
+@pytest.mark.parametrize("fabric_cls", [
+    EdmFabric, IrdFabric, PfabricFabric, PfcFabric,
+    DctcpFabric, CxlFabric, FastpassFabric,
+])
+@pytest.mark.parametrize("bad", BAD_CLUSTER_FIELDS, ids=str)
+def test_bad_cluster_config_never_reaches_the_fabric(fabric_cls, bad):
+    probe = [OfferedMessage(src=0, dst=1, size_bytes=64, arrival_ns=0.0,
+                            is_read=True, uid=0)]
+    with pytest.raises(FabricError):
+        fabric_cls(ClusterConfig(num_nodes=4, **bad)).run(probe)
 
 
 class TestEveryFabricCompletes:

@@ -6,17 +6,21 @@ memory node, in-order per-pair delivery, the §3.3 deadlock timer, and
 what a ``run(deadline_ns=...)`` cut leaves behind.
 """
 
+import re
 from functools import partial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_kernel import replay_on
 
+from repro.core.messages import make_wreq
 from repro.core.opcodes import RmwOpcode
+from repro.errors import HostError
 from repro.fabrics.base import ClusterConfig, OfferedMessage
 from repro.fabrics.edm import EdmCluster, EdmFabric
 from repro.host.nic import HostConfig
-from repro.host.state import MessageIdAllocator
+from repro.host.state import MessageIdAllocator, MessageState
 from repro.host.wire import TransferKind
 from repro.memctrl.dram import DramTiming
 from repro.workloads.distributions import fixed_size
@@ -314,3 +318,42 @@ class TestDeadlineCut:
         assert _snapshot(cut)[0] == before
         assert cut.incomplete == len(messages) - len(before)
         assert _snapshot(cut) == _snapshot(run("heap", deadline_ns=deadline_ns))
+
+
+class TestStateTableKeys:
+    """The NIC inserts into its state tables inline; a key already held
+    raises the table's own error and leaves the held entry in place."""
+
+    DUPLICATE = re.escape("state table already holds an entry for (1, 0)")
+
+    def held(self, table):
+        state = MessageState(message=make_wreq(0, 1, address=0, data_bytes=64))
+        table.add(1, 0, state)  # id 0 toward node 1: the first id allocated
+        return state
+
+    def test_write_onto_held_key(self):
+        nic = make_cluster().nic(0)
+        state = self.held(nic.state_table)
+        with pytest.raises(HostError, match=self.DUPLICATE):
+            nic.write(1, 0, 64, lambda c: None)
+        assert nic.state_table.get(1, 0) is state
+
+    def test_read_onto_held_key(self):
+        nic = make_cluster().nic(0)
+        state = self.held(nic.state_table)
+        with pytest.raises(HostError, match=self.DUPLICATE):
+            nic.read(1, 0, 64, lambda c: None)
+        assert nic.state_table.get(1, 0) is state
+
+    def test_served_request_onto_held_key(self):
+        cluster = make_cluster(nodes=2)
+        # Node 1 already serves (requester 0, id 0) when node 0's read lands.
+        memory = cluster.nic(1)
+        state = MessageState(message=make_wreq(1, 0, address=0, data_bytes=64))
+        memory.serving_table.add(0, 0, state)
+        cluster.nic(0).read(1, 0, 64, lambda c: None)
+        with pytest.raises(
+            HostError, match=re.escape("state table already holds an entry for (0, 0)")
+        ):
+            cluster.sim.run()
+        assert memory.serving_table.get(0, 0) is state

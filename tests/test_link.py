@@ -1,5 +1,7 @@
 """Tests for the link model: serialization, FIFO ordering, propagation."""
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -73,6 +75,16 @@ class TestValidation:
         sim = Simulator()
         with pytest.raises(SimulationError):
             Link(sim, 100.0, -1.0)
+
+    @pytest.mark.parametrize("prop", [math.nan, math.inf])
+    def test_non_finite_propagation_rejected(self, prop):
+        with pytest.raises(SimulationError, match="propagation must be finite"):
+            Link(Simulator(), 100.0, prop)
+
+    @pytest.mark.parametrize("gbps", [math.nan, math.inf])
+    def test_non_finite_bandwidth_rejected(self, gbps):
+        with pytest.raises(SimulationError, match="bandwidth must be finite"):
+            Link(Simulator(), gbps, 10.0)
 
 
 class TestAccounting:

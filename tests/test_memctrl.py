@@ -1,5 +1,7 @@
 """Tests for the DRAM model and memory controller (atomic RMW included)."""
 
+import re
+
 import pytest
 
 from repro.core.messages import make_rmwreq, make_rreq, make_wreq
@@ -27,6 +29,30 @@ class TestDram:
             dram.read(60, 8)
         with pytest.raises(MemoryError_):
             dram.write(-1, b"x")
+
+    @pytest.mark.parametrize("address,length", [(60, 8), (-1, 4), (0, -1), (0, 65)])
+    def test_out_of_range_read_message(self, address, length):
+        dram = Dram(64)
+        with pytest.raises(MemoryError_, match=re.escape(
+            f"access [{address}, {address + length}) outside [0, 64)"
+        )):
+            dram.read(address, length)
+        with pytest.raises(MemoryError_, match=re.escape(
+            f"access [{address}, {address + length}) outside [0, 64)"
+        )):
+            MemoryController(64).read(address, length)
+        assert dram.reads == 0
+
+    @pytest.mark.parametrize("address,data", [(60, b"x" * 8), (-1, b"x"), (65, b"")])
+    def test_out_of_range_write_message(self, address, data):
+        dram = Dram(64)
+        expected = f"access [{address}, {address + len(data)}) outside [0, 64)"
+        with pytest.raises(MemoryError_, match=re.escape(expected)):
+            dram.write(address, data)
+        controller = MemoryController(64)
+        with pytest.raises(MemoryError_, match=re.escape(expected)):
+            controller.write(address, data)
+        assert dram.writes == 0 and controller.busy_until == 0.0
 
     def test_row_hit_is_faster_than_miss(self):
         timing = DramTiming(row_hit_ns=40.0, row_miss_ns=82.0, row_bytes=1024)

@@ -1,5 +1,7 @@
 """Tests for the constant-time ordered list hardware model (§3.1.2)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,28 @@ class TestErrors:
         assert ol.is_full
         with pytest.raises(SchedulerError):
             ol.insert(3.0, "c")
+
+    def test_full_message(self):
+        ol = OrderedList(capacity=1)
+        ol.insert(1.0, "a")
+        with pytest.raises(SchedulerError, match=re.escape(
+            "ordered list full (capacity=1); the sender-side rate limiter "
+            "should have prevented this insert"
+        )):
+            ol.insert(2.0, "b")
+        assert ol.as_sorted_list() == ["a"]
+
+    @pytest.mark.parametrize("op", ["remove", "reprioritize"])
+    def test_absent_value_message(self, op):
+        ol = OrderedList()
+        ol.insert(1.0, "a")
+        args = ("zzz",) if op == "remove" else ("zzz", 0.0)
+        with pytest.raises(
+            SchedulerError, match=re.escape("value not present in ordered list: 'zzz'")
+        ) as info:
+            getattr(ol, op)(*args)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+        assert ol.as_sorted_list() == ["a"]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(SchedulerError):

@@ -613,3 +613,100 @@ class TestIncrementalRoundMatchesFullRescan:
             sched.schedule(9.0)
         with pytest.raises(SchedulerError):
             sched.next_release_after(5.0)
+
+
+@st.composite
+def uncontested_rounds(draw):
+    """A bank plus busy ports and a candidate word of at most one bit.
+
+    ``mode`` steers the draw toward the edge cases of the uncontested
+    round: every source busy, the candidate itself busy, or the candidate
+    queue's leading demands all from busy sources.
+    """
+    ports = draw(st.sampled_from([2, 3, 8, 65, 144]))
+    policy = draw(st.sampled_from([Policy.SRPT, Policy.FCFS]))
+    bank = NotificationQueueBank(num_ports=ports, policy=policy, max_active_per_pair=8)
+    port = st.integers(0, ports - 1)
+    raw = draw(st.lists(
+        st.tuples(port, port, st.integers(1, 512), st.integers(0, 4), st.booleans()),
+        max_size=30,
+    ))
+    for i, (src, dst, size, t, response) in enumerate(raw):
+        if src != dst and bank.can_accept(src, dst, response):
+            bank.add(demand(src, dst, size=size, t=float(t), mid=i % 256,
+                            response=response))
+    candidate = draw(st.none() | port)
+    busy_src = draw(st.sets(port, max_size=ports))
+    busy_dst = draw(st.sets(port, max_size=ports))
+    mode = draw(st.sampled_from(["random", "all_src_busy", "candidate_busy", "heads_busy"]))
+    if mode == "all_src_busy":
+        busy_src = set(range(ports))
+    elif mode == "candidate_busy" and candidate is not None:
+        busy_dst.add(candidate)
+    elif mode == "heads_busy" and candidate is not None:
+        busy_dst.discard(candidate)
+        queue = bank.queue_for(candidate).as_sorted_list()
+        heads = draw(st.integers(0, len(queue)))
+        busy_src |= {d.src for d in queue[:heads]}
+    max_iterations = draw(st.sampled_from([None, 1]))
+    return bank, policy, candidate, busy_src, busy_dst, max_iterations
+
+
+class TestUncontestedRound:
+    """A candidate word with at most one bit set takes PimMatcher's
+    uncontested path; its matches and iteration count are the textbook's."""
+
+    @given(uncontested_rounds())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_textbook_pim(self, case):
+        bank, policy, candidate, busy_src, busy_dst, max_iterations = case
+        candidates = 0 if candidate is None else 1 << candidate
+        result = PimMatcher(bank, max_iterations=max_iterations).run(
+            word(busy_src), word(busy_dst), candidates,
+        )
+        # The textbook scans every destination: the non-candidates are
+        # passed as busy so that only the candidate may propose.
+        allowed = set() if candidate is None else {candidate}
+        others = set(range(bank.num_ports)) - allowed
+        matches, iterations = textbook_pim(
+            bank, policy, set(busy_src), set(busy_dst) | others, max_iterations,
+        )
+        assert [id(m) for m in result.matches] == [id(m) for m in matches]
+        assert result.iterations == iterations
+        assert iterations <= 1
+
+    def test_head_from_busy_source_is_skipped(self):
+        bank = NotificationQueueBank(num_ports=4)
+        first = demand(0, 3, size=10, mid=0)
+        second = demand(1, 3, size=20, mid=1)
+        bank.add(first)
+        bank.add(second)
+        result = PimMatcher(bank).run(word([0]), 0, word([3]))
+        assert result.matches == [second] and result.iterations == 1
+
+    def test_no_free_source_matches_nothing(self):
+        bank = NotificationQueueBank(num_ports=4)
+        bank.add(demand(0, 3, mid=0))
+        bank.add(demand(1, 3, mid=1))
+        result = PimMatcher(bank).run(word([0, 1, 2, 3]), 0, word([3]))
+        assert result.matches == [] and result.iterations == 0
+
+    def test_busy_candidate_matches_nothing(self):
+        bank = NotificationQueueBank(num_ports=4)
+        bank.add(demand(0, 3))
+        result = PimMatcher(bank, max_iterations=1).run(0, word([3]), word([3]))
+        assert result.matches == [] and result.iterations == 0
+
+
+class TestErrorMessages:
+    """Error paths whose checks run inline on the hot path keep the type
+    and message of the helper that raises them."""
+
+    @pytest.mark.parametrize("src,dst,bad", [(4, 1, 4), (0, 7, 7), (-1, 9, -1)])
+    def test_out_of_range_port(self, src, dst, bad):
+        bank = NotificationQueueBank(num_ports=4)
+        with pytest.raises(
+            SchedulerError, match=rf"^port {bad} out of range for a 4-port switch$"
+        ):
+            bank.add(Demand(src=src, dst=dst, message_id=0, total_bytes=64))
+        assert len(bank) == 0

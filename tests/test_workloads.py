@@ -1,5 +1,7 @@
 """Tests for workload generators: distributions, synthetic, YCSB, traces."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,12 @@ class TestSynthetic:
             SyntheticSpec(num_nodes=4, link_gbps=100.0, load=1.5,
                           message_count=10, size_cdf=fixed_size(64))
 
+    @pytest.mark.parametrize("gbps", [0.0, -1.0, math.nan, math.inf])
+    def test_link_rate_must_be_finite_and_positive(self, gbps):
+        with pytest.raises(WorkloadError, match="link rate must be finite and positive"):
+            SyntheticSpec(num_nodes=4, link_gbps=gbps, load=0.5,
+                          message_count=10, size_cdf=fixed_size(64))
+
 
 class TestYcsb:
     def test_workload_mixes(self):
@@ -190,6 +198,21 @@ class TestTraces:
     ).materialize()
         reads = sum(1 for m in trace if m.is_read)
         assert 0.45 < reads / len(trace) < 0.55
+
+    @pytest.mark.parametrize("bad", [
+        {"app": "nope"},
+        {"num_nodes": 1},
+        {"link_gbps": math.nan},
+        {"link_gbps": 0.0},
+        {"load": 5.0},
+        {"message_count": -1},
+    ])
+    def test_invalid_trace_rejected_when_built(self, bad):
+        fields = dict(app="spark", num_nodes=8, link_gbps=100.0, load=0.5,
+                      message_count=100, seed=0)
+        fields.update(bad)
+        with pytest.raises(WorkloadError):
+            TraceSpec(**fields)
 
     def test_trace_sizes_follow_app_cdf(self):
         trace = TraceSpec(
